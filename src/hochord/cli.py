@@ -379,9 +379,14 @@ def cmd_validate(args, out) -> int:
     return 0 if not problems else 2
 
 
+def _require_cutoff(args, floor: int) -> None:
+    if args.cutoff < floor:
+        raise CliInputError(
+            f"{args.command} needs --cutoff >= {floor}, got --cutoff {args.cutoff}")
+
+
 def cmd_nncmo(args, out) -> int:
-    if args.cutoff < 2:
-        raise CliInputError("nncmo needs --cutoff >= 2")
+    _require_cutoff(args, 2)
     X = load_simplicial_set(args.set)
     predicted = classify_nncmo(X, args.cutoff)
     searched = search_nncmo(X, args.cutoff)
@@ -408,6 +413,7 @@ def cmd_nncmo(args, out) -> int:
 
 
 def cmd_cyclic(args, out) -> int:
+    _require_cutoff(args, 1)
     X = load_simplicial_set(args.set)
     if X.dimension() > 1:
         raise CliInputError(f"{X.name} is not one-dimensional; no cyclic ordering")
@@ -424,6 +430,7 @@ def cmd_cyclic(args, out) -> int:
 
 
 def cmd_actions(args, out) -> int:
+    _require_cutoff(args, 1)
     X = load_simplicial_set(args.set)
     rep = classify_actions(X, args.cutoff)
     report = {

@@ -395,12 +395,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.cols, b.cols, f, out)
 
 
-def column_space_basis(m: Matrix) -> list[int]:
-    """Indices of a deterministic column basis (pivot columns of the RREF)."""
-    _, pivots = rref(m)
-    return pivots
-
-
 def from_columns(cols: list[list[Scalar]], nrows: int, field: Field) -> Matrix:
     return Matrix(nrows, len(cols), field,
                   {(r, c): v for c, col in enumerate(cols) for r, v in enumerate(col)})

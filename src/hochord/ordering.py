@@ -666,18 +666,22 @@ class ActionClassReport:
     cutoff: int
     classes: tuple[ActionClass, ...]
     notes: tuple[str, ...]
+    _by_site: dict = dc_field(init=False, repr=False, compare=False)
+    _by_id: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_site", {
+            site: cls for cls in self.classes for site in cls.sites})
+        object.__setattr__(self, "_by_id", {cls.class_id: cls for cls in self.classes})
 
     def class_of_site(self, site: Site) -> ActionClass | None:
-        for cls in self.classes:
-            if site in cls.sites:
-                return cls
-        return None
+        return self._by_site.get(site)
 
     def by_id(self, class_id: str) -> ActionClass:
-        for cls in self.classes:
-            if cls.class_id == class_id:
-                return cls
-        raise OrderingError(f"unknown action class {class_id!r}")
+        try:
+            return self._by_id[class_id]
+        except KeyError:
+            raise OrderingError(f"unknown action class {class_id!r}") from None
 
 
 _TYPING_NOTE = (
@@ -761,20 +765,6 @@ def _union_sites(X: SimplicialSet, cutoff: int):
             sorted(groups.items(), key=lambda kv: _site_sort_key(kv[0]))]
 
 
-def _simulate_route(X: SimplicialSet, ref: SimplexRef, steps):
-    """Images of ref along the steps; returns (images list incl. start,
-    death step or None)."""
-    imgs = [ref]
-    death = None
-    cur = ref
-    for t, i in enumerate(steps, start=1):
-        cur = X.face(cur, i)
-        imgs.append(cur)
-        if death is None and X.is_basepoint(cur):
-            death = t
-    return imgs, death
-
-
 def classify_actions(X: SimplicialSet, cutoff: int = 4,
                      max_word_length: int = 4) -> ActionClassReport:
     """Partition the basepoint-hitting sites (simplex, face index) into
@@ -784,6 +774,10 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
     Sets of dimension >= 2 carry no multiplicative ordering, so their classes
     are reported untyped (only commutative coefficients apply there and any
     action of a commutative algebra obeys both laws).
+
+    Typing walks each level once (see ``_type_level``): its cost grows with
+    words x members plus merging pairs x word pairs, not with word pairs x
+    member pairs.
     """
     notes = [_TYPING_NOTE]
     site_groups = _union_sites(X, cutoff)
@@ -799,26 +793,12 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
         notes.append("set is not one-dimensional: no multiplicative ordering exists, "
                      "classes left untyped")
 
-    site_to_group = {}
-    for gi, group in enumerate(site_groups):
-        for s in group:
-            site_to_group[s] = gi
+    site_to_group = {s: gi for gi, group in enumerate(site_groups) for s in group}
     evidence: dict[int, set[str]] = {gi: set() for gi in range(len(site_groups))}
 
     if assignment is not None:
         for n in range(2, cutoff + 1):
-            members = X.level_nonbase(n)
-            for length in range(2, min(n, max_word_length) + 1):
-                for _, words in sorted(_face_words(n, length).items(),
-                                       key=lambda kv: sorted(kv[0])):
-                    if len(words) < 2:
-                        continue
-                    words = sorted(words)
-                    for w1, w2 in combinations(words, 2):
-                        for x, y in combinations(members, 2):
-                            _collect_typing_evidence(
-                                X, assignment, site_to_group, evidence,
-                                n, x, y, w1, w2)
+            _type_level(X, assignment, site_to_group, evidence, n, max_word_length)
 
     classes = []
     for gi, group in enumerate(site_groups):
@@ -837,51 +817,74 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
     return ActionClassReport(cutoff, tuple(classes), tuple(notes))
 
 
-def _collect_typing_evidence(X, assignment, site_to_group, evidence,
-                             n, x, y, w1, w2):
-    """One evidence attempt: on one word the pair merges alive and the merged
-    image later dies; on the other word the two members die at different
-    steps.  The relative death order types the class of the death sites."""
-    for merge_word, split_word in ((w1, w2), (w2, w1)):
-        imgs_mx, death_mx = _simulate_route(X, x, merge_word)
-        imgs_my, death_my = _simulate_route(X, y, merge_word)
-        merge_t = None
-        for t in range(1, len(merge_word) + 1):
-            if imgs_mx[t] == imgs_my[t]:
-                if not X.is_basepoint(imgs_mx[t]):
-                    merge_t = t
+def _type_level(X, assignment, site_to_group, evidence, n, max_word_length):
+    """Collect the typing evidence of the level-n members.
+
+    One evidence item is a pair of members and two equal factorizations: on
+    the merge word the pair's images meet at a non-basepoint simplex that
+    later dies, on the split word the two members die at different steps,
+    and all three death sites lie in one class.  The fiber order at the
+    meeting step names the smaller member; the smaller member dying strictly
+    later makes the class a left action, dying first a right action.
+
+    Every (member, word) route is simulated once, into a per-word table of
+    death steps and death-site classes plus the word's merging pairs; the
+    word-pair loop reads only these tables.
+    """
+    members = X.level_nonbase(n)
+    for length in range(2, min(n, max_word_length) + 1):
+        for words in _face_words(n, length).values():
+            tables = [_route_table(X, assignment, site_to_group, n, members, w)
+                      for w in words]
+            for merge_at, (_, merges) in enumerate(tables):
+                for split_at, (deaths, _) in enumerate(tables):
+                    if split_at == merge_at:
+                        continue  # a merged pair dies at one step on its own word
+                    for g, small, large in merges:
+                        ds, dl = deaths[small], deaths[large]
+                        if ds is None or dl is None or ds[1] != g or dl[1] != g \
+                                or ds[0] == dl[0]:
+                            continue
+                        evidence[g].add("left" if dl[0] < ds[0] else "right")
+
+
+def _route_table(X, assignment, site_to_group, n, members, word):
+    """Simulate every member along ``word`` (faces applied first to last).
+
+    Returns ``(deaths, merges)``: ``deaths[x]`` is member x's death step and
+    the class of its death site, or None if it survives the word; ``merges``
+    lists ``(class, smaller, larger)`` for every member pair whose images
+    first meet at a non-basepoint simplex that later dies in a classified
+    site, smaller and larger in the fiber order at the meeting step.  The
+    image lists are dropped on return.
+    """
+    routes = []
+    for ref in members:
+        imgs = [ref]
+        death = None
+        for t, i in enumerate(word, start=1):
+            img = X.face(imgs[-1], i)
+            if X.is_basepoint(img):
+                death = (t, site_to_group.get((n - t + 1, imgs[-1], i)))
                 break
-        if merge_t is None:
-            continue
-        merged_death = None
-        for t in range(merge_t + 1, len(merge_word) + 1):
-            if X.is_basepoint(imgs_mx[t]):
-                merged_death = t
-                break
-        if merged_death is None:
-            continue
-        imgs_sx, death_sx = _simulate_route(X, x, split_word)
-        imgs_sy, death_sy = _simulate_route(X, y, split_word)
-        if death_sx is None or death_sy is None or death_sx == death_sy:
-            continue
-        site_merge = (n - merged_death + 1, imgs_mx[merged_death - 1],
-                      merge_word[merged_death - 1])
-        site_x = (n - death_sx + 1, imgs_sx[death_sx - 1], split_word[death_sx - 1])
-        site_y = (n - death_sy + 1, imgs_sy[death_sy - 1], split_word[death_sy - 1])
-        g = site_to_group.get(site_merge)
-        if g is None or site_to_group.get(site_x) != g or site_to_group.get(site_y) != g:
-            continue
-        # order the pair by the fiber order at the merge step
-        a, b = imgs_mx[merge_t - 1], imgs_my[merge_t - 1]
-        level_at = n - merge_t + 1
-        i_at = merge_word[merge_t - 1]
-        target = imgs_mx[merge_t]
-        pa = assignment.position(level_at, i_at, target, a)
-        pb = assignment.position(level_at, i_at, target, b)
-        smaller_is_x = pa < pb
-        death_smaller = death_sx if smaller_is_x else death_sy
-        death_larger = death_sy if smaller_is_x else death_sx
-        if death_larger < death_smaller:
-            evidence[g].add("left")
-        elif death_smaller < death_larger:
-            evidence[g].add("right")
+            imgs.append(img)
+        routes.append((imgs, death))
+
+    merges = []
+    for t in range(1, len(word) + 1):
+        # alive images at step t, split by their image one step earlier
+        blocks: dict[SimplexRef, dict[SimplexRef, list[int]]] = {}
+        for x, (imgs, _) in enumerate(routes):
+            if t < len(imgs):
+                blocks.setdefault(imgs[t], {}).setdefault(imgs[t - 1], []).append(x)
+        for target, parts in blocks.items():
+            if len(parts) < 2:
+                continue
+            death = routes[next(iter(parts.values()))[0]][1]
+            if death is None or death[1] is None:
+                continue
+            ranked = sorted(parts, key=lambda a: assignment.position(
+                n - t + 1, word[t - 1], target, a))
+            for a, b in combinations(ranked, 2):
+                merges.extend((death[1], x, y) for x in parts[a] for y in parts[b])
+    return [death for _, death in routes], merges

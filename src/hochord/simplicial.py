@@ -176,9 +176,6 @@ class SimplicialSet:
     def level_nonbase(self, n: int) -> tuple[SimplexRef, ...]:
         return self.level(n)[1:]
 
-    def materialize(self, cutoff: int) -> list[tuple[SimplexRef, ...]]:
-        return [self.level(n) for n in range(cutoff + 1)]
-
     # -- validation ---------------------------------------------------------
     def validate(self) -> list[str]:
         """Check the face-map simplicial identities on every nondegenerate

@@ -44,6 +44,20 @@ def test_nncmo_rejects_tiny_cutoff():
     assert code == 1 and "cutoff" in err
 
 
+@pytest.mark.parametrize("command, cutoff", [
+    ("actions", "-1"), ("actions", "0"), ("cyclic", "-2"), ("cyclic", "0")])
+def test_cyclic_and_actions_reject_cutoff_below_one(command, cutoff):
+    code, out, err = run_cli([command, "circle", "--cutoff", cutoff, "--json"])
+    assert code == 1 and out == ""
+    assert f"--cutoff >= 1, got --cutoff {cutoff}" in err
+
+
+def test_cyclic_and_actions_accept_cutoff_one():
+    for command in ("actions", "cyclic"):
+        code, out, _ = run_cli([command, "circle", "--cutoff", "1", "--json"])
+        assert code == 0 and json.loads(out)["cutoff"] == 1
+
+
 def test_cyclic_tables():
     code, out, _ = run_cli(["cyclic", "circle", "--cutoff", "4"])
     assert code == 0

@@ -1,15 +1,27 @@
+from itertools import combinations
+
 import pytest
 
+from hochord import ordering
 from hochord.ordering import (CyclicOrderingUnavailable, OrderingAssignment,
-                              OrderingError, assignment_from_level_orders,
-                              check_nncmo, check_nncmo_full, classify_actions,
-                              classify_nncmo, composition_induced_order,
-                              cyclic_ordering, fibers_of_face, search_nncmo)
-from hochord.simplicial import (SimplexRef, circle, interval, point, sphere2,
-                                wedge_of_circles)
+                              OrderingError, _face_words,
+                              assignment_from_level_orders, check_nncmo,
+                              check_nncmo_full, classify_actions, classify_nncmo,
+                              composition_induced_order, cyclic_ordering,
+                              fibers_of_face, search_nncmo)
+from hochord.simplicial import (SimplexRef, SimplicialSet, circle, from_file,
+                                interval, point, sphere2, wedge_of_circles)
 
 BUNDLED = [point, interval, circle, lambda: wedge_of_circles(2),
            lambda: wedge_of_circles(3), sphere2]
+
+BIGON = """
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex e1 dim=1 faces=[p, v0]
+simplex e2 dim=1 faces=[v0, p]
+"""
 
 
 def _level_order_assignment(X, cutoff):
@@ -205,15 +217,7 @@ def test_cyclic_ordering_rejects_higher_dimensional_sets():
 def test_cyclic_ordering_unavailable_on_subdivided_circle():
     # two edges through an extra vertex: one-dimensional, but no face-monotone
     # order exists; the search still finds a multiplicative ordering
-    from hochord.simplicial import from_file
-    text = """
-    basepoint v0
-    simplex v0 dim=0
-    simplex p dim=0
-    simplex e1 dim=1 faces=[p, v0]
-    simplex e2 dim=1 faces=[v0, p]
-    """
-    X = from_file(text, "bigon")
+    X = from_file(BIGON, "bigon")
     with pytest.raises(CyclicOrderingUnavailable):
         cyclic_ordering(X, 3)
     res = classify_nncmo(X, 3)
@@ -265,3 +269,113 @@ def test_interval_single_right_class():
     rep = classify_actions(interval(), 4)
     assert len(rep.classes) == 1
     assert rep.classes[0].action_type == "right"
+
+
+# ---------------------------------------------------------------------------
+# pair-by-pair typing: the reference the per-level route tables must match
+
+def _simulate_route(X, ref, steps):
+    """Images of ref along the steps; returns (images list incl. start,
+    death step or None)."""
+    imgs = [ref]
+    death = None
+    cur = ref
+    for t, i in enumerate(steps, start=1):
+        cur = X.face(cur, i)
+        imgs.append(cur)
+        if death is None and X.is_basepoint(cur):
+            death = t
+    return imgs, death
+
+
+def _collect_typing_evidence(X, assignment, site_to_group, evidence,
+                             n, x, y, w1, w2):
+    """One evidence attempt: on one word the pair merges alive and the merged
+    image later dies; on the other word the two members die at different
+    steps.  The relative death order types the class of the death sites."""
+    for merge_word, split_word in ((w1, w2), (w2, w1)):
+        imgs_mx, death_mx = _simulate_route(X, x, merge_word)
+        imgs_my, death_my = _simulate_route(X, y, merge_word)
+        merge_t = None
+        for t in range(1, len(merge_word) + 1):
+            if imgs_mx[t] == imgs_my[t]:
+                if not X.is_basepoint(imgs_mx[t]):
+                    merge_t = t
+                break
+        if merge_t is None:
+            continue
+        merged_death = None
+        for t in range(merge_t + 1, len(merge_word) + 1):
+            if X.is_basepoint(imgs_mx[t]):
+                merged_death = t
+                break
+        if merged_death is None:
+            continue
+        imgs_sx, death_sx = _simulate_route(X, x, split_word)
+        imgs_sy, death_sy = _simulate_route(X, y, split_word)
+        if death_sx is None or death_sy is None or death_sx == death_sy:
+            continue
+        site_merge = (n - merged_death + 1, imgs_mx[merged_death - 1],
+                      merge_word[merged_death - 1])
+        site_x = (n - death_sx + 1, imgs_sx[death_sx - 1], split_word[death_sx - 1])
+        site_y = (n - death_sy + 1, imgs_sy[death_sy - 1], split_word[death_sy - 1])
+        g = site_to_group.get(site_merge)
+        if g is None or site_to_group.get(site_x) != g or site_to_group.get(site_y) != g:
+            continue
+        # order the pair by the fiber order at the merge step
+        a, b = imgs_mx[merge_t - 1], imgs_my[merge_t - 1]
+        level_at = n - merge_t + 1
+        i_at = merge_word[merge_t - 1]
+        target = imgs_mx[merge_t]
+        pa = assignment.position(level_at, i_at, target, a)
+        pb = assignment.position(level_at, i_at, target, b)
+        smaller_is_x = pa < pb
+        death_smaller = death_sx if smaller_is_x else death_sy
+        death_larger = death_sy if smaller_is_x else death_sx
+        if death_larger < death_smaller:
+            evidence[g].add("left")
+        elif death_smaller < death_larger:
+            evidence[g].add("right")
+
+
+def _pairwise_type_level(X, assignment, site_to_group, evidence, n, max_word_length):
+    """The typing search of one level run pair by pair: every member pair
+    meets every pair of equal words, both ways round."""
+    members = X.level_nonbase(n)
+    for length in range(2, min(n, max_word_length) + 1):
+        for _, words in sorted(_face_words(n, length).items(),
+                               key=lambda kv: sorted(kv[0])):
+            if len(words) < 2:
+                continue
+            for w1, w2 in combinations(sorted(words), 2):
+                for x, y in combinations(members, 2):
+                    _collect_typing_evidence(X, assignment, site_to_group,
+                                             evidence, n, x, y, w1, w2)
+
+
+@pytest.mark.parametrize("builder, max_word_length", [
+    (point, 4), (interval, 4), (circle, 4), (lambda: wedge_of_circles(2), 4),
+    (sphere2, 4), (lambda: from_file(BIGON, "bigon"), 4),
+    (lambda: wedge_of_circles(2), 2), (lambda: wedge_of_circles(2), 3),
+], ids=["point", "interval", "circle", "wedge2", "sphere2", "bigon",
+        "wedge2-words2", "wedge2-words3"])
+def test_route_tables_match_pairwise_typing(builder, max_word_length, monkeypatch):
+    got = classify_actions(builder(), 4, max_word_length)
+    monkeypatch.setattr(ordering, "_type_level", _pairwise_type_level)
+    want = classify_actions(builder(), 4, max_word_length)
+    # ids, types, sites and notes
+    assert got == want
+
+
+def test_typing_simulates_each_route_once(monkeypatch):
+    face = SimplicialSet.face
+    calls = [0]
+
+    def counted(X, ref, i):
+        calls[0] += 1
+        return face(X, ref, i)
+
+    monkeypatch.setattr(SimplicialSet, "face", counted)
+    classify_actions(wedge_of_circles(3), 4)
+    # the pair-by-pair reference above makes 1,749,138 calls here
+    assert calls[0] <= 20_000
