@@ -8,7 +8,7 @@ and unitality are checked exhaustively at construction; dimensions stay small
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .exact import Field, Matrix, QQ, Scalar, nullspace
@@ -145,6 +145,37 @@ def center(alg: Algebra) -> list[tuple[Scalar, ...]]:
             entries[(a * d + r, c)] = v
     system = Matrix(d * d, d, f, entries)
     return [tuple(v) for v in nullspace(system)]
+
+
+def unit_first(alg: Algebra) -> tuple[Algebra, tuple[tuple[Scalar, ...], ...]]:
+    """An isomorphic copy of ``alg`` whose unit is a basis vector.
+
+    The first basis vector with a nonzero unit coefficient is replaced by the
+    unit itself (so upper-triangular and matrix algebras get e11 + e22 + ...
+    in place of e11), and the table is re-expressed in the new basis.  Returns
+    the copy and its basis written in the coordinates of ``alg``; an algebra
+    whose unit already is a basis vector comes back unchanged, with the
+    standard basis.
+    """
+    f = alg.field
+    d = alg.dim
+    basis = [alg.basis_vector(i) for i in range(d)]
+    p = next(i for i, c in enumerate(alg.unit) if c != f.zero())
+    if alg.unit == basis[p]:
+        return alg, tuple(basis)
+    basis[p] = alg.unit
+
+    def coords(x):
+        # x = sum_{i != p} y_i e_i + y_p * unit, solved for y
+        yp = f.div(x[p], alg.unit[p])
+        return tuple(yp if i == p else f.sub(x[i], f.mul(yp, alg.unit[i]))
+                     for i in range(d))
+
+    table = tuple(tuple(coords(multiply(alg, bi, bj)) for bj in basis) for bi in basis)
+    names = list(alg.basis_names)
+    names[p] = "+".join(n if c == f.one() else f"{c}*{n}"
+                        for c, n in zip(alg.unit, alg.basis_names) if c != f.zero())
+    return Algebra(alg.name, f, tuple(names), alg.basis_vector(p), table), tuple(basis)
 
 
 def commutator_span_dim(alg: Algebra) -> int:

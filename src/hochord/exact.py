@@ -394,7 +394,3 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
                 out[(pc, c)] = v
     return Matrix(a.cols, b.cols, f, out)
 
-
-def from_columns(cols: list[list[Scalar]], nrows: int, field: Field) -> Matrix:
-    return Matrix(nrows, len(cols), field,
-                  {(r, c): v for c, col in enumerate(cols) for r, v in enumerate(col)})

@@ -14,19 +14,32 @@ the witness.  There is no silent fallback to commutative multiplication.
 The chain construction applies the mirrored handedness of each class (a
 cochain-left class acts through a right-law operator in homology), which is
 what makes the circle reproduce the classical complex on both sides.
+
+The normalized complex is the quotient by degeneracies (chain) or the
+cochains vanishing on degenerate tensors (cochain).  Each degeneracy is
+injective and fills the slots it misses with the unit, so once the unit is a
+basis vector (after a unit-first change of basis when it is not, see
+``algebras.unit_first``) both are computed by index restriction: keep the
+basis tensors outside every degeneracy image and take the submatrix of each
+differential on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
+from itertools import product
 
-from .algebras import Algebra, is_commutative
-from .exact import Field, Matrix, from_columns, nullspace, rank, solve
+from .algebras import Algebra, is_commutative, unit_first
+# ``nullspace`` and ``solve`` have no caller here; they stay bound because
+# hochbench/tracer.py wraps ``hochschild.nullspace``/``hochschild.solve`` (with
+# ``rank`` and the two functor entry points) by name to time these layers.
+from .exact import Field, Matrix, nullspace, rank, solve  # noqa: F401
 from .functors import PointedMap, hom_functor_on_morphism, loday_on_morphism
-from .modules import LEFT, RIGHT, Multimodule, default_assignment, validate_assignment
+from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
+                      validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
                        classify_actions, classify_nncmo)
-from .simplicial import SimplexRef, SimplicialSet
+from .simplicial import SimplicialSet
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -311,10 +324,16 @@ def build_complex(spec: ComplexSpec) -> Complex:
     """Assemble dims, differentials and Betti numbers for the spec.
 
     Noncommutative algebras refuse without a valid ordering certificate.  With
-    ``normalized=True`` the complex is cut down to the (co)normalized
-    subcomplex first; Betti numbers are unchanged by normalization.
+    ``normalized=True`` the result is the normalized complex: the quotient by
+    degeneracies (chain) or the cochains vanishing on degenerate tensors
+    (cochain), computed by index restriction (see ``_normalize``).  When the
+    algebra's unit is not a basis vector the complex is built after a
+    unit-first change of basis (``algebras.unit_first``), so its matrices are
+    in that basis.  Betti numbers are unchanged by normalization.
     """
     classes, amap = _resolve(spec)
+    if spec.normalized:
+        spec = _unit_first_spec(spec)
     asm = _Assembler(spec, classes, amap)
     D = spec.max_degree
     dims = [asm.degree_dim(n) for n in range(D + 1)]
@@ -326,43 +345,71 @@ def build_complex(spec: ComplexSpec) -> Complex:
         for n in range(D):
             diffs[n] = asm.differential(n)
     if spec.normalized:
-        dims, diffs = _normalize(spec, asm, dims, diffs)
+        dims, diffs = _normalize(spec, diffs)
     return Complex(spec.variant, spec.algebra.field, dims, diffs)
 
 
-def _normalize(spec: ComplexSpec, asm: _Assembler, dims, diffs):
-    """Cut to the Moore subcomplex: chain degree n keeps the joint kernel of
-    d_1..d_n, cochain degree n the joint kernel of the codegeneracies
-    s^0..s^{n-1}.  Differentials are re-expressed in the kernel bases."""
+def _unit_first_spec(spec: ComplexSpec) -> ComplexSpec:
+    """The spec over an isomorphic algebra whose unit is a basis vector."""
+    alg, basis = unit_first(spec.algebra)
+    if alg is spec.algebra:
+        return spec
+    return replace(spec, algebra=alg, module=rebased(spec.module, alg, basis))
+
+
+def _nondegenerate(spec: ComplexSpec, n: int, unit: int) -> list[int]:
+    """Indices of the degree-n basis tensors outside every degeneracy image.
+
+    ``s_j : X_{n-1} -> X_n`` is injective and puts the unit into each slot it
+    misses, so with the unit the basis vector ``unit`` its image is spanned by
+    the basis tensors carrying ``unit`` in all of those slots; the module
+    factor plays no part.  Indices follow the functors' mixed-radix packing
+    (module most significant, then slot 1), which ``product`` enumerates in
+    ascending order.
+    """
+    X, da = spec.X, spec.algebra.dim
+    slots = len(X.level_nonbase(n))
+    missed = []
+    for j in range(n):
+        hit = set(degeneracy_pointed_map(X, n - 1, j).images[1:])
+        missed.append([k for k in range(slots) if k + 1 not in hit])
+    kept = [idx for idx, coords in enumerate(product(range(da), repeat=slots))
+            if not any(all(coords[k] == unit for k in m) for m in missed)]
+    size = da ** slots
+    return [mu * size + idx for mu in range(spec.module.dim) for idx in kept]
+
+
+def _normalize(spec: ComplexSpec, diffs):
+    """Restrict the differentials to the nondegenerate basis tensors.
+
+    Chain degree n becomes the quotient by the span of the degenerate basis
+    tensors, cochain degree n the cochains vanishing on them; either way each
+    differential keeps the rows and columns of nondegenerate tensors.  The
+    unit must be a basis vector (``_unit_first_spec``).  The degenerate span
+    must be a subcomplex, which is checked entry by entry: a nonzero entry
+    from a dropped column to a kept row (chain), or from a kept column to a
+    dropped row (cochain), raises ``ComplexError``.
+    """
     f = spec.algebra.field
-    D = spec.max_degree
-    bases: list[Matrix] = []
-    for n in range(D + 1):
-        if n == 0:
-            bases.append(Matrix.identity(dims[0], f))
-            continue
-        stacked_entries = {}
-        offset = 0
-        if spec.variant == CHAIN:
-            mats = [asm.face_matrix(n, i) for i in range(1, n + 1)]
-        else:
-            mats = [asm.degeneracy_matrix(n - 1, i) for i in range(n)]
-        for m in mats:
-            for (r, c), v in m.entries.items():
-                stacked_entries[(r + offset, c)] = v
-            offset += m.rows
-        stacked = Matrix(offset, dims[n], f, stacked_entries)
-        basis = nullspace(stacked)
-        bases.append(from_columns(basis, dims[n], f))
-    new_dims = [b.cols for b in bases]
+    chain = spec.variant == CHAIN
+    unit = spec.algebra.unit.index(f.one())
+    kept = [_nondegenerate(spec, n, unit) for n in range(spec.max_degree + 1)]
+    pos = [{idx: k for k, idx in enumerate(ks)} for ks in kept]
     new_diffs = {}
     for n, d in diffs.items():
-        if spec.variant == CHAIN:
-            src, dst = bases[n], bases[n - 1]
-        else:
-            src, dst = bases[n], bases[n + 1]
-        new_diffs[n] = solve(dst, d * src)
-    return new_dims, new_diffs
+        tgt = n - 1 if chain else n + 1
+        rows, cols = pos[tgt], pos[n]
+        entries = {}
+        for (r, c), v in d.entries.items():
+            kr, kc = rows.get(r), cols.get(c)
+            if kr is not None and kc is not None:
+                entries[(kr, kc)] = v
+            elif (kr is not None) if chain else (kc is not None):
+                raise ComplexError(
+                    f"normalization: the degenerate span is not a subcomplex; the "
+                    f"degree-{n} differential has entry {v} at row {r}, column {c}")
+        new_diffs[n] = Matrix(len(kept[tgt]), len(kept[n]), f, entries)
+    return [len(ks) for ks in kept], new_diffs
 
 
 def _betti_table(variant, dims, diffs, field, D):

@@ -194,6 +194,16 @@ def dual_module(module: Multimodule) -> Multimodule:
     return _validated(Multimodule(module.name + "-dual", module.algebra, module.dim, actions))
 
 
+def rebased(module: Multimodule, algebra: Algebra, basis) -> Multimodule:
+    """``module`` over an isomorphic copy ``algebra`` of its algebra whose
+    basis vector i is ``basis[i]`` in the old coordinates (as returned by
+    ``algebras.unit_first``); each operator becomes the old action of the new
+    basis vector."""
+    actions = {name: Action(a.tag, tuple(a.operator_of(module.algebra, v) for v in basis))
+               for name, a in module.actions.items()}
+    return _validated(Multimodule(module.name, algebra, module.dim, actions))
+
+
 def custom_module(name: str, alg: Algebra, dim: int, actions: dict[str, Action]) -> Multimodule:
     return _validated(Multimodule(name, alg, dim, dict(actions)))
 

@@ -35,6 +35,11 @@ class CyclicOrderingUnavailable(OrderingError):
     """The canonical cyclic-ordering construction does not apply to this set."""
 
 
+def _require_cutoff(cutoff: int) -> None:
+    if cutoff < 1:
+        raise OrderingError(f"cutoff must be at least 1, got cutoff {cutoff}")
+
+
 # ---------------------------------------------------------------------------
 # fibers and assignments
 
@@ -578,6 +583,7 @@ def cyclic_ordering(X: SimplicialSet, cutoff: int) -> dict[int, tuple[SimplexRef
     e.g. a circle subdivided through an extra vertex, have no face-monotone
     order even though a multiplicative ordering exists via search).
     """
+    _require_cutoff(cutoff)
     if X.dimension() > 1:
         raise OrderingError("cyclic orderings are defined for one-dimensional sets only")
     edge_pos = {}
@@ -779,6 +785,7 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
     words x members plus merging pairs x word pairs, not with word pairs x
     member pairs.
     """
+    _require_cutoff(cutoff)
     notes = [_TYPING_NOTE]
     site_groups = _union_sites(X, cutoff)
 

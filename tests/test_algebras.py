@@ -5,7 +5,8 @@ import pytest
 
 from hochord.algebras import (AlgebraError, center, commutator_span_dim, custom_algebra,
                               cyclic_group_algebra, is_commutative, matrix_algebra,
-                              multiply, symmetric_group_algebra_s3, trunc_poly, upper_tri)
+                              multiply, symmetric_group_algebra_s3, trunc_poly, unit_first,
+                              upper_tri)
 from hochord.exact import Field, QQ
 
 
@@ -125,3 +126,37 @@ def test_s3_group_algebra_structure():
     # a transposition squares to the identity
     t = a.basis_vector(a.basis_index("213"))
     assert multiply(a, t, t) == a.unit
+
+
+def test_unit_first_keeps_an_algebra_whose_unit_is_a_basis_vector():
+    a = trunc_poly(3)
+    b, basis = unit_first(a)
+    assert b is a
+    assert basis == tuple(a.basis_vector(i) for i in range(3))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)])
+def test_unit_first_replaces_e11_by_the_unit(field):
+    a = matrix_algebra(2, field)
+    b, basis = unit_first(a)
+    assert b.unit == b.basis_vector(0)
+    assert b.basis_names == ("e11+e22", "e12", "e21", "e22")
+    assert basis[0] == a.unit and basis[1:] == tuple(a.basis_vector(i) for i in (1, 2, 3))
+    # the basis change is multiplicative: b_i b_j in new coordinates, mapped
+    # back through the basis, is the old product of the old vectors
+    for i in range(4):
+        for j in range(4):
+            new = multiply(b, b.basis_vector(i), b.basis_vector(j))
+            old = [field.zero()] * 4
+            for k, c in enumerate(new):
+                old = [field.add(o, field.mul(c, v)) for o, v in zip(old, basis[k])]
+            assert tuple(old) == multiply(a, basis[i], basis[j])
+
+
+def test_unit_first_rescales_a_scaled_unit():
+    a = custom_algebra("half unit", QQ, ["u", "x"], [Fraction(1, 2), 0],
+                       [[[2, 0], [0, 2]], [[0, 2], [0, 0]]])
+    b, basis = unit_first(a)
+    assert b.unit == (1, 0)
+    assert basis[0] == (Fraction(1, 2), 0)
+    assert b.table == trunc_poly(2).table

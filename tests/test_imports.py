@@ -1,0 +1,45 @@
+"""Every module-level import in ``src/hochord`` is used in its module.
+
+The only exemptions are the names ``hochbench/tracer.py`` wraps by attribute
+(its ``SPANNED`` table): the tracer times a layer by replacing the name a
+calling module imported, so such a name must stay bound even when the module
+no longer calls it (``hochschild.nullspace`` and ``hochschild.solve``).
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hochord"
+
+
+def _spanned_pairs() -> set[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location(
+        "_hochbench_tracer", ROOT / "hochbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {site for sites in tracer.SPANNED.values() for site in sites}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+def test_no_unused_module_level_imports():
+    exempt = _spanned_pairs()
+    unused = [f"{path.stem}.{name}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+              for name in _unused_imports(path) if (path.stem, name) not in exempt]
+    assert unused == []
+

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from hochord.algebras import multiply, trunc_poly, upper_tri
+from hochord.algebras import multiply, trunc_poly, unit_first, upper_tri
 from hochord.exact import Matrix, QQ
 from hochord.modules import (LR, Action, ModuleError, Multimodule, default_assignment,
-                             dual_module, multi_regular, regular_bimodule,
+                             dual_module, multi_regular, rebased, regular_bimodule,
                              symmetric_module, tensor_square_bimodule, validate,
                              validate_assignment)
 from hochord.ordering import classify_actions
@@ -125,3 +125,14 @@ def test_default_assignment_prefers_distinct_actions():
     amap = default_assignment(m, classes, "cochain")
     left_targets = [amap[c.class_id] for c in classes.classes if c.action_type == "left"]
     assert len(set(left_targets)) == len(left_targets)
+
+
+def test_rebased_module_acts_through_the_new_basis():
+    a = upper_tri(2)
+    b, basis = unit_first(a)
+    m = rebased(regular_bimodule(a), b, basis)
+    assert m.algebra == b and validate(m) == []
+    plain = regular_bimodule(a)
+    for name, act in m.actions.items():
+        assert act.operators[0] == Matrix.identity(3, QQ)  # the unit acts trivially
+        assert act.operators[1:] == plain.actions[name].operators[1:]

@@ -225,6 +225,12 @@ def test_cyclic_ordering_unavailable_on_subdivided_circle():
     assert check_nncmo(X, res.assignment, 3) is None
 
 
+@pytest.mark.parametrize("cutoff", [0, -2])
+def test_cyclic_ordering_refuses_cutoffs_below_one(cutoff):
+    with pytest.raises(OrderingError, match=f"got cutoff {cutoff}"):
+        cyclic_ordering(circle(), cutoff)
+
+
 # ---------------------------------------------------------------------------
 # action classes
 
@@ -263,6 +269,16 @@ def test_sphere_classes_untyped():
     rep = classify_actions(sphere2(), 4)
     assert rep.classes and all(c.action_type == "untyped" for c in rep.classes)
     assert any("not one-dimensional" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_classify_actions_refuses_cutoffs_below_one(cutoff):
+    with pytest.raises(OrderingError, match=f"got cutoff {cutoff}"):
+        classify_actions(circle(), cutoff)
+
+
+def test_classify_actions_accepts_cutoff_one():
+    assert classify_actions(circle(), 1).classes
 
 
 def test_interval_single_right_class():
