@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .exact import Field, Matrix, QQ, Scalar, nullspace
+from .exact import Field, Matrix, QQ, Scalar, nullspace, rank
 
 
 class AlgebraError(ValueError):
@@ -188,7 +188,6 @@ def commutator_span_dim(alg: Algebra) -> int:
             ij = multiply(alg, alg.basis_vector(i), alg.basis_vector(j))
             ji = multiply(alg, alg.basis_vector(j), alg.basis_vector(i))
             vecs.append([f.sub(a, b) for a, b in zip(ij, ji)])
-    from .exact import rank
     m = Matrix(len(vecs), d, f,
                {(r, c): v for r, row in enumerate(vecs) for c, v in enumerate(row)})
     return rank(m)

@@ -20,14 +20,13 @@ from fractions import Fraction
 from . import data_path
 from .algebras import (Algebra, AlgebraError, custom_algebra, cyclic_group_algebra,
                        matrix_algebra, symmetric_group_algebra_s3, trunc_poly, upper_tri)
-from .exact import Field
+from .exact import Field, Matrix
 from .hochschild import (CHAIN, COCHAIN, ComplexError, OrderingRefusal, build_complex,
                          make_spec, pair_constraints)
 from .modules import (Action, ModuleError, Multimodule, custom_module, multi_regular,
                       regular_bimodule, symmetric_module, tensor_square_bimodule)
 from .ordering import (InconclusiveSearch, OrderingError, check_nncmo_full,
                        classify_actions, classify_nncmo, cyclic_ordering, search_nncmo)
-from .exact import Matrix
 from .simplicial import BUILTIN_SETS, SimplicialError, SimplicialSet, from_file
 
 

@@ -6,9 +6,23 @@ is used anywhere: homology ranks have to be exact.
 
 Matrices are sparse triplet maps ``(row, col) -> scalar`` holding only nonzero
 entries, so structural equality of matrices is equality of field elements.
-Rank uses Bareiss fraction-free elimination over the rationals (to control
-coefficient growth) and plain Gaussian elimination over F_p, both with the
-same deterministic pivot rule: first nonzero entry in a column-major scan.
+
+Rank, kernel and solving share one sparse elimination kernel, ``_echelon``.
+Rows are ``{col: int}`` dicts: residues over F_p, and over Q integer
+multiples of the input rows, divided by their content after every
+combination, so no ``Fraction`` arises while eliminating (fraction-free in the
+sense of Bareiss, *Math. Comp.* 22, 1968).  Rows wait in buckets keyed by
+their leading column, and the columns are visited in ascending order.  In each
+column the shortest row of the bucket is the pivot (sparse pivoting, as in
+Dumas, Saunders and Villard, *J. Symb. Comput.* 32, 2001); every other row
+there is cleared against it and re-bucketed under its new leading column.
+
+Every pivot row leads in its own column and the pivot rows span the row
+space, so the pivot columns are the leading columns of the row space: the
+leftmost possible ones, those of the reduced row echelon form, whichever row
+of a bucket is chosen.  Back-substitution (``_reduced``) then yields exactly
+that unique form, so ``nullspace`` and ``solve`` do not depend on the pivot
+choice.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -22,6 +36,10 @@ from math import gcd, isqrt
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
+
+# Fractions are immutable, so the rational zero and one can be shared.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def is_prime(p: int) -> bool:
@@ -56,15 +74,15 @@ class Field:
         return self.p is None
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def of(self, x) -> Scalar:
         """Coerce an int or Fraction into canonical form for this field."""
         if self.p is None:
-            return Fraction(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         f = Fraction(x)
         den = f.denominator % self.p
         if den == 0:
@@ -87,7 +105,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
+            return _ONE / a
         return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -173,12 +191,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.describe()}, nnz={len(self.entries)})"
 
-    def to_rows(self) -> list[list[Scalar]]:
-        out = [[self.field.zero()] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, self.field,
                       {(c, r): v for (r, c), v in self.entries.items()})
@@ -249,148 +261,128 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, f, out)
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Fraction-free elimination on an integer matrix; returns the rank.
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
-    Pivots are found by scanning columns left to right and, within a column,
-    rows top to bottom (first nonzero wins).
+
+def _combine(row: dict, piv: dict, c: int, p: int | None) -> dict:
+    """Clear column ``c`` of ``row`` with ``piv``, whose entry there is nonzero.
+
+    Over F_p this is ``row - (row[c]/piv[c]) piv``.  Over Q it is the
+    fraction-free ``a row - b piv`` (``a/b = piv[c]/row[c]`` in lowest terms),
+    made primitive again.
     """
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    prev = 1
-    rank = 0
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, n):
-            xi = rows[i][c]
-            # the update keeps every entry an exact minor determinant, so the
-            # division by the previous pivot is exact; it must run even when
-            # xi is zero (the row still scales by pv/prev)
-            for j in range(c + 1, m):
-                rows[i][j] = (pv * rows[i][j] - xi * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = pv
-        rank += 1
-        r += 1
-        if r == n:
+    if p is None:
+        g = gcd(piv[c], row[c])
+        a, b = piv[c] // g, row[c] // g
+        out = {k: a * v for k, v in row.items()}
+    else:
+        b = row[c] * pow(piv[c], -1, p) % p
+        out = dict(row)
+    for k, v in piv.items():
+        s = out.get(k, 0) - b * v
+        if p is not None:
+            s %= p
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _primitive(out) if p is None and out else out
+
+
+def _sparse_rows(m: Matrix) -> list[dict]:
+    """Nonzero rows of ``m`` as ``{col: int}``: residues over F_p, primitive
+    integer multiples over Q."""
+    rows: dict[int, dict] = {}
+    for (r, c), v in sorted(m.entries.items()):
+        rows.setdefault(r, {})[c] = v
+    if m.field.p is not None:
+        return list(rows.values())
+    out = []
+    for row in rows.values():
+        den = 1
+        for v in row.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        out.append(_primitive({c: v.numerator * (den // v.denominator)
+                               for c, v in row.items()}))
+    return out
+
+
+def _echelon(m: Matrix) -> list[tuple[int, dict]]:
+    """Row echelon form of ``m`` as ``(pivot column, row)`` pairs in
+    ascending column order; the only elimination loop in the package."""
+    p = m.field.p
+    buckets: dict[int, list[dict]] = {}
+    for row in _sparse_rows(m):
+        buckets.setdefault(min(row), []).append(row)
+    echelon = []
+    for c in range(m.cols):
+        if not buckets:
             break
-    return rank
+        bucket = buckets.pop(c, None)
+        if bucket is None:
+            continue
+        piv = min(bucket, key=len)
+        echelon.append((c, piv))
+        for row in bucket:
+            if row is not piv:
+                row = _combine(row, piv, c, p)
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
+    return echelon
+
+
+def _reduced(m: Matrix) -> list[tuple[int, dict]]:
+    """The reduced row echelon form of ``m`` as sparse ``(pivot column, row)``
+    pairs in ascending column order, each pivot entry 1."""
+    f = m.field
+    reduced: dict[int, dict] = {}
+    for c, row in reversed(_echelon(m)):
+        # the rows below are reduced, so clearing one of their pivot columns
+        # here changes only that column and non-pivot columns
+        for k in [k for k in row if k != c and k in reduced]:
+            row = _combine(row, reduced[k], k, f.p)
+        reduced[c] = row
+    return [(c, {k: f.div(v, row[c]) for k, v in row.items()})
+            for c, row in sorted(reduced.items())]
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank: Bareiss over the rationals, Gauss over F_p."""
-    if m.rows == 0 or m.cols == 0 or m.is_zero():
-        return 0
-    if m.field.is_rationals:
-        dense = []
-        for row in m.to_rows():
-            den = 1
-            for v in row:
-                den = den * v.denominator // gcd(den, v.denominator)
-            dense.append([int(v * den) for v in row])
-        return _bareiss_rank(dense)
-    p = m.field.p
-    rows = [[int(v) for v in row] for row in m.to_rows()]
-    n, w = len(rows), len(rows[0])
-    r = 0
-    for c in range(w):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        for i in range(r + 1, n):
-            if rows[i][c] % p != 0:
-                factor = rows[i][c] * inv % p
-                for j in range(c, w):
-                    rows[i][j] = (rows[i][j] - factor * rows[r][j]) % p
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def rref(m: Matrix) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form (dense) and the list of pivot columns."""
-    f = m.field
-    rows = m.to_rows()
-    n, w = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(w):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c] != f.zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(v, inv) for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != f.zero():
-                factor = rows[i][c]
-                rows[i] = [f.sub(rows[i][j], f.mul(factor, rows[r][j])) for j in range(w)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
+    """Exact rank: the number of rows in a row echelon form."""
+    return len(_echelon(m))
 
 
 def nullspace(m: Matrix) -> list[list[Scalar]]:
     """Basis of the right kernel, one vector per free column, ascending."""
     f = m.field
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
+    reduced = _reduced(m)
+    pivots = {c for c, _ in reduced}
+    basis = {}
     for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [f.zero()] * m.cols
-        vec[free] = f.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(rows[r][free])
-        basis.append(vec)
-    return basis
+        if free not in pivots:
+            basis[free] = [f.zero()] * m.cols
+            basis[free][free] = f.one()
+    for c, row in reduced:
+        for k, v in row.items():
+            if k != c:
+                basis[k][c] = f.neg(v)
+    return list(basis.values())
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a X = b exactly (any one solution); raises if inconsistent."""
+    """Solve a X = b exactly; free variables are set to 0.  Raises
+    ``ValueError`` if the system is inconsistent."""
     a._compat(b)
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    f = a.field
-    aug = Matrix(a.rows, a.cols + b.cols, f,
+    aug = Matrix(a.rows, a.cols + b.cols, a.field,
                  dict(a.entries) | {(r, c + a.cols): v for (r, c), v in b.entries.items()})
-    rows, pivots = rref(aug)
-    for r in range(len(pivots), a.rows):
-        if any(rows[r][c] != f.zero() for c in range(a.cols, aug.cols)):
-            raise ValueError("inconsistent linear system")
-    for pc in pivots:
+    out = {}
+    for pc, row in _reduced(aug):
         if pc >= a.cols:
             raise ValueError("inconsistent linear system")
-    out = {}
-    for r, pc in enumerate(pivots):
-        for c in range(b.cols):
-            v = rows[r][a.cols + c]
-            if v != f.zero():
-                out[(pc, c)] = v
-    return Matrix(a.cols, b.cols, f, out)
-
+        for k, v in row.items():
+            if k >= a.cols:
+                out[(pc, k - a.cols)] = v
+    return Matrix(a.cols, b.cols, a.field, out)

@@ -204,6 +204,26 @@ def _pack(da: int, mu: int, coords) -> int:
     return idx
 
 
+def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
+                    actions: dict[int, str] | None, source_rows: bool) -> Matrix:
+    """Sum the terms of ``_morphism_terms`` into a matrix.  Module indices
+    always map ``mu_in`` (column) to ``mu_out`` (row); the tensor coordinates
+    of the source side index the rows if ``source_rows``, else the columns."""
+    f = alg.field
+    da, dm = alg.dim, module.dim
+    entries: dict[tuple[int, int], object] = {}
+    for src, dst, mu_out, mu_in, coeff in _morphism_terms(alg, module, phi, actions or {}):
+        row, col = (src, dst) if source_rows else (dst, src)
+        key = (_pack(da, mu_out, row), _pack(da, mu_in, col))
+        s = f.add(entries.get(key, f.zero()), coeff)
+        if s == f.zero():
+            entries.pop(key, None)
+        else:
+            entries[key] = s
+    rows, cols = (phi.m, phi.n) if source_rows else (phi.n, phi.m)
+    return Matrix(dm * da ** rows, dm * da ** cols, f, entries)
+
+
 def loday_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
                       actions: dict[int, str] | None = None) -> Matrix:
     """Matrix of the tensor functor on ``phi``:
@@ -212,17 +232,7 @@ def loday_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
     Columns and rows are mixed-radix indices (module most significant, then
     slot 1, 2, ...).
     """
-    f = alg.field
-    da, dm = alg.dim, module.dim
-    entries: dict[tuple[int, int], object] = {}
-    for src, dst, mu_out, mu_in, coeff in _morphism_terms(alg, module, phi, actions or {}):
-        key = (_pack(da, mu_out, dst), _pack(da, mu_in, src))
-        s = f.add(entries.get(key, f.zero()), coeff)
-        if s == f.zero():
-            entries.pop(key, None)
-        else:
-            entries[key] = s
-    return Matrix(dm * da ** phi.n, dm * da ** phi.m, f, entries)
+    return _functor_matrix(alg, module, phi, actions, source_rows=False)
 
 
 def hom_functor_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
@@ -236,14 +246,4 @@ def hom_functor_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
     f of the fiber products, which transposes the tensor-coordinate part of
     the term expansion but not the module part.
     """
-    f = alg.field
-    da, dm = alg.dim, module.dim
-    entries: dict[tuple[int, int], object] = {}
-    for src, dst, mu_out, mu_in, coeff in _morphism_terms(alg, module, phi, actions or {}):
-        key = (_pack(da, mu_out, src), _pack(da, mu_in, dst))
-        s = f.add(entries.get(key, f.zero()), coeff)
-        if s == f.zero():
-            entries.pop(key, None)
-        else:
-            entries[key] = s
-    return Matrix(dm * da ** phi.m, dm * da ** phi.n, f, entries)
+    return _functor_matrix(alg, module, phi, actions, source_rows=True)

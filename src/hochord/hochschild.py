@@ -466,7 +466,6 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     right = module.action(_find_tagged_action(module, RIGHT))
     f = alg.field
     da, dm = alg.dim, module.dim
-    from itertools import product as iter_product
 
     def tensor_index(mu, slots):
         # slots[j-1] holds slot j; significance order (mu, slot n, ..., slot 1)
@@ -478,7 +477,7 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     def face_chain(n, i) -> Matrix:
         entries = {}
         for mu in range(dm):
-            for slots in iter_product(range(da), repeat=n):
+            for slots in product(range(da), repeat=n):
                 col = tensor_index(mu, slots)
                 if i == 0:
                     op = right.operators[slots[0]]
@@ -503,7 +502,7 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
                 for mo in range(dm):
                     if mvec[mo] == f.zero():
                         continue
-                    for combo in iter_product(*rest_support) if rest_support else [()]:
+                    for combo in product(*rest_support) if rest_support else [()]:
                         coeff = mvec[mo]
                         out_slots = []
                         for k, c in combo:
@@ -523,7 +522,7 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     def coface(n, i) -> Matrix:
         # C^n -> C^{n+1}: (d^i f)(a_1..a_{n+1})
         entries = {}
-        for arg in iter_product(range(da), repeat=n + 1):
+        for arg in product(range(da), repeat=n + 1):
             if i == 0:
                 op = left.operators[arg[0]]
                 inner = [(j, arg[j - 1]) for j in range(2, n + 2)]  # slots shift down
@@ -551,7 +550,7 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
                              if op.get(r, mu) != f.zero()]
                 if not opcol:
                     continue
-                for combo in iter_product(*inner_support) if inner_support else [()]:
+                for combo in product(*inner_support) if inner_support else [()]:
                     coeff = f.one()
                     in_slots = []
                     for k, c in combo:

@@ -17,6 +17,7 @@ coefficient module instead, through the action classes computed here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
 
@@ -155,7 +156,6 @@ def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
                               steps: tuple[int, ...], level: int,
                               fiber) -> tuple[SimplexRef, ...]:
     """Sort a fiber of the composition (faces applied in ``steps`` order)."""
-    import functools
     cmp = functools.cmp_to_key(
         lambda a, b: induced_compare(X, assignment, steps, level, a, b))
     return tuple(sorted(fiber, key=cmp))
@@ -535,7 +535,6 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
             if len(fiber) < 2:
                 orders[key] = fiber
                 continue
-            import functools
 
             def cmp(a, b, key=key):
                 v, s = pv.literal(key, a, b)

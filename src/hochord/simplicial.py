@@ -16,6 +16,7 @@ enumeration are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 
 class SimplicialError(ValueError):
@@ -160,8 +161,6 @@ class SimplicialSet:
         if n < 0:
             raise SimplicialError("negative level")
         if n not in self._levels:
-            from itertools import combinations
-
             refs = []
             for base_id, s in enumerate(self.simplices):
                 if s.dim > n or base_id == self.basepoint:

@@ -1,6 +1,8 @@
-"""Every module-level import in ``src/hochord`` is used in its module.
+"""Imports in ``src/hochord``: all at module level, and all used.
 
-The only exemptions are the names ``hochbench/tracer.py`` wraps by attribute
+No function body imports anything, so a module's dependencies are the list
+at its top.  Every module-level import is used in its module; the only
+exemptions are the names ``hochbench/tracer.py`` wraps by attribute
 (its ``SPANNED`` table): the tracer times a layer by replacing the name a
 calling module imported, so such a name must stay bound even when the module
 no longer calls it (``hochschild.nullspace`` and ``hochschild.solve``).
@@ -43,3 +45,17 @@ def test_no_unused_module_level_imports():
               for name in _unused_imports(path) if (path.stem, name) not in exempt]
     assert unused == []
 
+
+
+def _function_local_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.stem}.{fn.name}:{node.lineno}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_function_local_imports():
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in _function_local_imports(path)]
+    assert found == []

@@ -3,12 +3,18 @@
 Duality: the cochain complex with coefficients in ``dual_module(M)`` is the
 linear dual of the chain complex with coefficients in M, so their Betti
 numbers agree in every degree, on the plain and on the normalized complex.
+
+Primes: the structure constants here are integers, so a complex over F_p is
+the reduction mod p of the one over Q, and a matrix cannot gain rank mod p.
+Every differential has rank over F(101) at most its rank over Q, hence every
+Betti number over F(101) is at least the one over Q.  This runs both field
+branches of the elimination kernel on real complexes.
 """
 
 import pytest
 
 from hochord.algebras import trunc_poly, upper_tri
-from hochord.exact import Field
+from hochord.exact import Field, rank
 from hochord.hochschild import CHAIN, COCHAIN, build_complex, make_spec
 from hochord.modules import dual_module, regular_bimodule, symmetric_module
 from hochord.simplicial import circle, interval, sphere2, wedge_of_circles
@@ -40,3 +46,25 @@ def test_chain_betti_equal_cochain_betti_of_dual_module(set_name, alg_name, modu
     cochain = build_complex(make_spec(X, alg, dual_module(M), COCHAIN, 3,
                                       normalized=normalized))
     assert chain.betti == cochain.betti
+
+
+# the duality cases without their field: each is built over Q and over F(101)
+PRIMES_CASES = sorted({case[:3] for case in DUALITY_CASES})
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+@pytest.mark.parametrize("set_name,alg_name,module_name", PRIMES_CASES)
+def test_rank_mod_p_never_exceeds_rank_over_q(set_name, alg_name, module_name, variant,
+                                              normalized):
+    complexes = {}
+    for p in (None, 101):
+        alg = ALGEBRAS[alg_name](Field(p))
+        complexes[p] = build_complex(make_spec(SETS[set_name](), alg, MODULES[module_name](alg),
+                                               variant, 3, normalized=normalized))
+    over_q, over_p = complexes[None], complexes[101]
+    assert over_q.dims == over_p.dims
+    assert over_q.differentials.keys() == over_p.differentials.keys()
+    for n, d in over_q.differentials.items():
+        assert rank(over_p.differentials[n]) <= rank(d), f"degree {n}"
+    assert all(bp >= bq for bq, bp in zip(over_q.betti, over_p.betti))

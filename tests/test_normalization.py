@@ -3,7 +3,7 @@
 ``build_complex(..., normalized=True)`` keeps the nondegenerate basis tensors
 by index.  The oracle below is the linear-algebra construction it replaced:
 chain degree n is the joint kernel of the faces d_1..d_n, cochain degree n the
-joint kernel of the codegeneracies, each found with a dense ``nullspace`` and
+joint kernel of the codegeneracies, each found with ``nullspace`` and
 every differential re-expressed in those bases with ``solve``.  Both compute
 complexes isomorphic to the quotient by degeneracies, so dims, Betti numbers
 and d^2 = 0 must agree, and both must refuse the same inputs.
@@ -102,12 +102,9 @@ def _moore_path(X, alg, variant):
                                     normalized=True))
 
 
-# Every set x algebra pair in both variants, over Q and over F(101) except the
-# upper-tri cases over F(101) that the Q run already covers at the same shape
-# (the oracle's dense rref makes those the slowest).
+# Every set x algebra pair in both variants, over Q and over F(101).
 CASES = [(s, a, v, p) for s in SETS for a in ALGEBRAS for v in (CHAIN, COCHAIN)
-         for p in (None, 101)
-         if not (p and a == "upper-tri2" and s in ("circle", "wedge2"))]
+         for p in (None, 101)]
 
 
 @pytest.mark.parametrize("set_name,alg_name,variant,p", CASES)
