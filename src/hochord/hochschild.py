@@ -132,38 +132,29 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
     level enumerations, with fiber orders from the assignment (level order
     when no assignment is needed) and basepoint-fiber actions resolved
     through the class assignment."""
-    src = X.level_nonbase(level)
-    dst = X.level_nonbase(level - 1)
-    dst_index = {ref: k + 1 for k, ref in enumerate(dst)}
-    images = [0]
-    for ref in src:
-        img = X.face(ref, i)
-        images.append(0 if X.is_basepoint(img) else dst_index[img])
-    orders = {}
+    # pointed-map index j is level index j: the basepoint is 0 on both sides
+    images = X.face_table(level)[i]
     fibers: dict[int, list[int]] = {}
-    for j, ref in enumerate(src, start=1):
+    for j in range(1, len(images)):
         if images[j] != 0:
             fibers.setdefault(images[j], []).append(j)
-    for tgt, members in fibers.items():
-        if assignment is not None:
-            target_ref = dst[tgt - 1]
-            orders[tgt] = tuple(sorted(
-                members,
-                key=lambda j: assignment.position(level, i, target_ref, src[j - 1])))
-        else:
-            orders[tgt] = tuple(members)
-    phi = PointedMap(len(src), len(dst), tuple(images), orders)
+    if assignment is not None:
+        rank = assignment.ranks(level, i)
+        for members in fibers.values():
+            members.sort(key=rank.__getitem__)
+    orders = {tgt: tuple(members) for tgt, members in fibers.items()}
+    phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
     actions = None
     if action_map is not None and classes is not None:
+        refs = X.level(level)
         actions = {}
-        for j, ref in enumerate(src, start=1):
+        for j in range(1, len(images)):
             if images[j] == 0:
-                site = (level, ref, i)
-                cls = classes.class_of_site(site)
+                cls = classes.class_of_site((level, refs[j], i))
                 if cls is None:
                     raise ComplexError(
                         f"no action class covers the site d_{i} of "
-                        f"{X.monotone_name(ref)} at level {level}")
+                        f"{X.monotone_name(refs[j])} at level {level}")
                 actions[j] = action_map[cls.class_id]
     return phi, actions
 
@@ -285,12 +276,10 @@ def _check_simultaneous_actions(spec: ComplexSpec, classes, amap):
         return self_commuting[name]
 
     for level in range(1, spec.max_degree + 1):
-        for i in range(level + 1):
-            names = []
-            for ref in X.level_nonbase(level):
-                if X.is_basepoint(X.face(ref, i)):
-                    cls = classes.class_of_site((level, ref, i))
-                    names.append(amap[cls.class_id])
+        refs = X.level(level)
+        for i, images in enumerate(X.face_table(level)):
+            names = [amap[classes.class_of_site((level, refs[k], i)).class_id]
+                     for k in range(1, len(refs)) if images[k] == 0]
             for k, a in enumerate(names):
                 for b in names[k + 1:]:
                     if a == b and not ok(a):

@@ -44,15 +44,22 @@ def _require_cutoff(cutoff: int) -> None:
 # ---------------------------------------------------------------------------
 # fibers and assignments
 
+def _fibers(X: SimplicialSet, n: int, i: int) -> dict[int, list[int]]:
+    """Fibers of d_i : X_n -> X_{n-1} over non-basepoint targets, on level
+    indices: target -> members in level order."""
+    out: dict[int, list[int]] = {}
+    for k, t in enumerate(X.face_table(n)[i]):
+        if t:
+            out.setdefault(t, []).append(k)
+    return out
+
+
 def fibers_of_face(X: SimplicialSet, level: int, i: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
     """Fibers of d_i : X_level -> X_{level-1} over non-basepoint targets,
     each listed in level-enumeration order."""
-    out: dict[SimplexRef, list[SimplexRef]] = {}
-    for ref in X.level_nonbase(level):
-        img = X.face(ref, i)
-        if not X.is_basepoint(img):
-            out.setdefault(img, []).append(ref)
-    return {t: tuple(members) for t, members in out.items()}
+    fibers = _fibers(X, level, i)
+    refs, below = X.level(level), X.level(level - 1)
+    return {below[t]: tuple(refs[k] for k in members) for t, members in fibers.items()}
 
 
 @dataclass(frozen=True)
@@ -65,33 +72,53 @@ class FiberOrdering:
 
 class OrderingAssignment:
     """Per (level <= cutoff, face index): a total order for every fiber of
-    d_i over a non-basepoint target."""
+    d_i over a non-basepoint target, and for nothing else.
+
+    ``ranks(n, i)`` is the integer view the checks read, built once: the
+    position of each level-n simplex, by level index, in the order of its
+    d_i fiber (-1 where d_i hits the basepoint)."""
 
     def __init__(self, X: SimplicialSet, cutoff: int,
                  orders: dict[tuple[int, int, SimplexRef], tuple[SimplexRef, ...]]):
+        _require_cutoff(cutoff)
         self.X = X
         self.cutoff = cutoff
         self.orders = dict(orders)
-        self._pos = {key: {ref: k for k, ref in enumerate(order)}
-                     for key, order in self.orders.items()}
+        self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
+        covered = set()
         for n in range(1, cutoff + 1):
+            index, below = X.index(n), X.level(n - 1)
             for i in range(n + 1):
-                for target, fiber in fibers_of_face(X, n, i).items():
-                    key = (n, i, target)
+                rank = [-1] * len(index)
+                for t, members in _fibers(X, n, i).items():
+                    key = (n, i, below[t])
                     if key not in self.orders:
                         raise OrderingError(
                             f"assignment misses the fiber of d_{i} over "
-                            f"{X.monotone_name(target)} at level {n}")
-                    if sorted(self.orders[key]) != sorted(fiber):
+                            f"{X.monotone_name(below[t])} at level {n}")
+                    order = [index.get(ref, -1) for ref in self.orders[key]]
+                    if sorted(order) != members:
                         raise OrderingError(
                             f"order at level {n}, d_{i}, target "
-                            f"{X.monotone_name(target)} is not a permutation of the fiber")
+                            f"{X.monotone_name(below[t])} is not a permutation of the fiber")
+                    for p, k in enumerate(order):
+                        rank[k] = p
+                    covered.add(key)
+                self._ranks[(n, i)] = tuple(rank)
+        if len(covered) != len(self.orders):
+            stray = next(key for key in self.orders if key not in covered)
+            raise OrderingError(
+                f"assignment orders {stray!r}, which is not the fiber of a face map "
+                f"over a non-basepoint target at a level up to the cutoff {cutoff}")
 
     def order_of(self, level: int, i: int, target: SimplexRef) -> tuple[SimplexRef, ...]:
         return self.orders[(level, i, target)]
 
     def position(self, level: int, i: int, target: SimplexRef, ref: SimplexRef) -> int:
-        return self._pos[(level, i, target)][ref]
+        return self.orders[(level, i, target)].index(ref)
+
+    def ranks(self, level: int, i: int) -> tuple[int, ...]:
+        return self._ranks[(level, i)]
 
     def fiber_orderings(self) -> list[FiberOrdering]:
         return [FiberOrdering(level, i, target, order)
@@ -113,14 +140,17 @@ class OrderingAssignment:
 def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple[SimplexRef, ...]],
                                  cutoff: int) -> OrderingAssignment:
     """Restrict per-level total orders on X_n \\ {*} to every fiber."""
-    pos = {n: {ref: k for k, ref in enumerate(order)} for n, order in level_orders.items()}
+    _require_cutoff(cutoff)
     orders = {}
     for n in range(1, cutoff + 1):
-        if n not in pos:
+        if n not in level_orders:
             raise OrderingError(f"level orders missing level {n}")
+        refs, below = X.level(n), X.level(n - 1)
+        pos = {ref: k for k, ref in enumerate(level_orders[n])}
         for i in range(n + 1):
-            for target, fiber in fibers_of_face(X, n, i).items():
-                orders[(n, i, target)] = tuple(sorted(fiber, key=lambda r: pos[n][r]))
+            for t, members in _fibers(X, n, i).items():
+                orders[(n, i, below[t])] = tuple(sorted((refs[k] for k in members),
+                                                        key=pos.__getitem__))
     return OrderingAssignment(X, cutoff, orders)
 
 
@@ -137,28 +167,40 @@ def induced_compare(X: SimplicialSet, assignment: OrderingAssignment,
     f-ordering decides) or strictly earlier in their downstream images (the
     remaining composition decides on the images).
     """
+    index = X.index(level)
+    return _induced_compare(X, assignment, steps, level, index[x], index[y])
+
+
+def _induced_compare(X, assignment, steps, level, x: int, y: int) -> int:
+    """``induced_compare`` on level indices."""
     if x == y:
         return 0
-    if not steps:
-        raise OrderingError("members of a fiber cannot differ on the empty composition")
-    i = steps[0]
-    fx, fy = X.face(x, i), X.face(y, i)
-    if fx == fy:
-        if X.is_basepoint(fx):
-            raise OrderingError("induced order requested through a basepoint image")
-        px = assignment.position(level, i, fx, x)
-        py = assignment.position(level, i, fx, y)
-        return -1 if px < py else 1
-    return induced_compare(X, assignment, steps[1:], level - 1, fx, fy)
+    for i in steps:
+        col = X.face_table(level)[i]
+        fx, fy = col[x], col[y]
+        if fx == fy:
+            if fx == 0:
+                raise OrderingError("induced order requested through a basepoint image")
+            rank = assignment.ranks(level, i)
+            return -1 if rank[x] < rank[y] else 1
+        x, y, level = fx, fy, level - 1
+    raise OrderingError("members of a fiber cannot differ on the empty composition")
 
 
 def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
                               steps: tuple[int, ...], level: int,
                               fiber) -> tuple[SimplexRef, ...]:
     """Sort a fiber of the composition (faces applied in ``steps`` order)."""
+    index, refs = X.index(level), X.level(level)
+    members = [index[ref] for ref in fiber]
+    return tuple(refs[k] for k in _induced_order(X, assignment, steps, level, members))
+
+
+def _induced_order(X, assignment, steps, level, members) -> tuple[int, ...]:
+    """``composition_induced_order`` on level indices."""
     cmp = functools.cmp_to_key(
-        lambda a, b: induced_compare(X, assignment, steps, level, a, b))
-    return tuple(sorted(fiber, key=cmp))
+        lambda a, b: _induced_compare(X, assignment, steps, level, a, b))
+    return tuple(sorted(members, key=cmp))
 
 
 def _composition_word_string(steps: tuple[int, ...]) -> str:
@@ -257,21 +299,39 @@ def _adjacent_routes(n: int):
             yield (j, i), (i, j - 1)
 
 
-def _two_step_fibers(X: SimplicialSet, n: int, steps):
-    groups: dict[SimplexRef, list[SimplexRef]] = {}
-    for ref in X.level_nonbase(n):
-        img = X.face_word(ref, steps)
-        if not X.is_basepoint(img):
-            groups.setdefault(img, []).append(ref)
-    return sorted(groups.items())
+def _two_step_fibers(X: SimplicialSet, n: int, steps) -> list[tuple[int, tuple[int, ...]]]:
+    """Fibers of the composition (faces applied in ``steps`` order) from level
+    n over non-basepoint targets, on level indices and sorted by target."""
+    images = range(len(X.level(n)))
+    for s, i in enumerate(steps):
+        col = X.face_table(n - s)[i]
+        images = [col[k] for k in images]
+    groups: dict[int, list[int]] = {}
+    for k, t in enumerate(images):
+        if t:
+            groups.setdefault(t, []).append(k)
+    return [(t, tuple(members)) for t, members in sorted(groups.items())]
+
+
+def _assignment_witness(X, n, target, fiber, steps_a, steps_b, order_a, order_b) -> Witness:
+    """The witness of two induced orders (level indices) that disagree."""
+    refs = X.level(n)
+
+    def chain(order):
+        return " < ".join(X.monotone_name(refs[k]) for k in order)
+
+    return Witness(n, X.level(n - len(steps_a))[target], tuple(refs[k] for k in fiber),
+                   steps_a, steps_b, "assignment",
+                   "induced orders disagree: " + chain(order_a) + "  versus  " + chain(order_b))
 
 
 def check_nncmo(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:
     """Verify the multiplicative-ordering condition on all adjacent-identity
     pairs up to the cutoff; returns the first violating witness, or None.
 
-    A cutoff below 2 has no two-step compositions and is trivially fine.
+    A cutoff of 1 has no two-step compositions and is trivially fine.
     """
+    _require_cutoff(cutoff)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
     for n in range(2, cutoff + 1):
@@ -279,15 +339,11 @@ def check_nncmo(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -
             for target, fiber in _two_step_fibers(X, n, steps_a):
                 if len(fiber) < 2:
                     continue
-                order_a = composition_induced_order(X, assignment, steps_a, n, fiber)
-                order_b = composition_induced_order(X, assignment, steps_b, n, fiber)
+                order_a = _induced_order(X, assignment, steps_a, n, fiber)
+                order_b = _induced_order(X, assignment, steps_b, n, fiber)
                 if order_a != order_b:
-                    expl = ("induced orders disagree: "
-                            + " < ".join(X.monotone_name(r) for r in order_a)
-                            + "  versus  "
-                            + " < ".join(X.monotone_name(r) for r in order_b))
-                    return Witness(n, target, tuple(fiber), steps_a, steps_b,
-                                   "assignment", expl)
+                    return _assignment_witness(X, n, target, fiber, steps_a, steps_b,
+                                               order_a, order_b)
     return None
 
 
@@ -312,6 +368,7 @@ def _face_words(n: int, length: int):
 def check_nncmo_full(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:
     """Brute-force variant: compare induced orders across *all* pairs of equal
     face-map factorizations up to the cutoff, not just adjacent swaps."""
+    _require_cutoff(cutoff)
     for n in range(2, cutoff + 1):
         for length in range(2, n + 1):
             for _, words in sorted(_face_words(n, length).items(),
@@ -325,15 +382,11 @@ def check_nncmo_full(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
                     for target, fiber in base_fibers:
                         if len(fiber) < 2:
                             continue
-                        oa = composition_induced_order(X, assignment, base, n, fiber)
-                        ob = composition_induced_order(X, assignment, other, n, fiber)
+                        oa = _induced_order(X, assignment, base, n, fiber)
+                        ob = _induced_order(X, assignment, other, n, fiber)
                         if oa != ob:
-                            expl = ("induced orders disagree: "
-                                    + " < ".join(X.monotone_name(r) for r in oa)
-                                    + "  versus  "
-                                    + " < ".join(X.monotone_name(r) for r in ob))
-                            return Witness(n, target, tuple(fiber), base, other,
-                                           "assignment", expl)
+                            return _assignment_witness(X, n, target, fiber, base, other,
+                                                       oa, ob)
     return None
 
 
@@ -401,6 +454,7 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
     turns runaway searches into an ``InconclusiveSearch`` error rather than a
     wrong answer.
     """
+    _require_cutoff(cutoff)
     if cutoff < 2:
         orders = {}
         for n in range(1, cutoff + 1):
@@ -409,22 +463,24 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
                     orders[(n, i, target)] = fiber
         return NncmoResult("admits", OrderingAssignment(X, cutoff, orders))
 
+    # variables, fibers and literals all live on level indices:
+    # a fiber key is (level, face index, target index)
     pv = _PairVars()
     fiber_lists: dict[tuple, tuple] = {}
     for n in range(1, cutoff + 1):
         for i in range(n + 1):
-            for target, fiber in sorted(fibers_of_face(X, n, i).items()):
+            for target, fiber in sorted(_fibers(X, n, i).items()):
                 key = (n, i, target)
-                fiber_lists[key] = fiber
+                fiber_lists[key] = tuple(fiber)
                 if len(fiber) >= 2:
                     pv.add_fiber(key, fiber)
 
-    def step_literal(n, first, second_key_steps, x, y):
-        i = second_key_steps
-        fx, fy = X.face(x, first), X.face(y, first)
+    def step_literal(n, steps, target, x, y):
+        col = X.face_table(n)[steps[0]]
+        fx, fy = col[x], col[y]
         if fx == fy:
-            return pv.literal((n, first, fx), x, y)
-        return pv.literal((n - 1, i[0], i[1]), fx, fy)
+            return pv.literal((n, steps[0], fx), x, y)
+        return pv.literal((n - 1, steps[1], target), fx, fy)
 
     direct_clash = None
     constraint_sources = []
@@ -433,12 +489,12 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
             for target, fiber in _two_step_fibers(X, n, steps_a):
                 if len(fiber) < 2:
                     continue
-                constraint_sources.append((n, target, tuple(fiber), steps_a, steps_b))
+                constraint_sources.append((n, target, fiber, steps_a, steps_b))
                 for x, y in combinations(fiber, 2):
-                    lit_a = step_literal(n, steps_a[0], (steps_a[1], target), x, y)
-                    lit_b = step_literal(n, steps_b[0], (steps_b[1], target), x, y)
+                    lit_a = step_literal(n, steps_a, target, x, y)
+                    lit_b = step_literal(n, steps_b, target, x, y)
                     if not pv.add_equiv(lit_a, lit_b):
-                        direct_clash = (n, target, tuple(fiber), steps_a, steps_b)
+                        direct_clash = (n, target, fiber, steps_a, steps_b)
 
     values: dict[int, int] = {}
     nodes = 0
@@ -532,16 +588,17 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
     if satisfiable:
         orders = {}
         for key, fiber in fiber_lists.items():
-            if len(fiber) < 2:
-                orders[key] = fiber
-                continue
+            if len(fiber) >= 2:
 
-            def cmp(a, b, key=key):
-                v, s = pv.literal(key, a, b)
-                val = values[v] if s > 0 else 1 - values[v]
-                return -1 if val == 1 else 1
+                def cmp(a, b, key=key):
+                    v, s = pv.literal(key, a, b)
+                    val = values[v] if s > 0 else 1 - values[v]
+                    return -1 if val == 1 else 1
 
-            orders[key] = tuple(sorted(fiber, key=functools.cmp_to_key(cmp)))
+                fiber = sorted(fiber, key=functools.cmp_to_key(cmp))
+            n, i, target = key
+            refs = X.level(n)
+            orders[(n, i, X.level(n - 1)[target])] = tuple(refs[k] for k in fiber)
         assignment = OrderingAssignment(X, cutoff, orders)
         bad = check_nncmo(X, assignment, cutoff)
         if bad is not None:
@@ -551,11 +608,15 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
 
     # unsatisfiable: certify with a single locally-contradictory fiber
     for (n, target, fiber, steps_a, steps_b) in constraint_sources:
-        if 2 <= len(fiber) <= 7 and not _joint_orders_exist(X, fiber, steps_a, steps_b):
+        if not 2 <= len(fiber) <= 7:
+            continue
+        refs = tuple(X.level(n)[k] for k in fiber)
+        if not _joint_orders_exist(X, refs, steps_a, steps_b):
             fa, fb = _composition_word_string(steps_a), _composition_word_string(steps_b)
             expl = (f"no total order of the fiber is inducible by both {fa} and {fb}: "
                     "the two block structures interleave")
-            witness = Witness(n, target, fiber, steps_a, steps_b, "absolute", expl)
+            witness = Witness(n, X.level(n - 2)[target], refs, steps_a, steps_b,
+                              "absolute", expl)
             return NncmoResult("fails", witness=witness, nodes=nodes)
     raise InconclusiveSearch(
         "orders are jointly unsatisfiable but no single-fiber witness exists "
@@ -602,15 +663,17 @@ def cyclic_ordering(X: SimplicialSet, cutoff: int) -> dict[int, tuple[SimplexRef
     orders = {n: tuple(sorted(X.level_nonbase(n), key=key)) for n in range(cutoff + 1)}
 
     for n in range(2, cutoff + 1):
-        pos_below = {ref: k for k, ref in enumerate(orders[n - 1])}
+        below, index, table = X.index(n - 1), X.index(n), X.face_table(n)
+        pos_below = [0] * len(below)
+        for k, ref in enumerate(orders[n - 1]):
+            pos_below[below[ref]] = k
         seq = orders[n]
+        members = [index[ref] for ref in seq]
         for a in range(len(seq)):
             for b in range(a + 1, len(seq)):
-                for i in range(n + 1):
-                    fa, fb = X.face(seq[a], i), X.face(seq[b], i)
-                    if X.is_basepoint(fa) or X.is_basepoint(fb):
-                        continue
-                    if pos_below[fa] > pos_below[fb]:
+                for i, col in enumerate(table):
+                    fa, fb = col[members[a]], col[members[b]]
+                    if fa and fb and pos_below[fa] > pos_below[fb]:
                         raise CyclicOrderingUnavailable(
                             f"face-monotonicity fails at level {n}: "
                             f"{X.monotone_name(seq[a])} < {X.monotone_name(seq[b])} "
@@ -657,6 +720,7 @@ def classify_nncmo(X: SimplicialSet, cutoff: int = 4) -> NncmoResult:
 # action sites and classes
 
 Site = tuple[int, SimplexRef, int]  # (level, simplex, face index)
+_IndexSite = tuple[int, int, int]  # (level, index in the level, face index)
 
 
 @dataclass(frozen=True)
@@ -697,8 +761,10 @@ _TYPING_NOTE = (
     "under the four coface compatibility rules")
 
 
-def _union_sites(X: SimplicialSet, cutoff: int):
-    parent: dict[Site, Site] = {}
+def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
+    """Classes of basepoint-hitting sites on level indices, sorted within
+    and across classes."""
+    parent: dict[_IndexSite, _IndexSite] = {}
 
     def find(s):
         while parent[s] != s:
@@ -709,25 +775,25 @@ def _union_sites(X: SimplicialSet, cutoff: int):
     def union(a, b):
         ra, rb = find(a), find(b)
         if ra != rb:
-            parent[max(ra, rb, key=_site_sort_key)] = min(ra, rb, key=_site_sort_key)
+            parent[max(ra, rb)] = min(ra, rb)
 
-    def _site_sort_key(site):
-        n, ref, i = site
-        return (n, ref, i)
-
+    # member indices of a level follow the (base, word) order of the refs,
+    # so sorting index sites sorts the ref sites
     sites = []
     for n in range(1, cutoff + 1):
-        for ref in X.level_nonbase(n):
+        table = X.face_table(n)
+        for k in range(1, len(table[0])):
             for i in range(n + 1):
-                if X.is_basepoint(X.face(ref, i)):
-                    site = (n, ref, i)
+                if table[i][k] == 0:
+                    site = (n, k, i)
                     parent[site] = site
                     sites.append(site)
 
     for n in range(2, cutoff + 1):
-        for sigma in X.level_nonbase(n):
-            faces = [X.face(sigma, i) for i in range(n + 1)]
-            star = [X.is_basepoint(f) for f in faces]
+        table, below = X.face_table(n), X.face_table(n - 1)
+        for sigma in range(1, len(table[0])):
+            faces = [col[sigma] for col in table]
+            star = [f == 0 for f in faces]
             # (i): two basepoint faces of one simplex
             hit = [i for i in range(n + 1) if star[i]]
             for a in range(len(hit)):
@@ -741,7 +807,7 @@ def _union_sites(X: SimplicialSet, cutoff: int):
                     if i == j or star[i]:
                         continue
                     omega = faces[i]
-                    if X.is_basepoint(X.face(omega, j - 1)):
+                    if below[j - 1][omega] == 0:
                         union((n, sigma, j), (n - 1, omega, j - 1))
             # (iii): two faces of a common simplex identify their sites
             for i in range(n + 1):
@@ -749,8 +815,7 @@ def _union_sites(X: SimplicialSet, cutoff: int):
                     omega, mu = faces[j], faces[i]
                     if star[j] or star[i]:
                         continue
-                    if i <= n - 1 and X.is_basepoint(X.face(omega, i)) \
-                            and X.is_basepoint(X.face(mu, j - 1)):
+                    if i <= n - 1 and below[i][omega] == 0 and below[j - 1][mu] == 0:
                         union((n - 1, omega, i), (n - 1, mu, j - 1))
             # (iv): same face index one level down
             for i in range(n + 1):
@@ -760,14 +825,13 @@ def _union_sites(X: SimplicialSet, cutoff: int):
                     if j == i or star[j]:
                         continue
                     omega = faces[j]
-                    if i <= n - 1 and X.is_basepoint(X.face(omega, i)):
+                    if i <= n - 1 and below[i][omega] == 0:
                         union((n, sigma, i), (n - 1, omega, i))
 
-    groups: dict[Site, list[Site]] = {}
+    groups: dict[_IndexSite, list[_IndexSite]] = {}
     for s in sites:
         groups.setdefault(find(s), []).append(s)
-    return [tuple(sorted(v, key=_site_sort_key)) for _, v in
-            sorted(groups.items(), key=lambda kv: _site_sort_key(kv[0]))]
+    return [tuple(sorted(v)) for _, v in sorted(groups.items())]
 
 
 def classify_actions(X: SimplicialSet, cutoff: int = 4,
@@ -799,12 +863,17 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
         notes.append("set is not one-dimensional: no multiplicative ordering exists, "
                      "classes left untyped")
 
-    site_to_group = {s: gi for gi, group in enumerate(site_groups) for s in group}
+    # site_class[n][i][k]: the class of the site (n, level(n)[k], i), or None
+    site_class = {n: [[None] * len(X.level(n)) for _ in range(n + 1)]
+                  for n in range(1, cutoff + 1)}
+    for gi, group in enumerate(site_groups):
+        for n, k, i in group:
+            site_class[n][i][k] = gi
     evidence: dict[int, set[str]] = {gi: set() for gi in range(len(site_groups))}
 
     if assignment is not None:
         for n in range(2, cutoff + 1):
-            _type_level(X, assignment, site_to_group, evidence, n, max_word_length)
+            _type_level(X, assignment, site_class, evidence, n, max_word_length)
 
     classes = []
     for gi, group in enumerate(site_groups):
@@ -817,13 +886,14 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
             typ = "right"
         else:
             typ = "untyped"
-        n0, ref0, i0 = group[0]
+        sites = tuple((n, X.level(n)[k], i) for n, k, i in group)
+        _, ref0, i0 = sites[0]
         cid = f"d{i0}:{X.monotone_name(ref0)}"
-        classes.append(ActionClass(cid, typ, group))
+        classes.append(ActionClass(cid, typ, sites))
     return ActionClassReport(cutoff, tuple(classes), tuple(notes))
 
 
-def _type_level(X, assignment, site_to_group, evidence, n, max_word_length):
+def _type_level(X, assignment, site_class, evidence, n, max_word_length):
     """Collect the typing evidence of the level-n members.
 
     One evidence item is a pair of members and two equal factorizations: on
@@ -833,64 +903,68 @@ def _type_level(X, assignment, site_to_group, evidence, n, max_word_length):
     meeting step names the smaller member; the smaller member dying strictly
     later makes the class a left action, dying first a right action.
 
-    Every (member, word) route is simulated once, into a per-word table of
-    death steps and death-site classes plus the word's merging pairs; the
-    word-pair loop reads only these tables.
+    Every (member, word) route is simulated once on the face tables, into a
+    per-word table of death steps and death-site classes plus the word's
+    merging pairs; the word-pair loop reads only these tables.
     """
-    members = X.level_nonbase(n)
     for length in range(2, min(n, max_word_length) + 1):
         for words in _face_words(n, length).values():
-            tables = [_route_table(X, assignment, site_to_group, n, members, w)
-                      for w in words]
-            for merge_at, (_, merges) in enumerate(tables):
-                for split_at, (deaths, _) in enumerate(tables):
+            tables = [_route_table(X, assignment, site_class, n, w) for w in words]
+            # the word a merging pair comes from, or -1 if several words merge it
+            owner: dict[tuple[int, int, int], int] = {}
+            for w, (_, merges) in enumerate(tables):
+                for m in merges:
+                    owner[m] = w if owner.get(m, w) == w else -1
+            for split_at, (deaths, _) in enumerate(tables):
+                for (g, small, large), merge_at in owner.items():
                     if split_at == merge_at:
                         continue  # a merged pair dies at one step on its own word
-                    for g, small, large in merges:
-                        ds, dl = deaths[small], deaths[large]
-                        if ds is None or dl is None or ds[1] != g or dl[1] != g \
-                                or ds[0] == dl[0]:
-                            continue
-                        evidence[g].add("left" if dl[0] < ds[0] else "right")
+                    ds, dl = deaths[small], deaths[large]
+                    if ds is None or dl is None or ds[1] != g or dl[1] != g \
+                            or ds[0] == dl[0]:
+                        continue
+                    evidence[g].add("left" if dl[0] < ds[0] else "right")
 
 
-def _route_table(X, assignment, site_to_group, n, members, word):
+def _route_table(X, assignment, site_class, n, word):
     """Simulate every member along ``word`` (faces applied first to last).
 
-    Returns ``(deaths, merges)``: ``deaths[x]`` is member x's death step and
-    the class of its death site, or None if it survives the word; ``merges``
-    lists ``(class, smaller, larger)`` for every member pair whose images
-    first meet at a non-basepoint simplex that later dies in a classified
-    site, smaller and larger in the fiber order at the meeting step.  The
-    image lists are dropped on return.
+    Returns ``(deaths, merges)`` on level-n indices: ``deaths[x]`` is member
+    x's death step and the class of its death site, or None if it survives
+    the word (or x is the basepoint); ``merges`` lists ``(class, smaller,
+    larger)`` for every member pair whose images first meet at a
+    non-basepoint simplex that later dies in a classified site, smaller and
+    larger in the fiber order at the meeting step.
+
+    The walk moves distinct images, not members: members that met travel
+    together from then on.
     """
-    routes = []
-    for ref in members:
-        imgs = [ref]
-        death = None
-        for t, i in enumerate(word, start=1):
-            img = X.face(imgs[-1], i)
-            if X.is_basepoint(img):
-                death = (t, site_to_group.get((n - t + 1, imgs[-1], i)))
-                break
-            imgs.append(img)
-        routes.append((imgs, death))
+    deaths = [None] * len(X.level(n))
+    holders = {x: [x] for x in range(1, len(deaths))}  # alive image -> its members
+    meetings = []  # per meeting: the members of each part, parts in fiber order
+    for t, i in enumerate(word, start=1):
+        m = n - t + 1
+        col = X.face_table(m)[i]
+        parts: dict[int, list[int]] = {}
+        for p, xs in holders.items():
+            q = col[p]
+            if q:
+                parts.setdefault(q, []).append(p)
+            else:
+                death = (t, site_class[m][i][p])
+                for x in xs:
+                    deaths[x] = death
+        rank = assignment.ranks(m, i)
+        for ps in parts.values():
+            if len(ps) > 1:
+                meetings.append([holders[p] for p in sorted(ps, key=rank.__getitem__)])
+        holders = {q: [x for p in ps for x in holders[p]] for q, ps in parts.items()}
 
     merges = []
-    for t in range(1, len(word) + 1):
-        # alive images at step t, split by their image one step earlier
-        blocks: dict[SimplexRef, dict[SimplexRef, list[int]]] = {}
-        for x, (imgs, _) in enumerate(routes):
-            if t < len(imgs):
-                blocks.setdefault(imgs[t], {}).setdefault(imgs[t - 1], []).append(x)
-        for target, parts in blocks.items():
-            if len(parts) < 2:
-                continue
-            death = routes[next(iter(parts.values()))[0]][1]
-            if death is None or death[1] is None:
-                continue
-            ranked = sorted(parts, key=lambda a: assignment.position(
-                n - t + 1, word[t - 1], target, a))
-            for a, b in combinations(ranked, 2):
-                merges.extend((death[1], x, y) for x in parts[a] for y in parts[b])
-    return [death for _, death in routes], merges
+    for ranked in meetings:
+        death = deaths[ranked[0][0]]
+        if death is None or death[1] is None:
+            continue
+        for a, b in combinations(ranked, 2):
+            merges.extend((death[1], x, y) for x in a for y in b)
+    return deaths, merges

@@ -11,6 +11,14 @@ Levels are infinite in principle; everything takes an explicit cutoff and
 enumerates levels deterministically (basepoint degeneracy first, then by
 (base id, word) lexicographically), so matrices built on top of the level
 enumeration are reproducible.
+
+Everything above the face maps works on level indices: ``index(n)`` maps a
+level-n ref to its position k in ``level(n)``, and the integer face table
+``face_table(n)[i][k]`` is the index in ``level(n - 1)`` of
+``d_i(level(n)[k])``.  Both are built once per set object and level, the
+table by calling ``face`` on every (simplex, face index) pair of the level,
+so ``face`` stays the one evaluator.  The basepoint is index 0 at every
+level, so "d_i hits the basepoint" reads ``face_table(n)[i][k] == 0``.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ class SimplicialSet:
             raise SimplicialError("basepoint must be a 0-simplex")
         self.dim_top = max(s.dim for s in self.simplices)
         self._levels: dict[int, tuple[SimplexRef, ...]] = {}
+        self._index: dict[int, dict[SimplexRef, int]] = {}
+        self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._check_well_formed()
 
     # -- structure ------------------------------------------------------
@@ -174,6 +184,24 @@ class SimplicialSet:
 
     def level_nonbase(self, n: int) -> tuple[SimplexRef, ...]:
         return self.level(n)[1:]
+
+    def index(self, n: int) -> dict[SimplexRef, int]:
+        """``ref -> k`` with ``level(n)[k] == ref``; the basepoint is 0."""
+        if n not in self._index:
+            self._index[n] = {ref: k for k, ref in enumerate(self.level(n))}
+        return self._index[n]
+
+    def face_table(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """``face_table(n)[i][k]`` is the index in ``level(n - 1)`` of
+        ``d_i(level(n)[k])``; entry 0 of each row is the basepoint's image, 0."""
+        if n not in self._face_tables:
+            if n < 1:
+                raise SimplicialError("no face maps on level 0")
+            below = self.index(n - 1)
+            refs = self.level(n)
+            self._face_tables[n] = tuple(
+                tuple(below[self.face(ref, i)] for ref in refs) for i in range(n + 1))
+        return self._face_tables[n]
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> list[str]:

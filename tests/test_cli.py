@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hochord
 from hochord.cli import main
 
 
@@ -183,3 +185,15 @@ def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "hochord.cli", "validate", "circle"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(hochord.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hochord", "validate", "circle", "--json"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "validate" and report["set"] == "circle"
+    assert report["ok"] is True and report["violations"] == []

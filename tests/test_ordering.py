@@ -104,6 +104,60 @@ def test_trivial_cutoff_is_ok():
     assert check_nncmo(X, asg, 1) is None
 
 
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_ordering_entry_points_refuse_cutoffs_below_one(cutoff):
+    X = circle()
+    asg = assignment_from_level_orders(X, cyclic_ordering(X, 3), 3)
+    calls = [lambda: search_nncmo(X, cutoff),
+             lambda: check_nncmo(X, asg, cutoff),
+             lambda: check_nncmo_full(X, asg, cutoff),
+             lambda: assignment_from_level_orders(X, cyclic_ordering(X, 3), cutoff),
+             lambda: OrderingAssignment(X, cutoff, {})]
+    for call in calls:
+        with pytest.raises(OrderingError, match=f"got cutoff {cutoff}"):
+            call()
+
+
+def test_cutoff_one_still_works():
+    X = wedge_of_circles(2)
+    res = search_nncmo(X, 1)
+    assert res.admits and res.assignment.cutoff == 1
+    assert check_nncmo(X, res.assignment, 1) is None
+    assert check_nncmo_full(X, res.assignment, 1) is None
+
+
+def test_assignment_refuses_orders_that_are_not_fibers():
+    X = circle()
+    e = SimplexRef(X.id_of("e"))
+    orders = dict(assignment_from_level_orders(X, cyclic_ordering(X, 2), 2).orders)
+    strays = [(1, 0, SimplexRef(X.basepoint)),        # over the basepoint
+              (1, 0, SimplexRef(0, (0,))),            # target from the wrong level
+              (3, 1, SimplexRef(e.base, (1, 0))),     # above the cutoff
+              (2, 3, e)]                              # no face d_3 at level 2
+    for stray in strays:
+        with pytest.raises(OrderingError, match="not the fiber") as err:
+            OrderingAssignment(X, 2, {**orders, stray: ()})
+        assert repr(stray) in str(err.value)
+    # the circle's level-1 faces all hit the basepoint: nothing to order there
+    with pytest.raises(OrderingError, match="not the fiber"):
+        OrderingAssignment(X, 1, {(1, 0, SimplexRef(0, (0,))): ()})
+
+
+def test_assignment_ranks_are_the_fiber_positions():
+    X = wedge_of_circles(2)
+    asg = classify_nncmo(X, 4).assignment
+    for n in range(1, 5):
+        level = X.level(n)
+        for i in range(n + 1):
+            ranks = asg.ranks(n, i)
+            for k, ref in enumerate(level):
+                target = X.face(ref, i)
+                if X.is_basepoint(target):
+                    assert ranks[k] == -1
+                else:
+                    assert ranks[k] == asg.order_of(n, i, target).index(ref)
+
+
 def test_assignment_requires_full_coverage():
     X = circle()
     orders = dict(assignment_from_level_orders(X, cyclic_ordering(X, 3), 3).orders)
@@ -369,6 +423,16 @@ def _pairwise_type_level(X, assignment, site_to_group, evidence, n, max_word_len
                                              evidence, n, x, y, w1, w2)
 
 
+def _pairwise_on_site_table(X, assignment, site_class, evidence, n, max_word_length):
+    """The reference, fed the ``site_class[n][i][k]`` table ``_type_level``
+    reads, re-keyed by ref sites."""
+    site_to_group = {(m, X.level(m)[k], i): g
+                     for m, cols in site_class.items()
+                     for i, col in enumerate(cols)
+                     for k, g in enumerate(col) if g is not None}
+    _pairwise_type_level(X, assignment, site_to_group, evidence, n, max_word_length)
+
+
 @pytest.mark.parametrize("builder, max_word_length", [
     (point, 4), (interval, 4), (circle, 4), (lambda: wedge_of_circles(2), 4),
     (sphere2, 4), (lambda: from_file(BIGON, "bigon"), 4),
@@ -377,7 +441,7 @@ def _pairwise_type_level(X, assignment, site_to_group, evidence, n, max_word_len
         "wedge2-words2", "wedge2-words3"])
 def test_route_tables_match_pairwise_typing(builder, max_word_length, monkeypatch):
     got = classify_actions(builder(), 4, max_word_length)
-    monkeypatch.setattr(ordering, "_type_level", _pairwise_type_level)
+    monkeypatch.setattr(ordering, "_type_level", _pairwise_on_site_table)
     want = classify_actions(builder(), 4, max_word_length)
     # ids, types, sites and notes
     assert got == want
@@ -395,3 +459,20 @@ def test_typing_simulates_each_route_once(monkeypatch):
     classify_actions(wedge_of_circles(3), 4)
     # the pair-by-pair reference above makes 1,749,138 calls here
     assert calls[0] <= 20_000
+
+
+def test_typing_reads_each_face_once(monkeypatch):
+    X = wedge_of_circles(3)
+    face = SimplicialSet.face
+    calls = [0]
+
+    def counted(Y, ref, i):
+        calls[0] += 1
+        return face(Y, ref, i)
+
+    monkeypatch.setattr(SimplicialSet, "face", counted)
+    bound = sum(len(X.level(n)) * (n + 1) for n in range(1, 5))
+    assert bound == 134
+    classify_actions(X, 4)
+    # one face-table entry per (simplex, face index) up to the cutoff
+    assert calls[0] <= bound

@@ -1,7 +1,7 @@
 import pytest
 
-from hochord.simplicial import (NondegSimplex, SimplexRef, SimplicialError,
-                                SimplicialSet, circle, from_file, interval,
+from hochord.simplicial import (BUILTIN_SETS, NondegSimplex, SimplexRef,
+                                SimplicialError, SimplicialSet, circle, from_file, interval,
                                 normalize_word, point, simplex2_boundary_collapsed,
                                 sphere2, to_file, wedge_of_circles)
 
@@ -172,3 +172,61 @@ def test_monotone_names_with_multiple_edges():
     W = wedge_of_circles(2)
     names = [W.monotone_name(r) for r in W.level(2)]
     assert names == ["*", "[001]_e1", "[011]_e1", "[001]_e2", "[011]_e2"]
+
+
+# ---------------------------------------------------------------------------
+# level indices and integer face tables
+
+BASEPOINT_LAST = """
+basepoint b
+simplex v dim=0
+simplex b dim=0
+simplex e dim=1 faces=[v, b]
+simplex f dim=1 faces=[b, b]
+"""
+
+
+@pytest.mark.parametrize("builder", [*BUILTIN_SETS.values(),
+                                     lambda: from_file(BASEPOINT_LAST, "bp-last")],
+                         ids=[*BUILTIN_SETS, "basepoint-last"])
+def test_face_table_matches_face(builder):
+    X = builder()
+    for n in range(1, 6):
+        level, below = X.level(n), X.level(n - 1)
+        table = X.face_table(n)
+        assert len(table) == n + 1
+        for i, col in enumerate(table):
+            assert col[0] == 0
+            assert list(col) == [below.index(X.face(ref, i)) for ref in level]
+
+
+@pytest.mark.parametrize("builder", [*BUILTIN_SETS.values(),
+                                     lambda: from_file(BASEPOINT_LAST, "bp-last")],
+                         ids=[*BUILTIN_SETS, "basepoint-last"])
+def test_index_inverts_the_level_and_puts_the_basepoint_first(builder):
+    X = builder()
+    for n in range(6):
+        level = X.level(n)
+        assert X.index(n) == {ref: k for k, ref in enumerate(level)}
+        assert level[0] == X.basepoint_ref(n) and X.index(n)[X.basepoint_ref(n)] == 0
+
+
+def test_face_tables_are_built_once_per_level(monkeypatch):
+    X = wedge_of_circles(2)
+    face = SimplicialSet.face
+    calls = [0]
+
+    def counted(Y, ref, i):
+        calls[0] += 1
+        return face(Y, ref, i)
+
+    monkeypatch.setattr(SimplicialSet, "face", counted)
+    first = X.face_table(3)
+    assert calls[0] == 4 * len(X.level(3))
+    assert X.face_table(3) is first and X.index(2) is X.index(2)
+    assert calls[0] == 4 * len(X.level(3))
+
+
+def test_no_face_table_on_level_zero():
+    with pytest.raises(SimplicialError):
+        circle().face_table(0)
