@@ -1,8 +1,9 @@
 """Exact scalar arithmetic and sparse exact matrices.
 
-Scalars live either in the rationals (arbitrary-precision ``Fraction``) or in
-a prime field F_p (residues stored as ints in ``[0, p)``).  No floating point
-is used anywhere: homology ranks have to be exact.
+Scalars live either in the rationals, canonically an ``int`` when whole and
+an arbitrary-precision ``Fraction`` only otherwise, or in a prime field F_p
+(residues stored as ints in ``[0, p)``).  No floating point is used anywhere
+(``Field.of`` refuses a ``float``): homology ranks have to be exact.
 
 Matrices are sparse triplet maps ``(row, col) -> scalar`` holding only nonzero
 entries, so structural equality of matrices is equality of field elements.
@@ -37,9 +38,10 @@ from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
 
-# Fractions are immutable, so the rational zero and one can be shared.
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _canonical(q: Scalar) -> Scalar:
+    """A rational result in canonical form: an int when it is whole."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def is_prime(p: int) -> bool:
@@ -74,29 +76,36 @@ class Field:
         return self.p is None
 
     def zero(self) -> Scalar:
-        return _ZERO if self.p is None else 0
+        return 0
 
     def one(self) -> Scalar:
-        return _ONE if self.p is None else 1
+        return 1
 
     def of(self, x) -> Scalar:
-        """Coerce an int or Fraction into canonical form for this field."""
+        """Coerce an int, a Fraction or a rational string such as ``"-3/4"``
+        into canonical form for this field; a float raises ``TypeError``."""
+        if type(x) is not int:
+            if isinstance(x, float):
+                raise TypeError(f"inexact scalar {x!r}: use an int, a Fraction "
+                                "or a string such as '1/10'")
+            x = _canonical(x if isinstance(x, Fraction) else Fraction(x))
         if self.p is None:
-            return x if isinstance(x, Fraction) else Fraction(x)
-        f = Fraction(x)
-        den = f.denominator % self.p
+            return x
+        if type(x) is int:
+            return x % self.p
+        den = x.denominator % self.p
         if den == 0:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-        return f.numerator * pow(den, -1, self.p) % self.p
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.p is None else (a + b) % self.p
+        return _canonical(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p is None else (a - b) % self.p
+        return _canonical(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.p is None else (a * b) % self.p
+        return _canonical(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p is None else (-a) % self.p
@@ -105,7 +114,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return _ONE / a
+            return _canonical(Fraction(a.denominator, a.numerator))
         return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -137,18 +146,26 @@ class Matrix:
     def __init__(self, rows: int, cols: int, field: Field, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "field", field)
         clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-                v = field.of(v)
-                if v != field.zero():
-                    clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+            v = field.of(v)
+            if v:
+                clean[(r, c)] = v
+        self._fill(rows, cols, field, clean)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, field: Field, entries: dict) -> "Matrix":
+        """Wrap an entry dict the library built itself (keys in range, values
+        nonzero and canonical) without the checks of ``__init__``."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, field, entries)
+        return m
+
+    def _fill(self, *values):
+        for name, value in zip(Matrix.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -192,8 +209,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field.describe()}, nnz={len(self.entries)})"
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.field,
-                      {(c, r): v for (r, c), v in self.entries.items()})
+        return Matrix._trusted(self.cols, self.rows, self.field,
+                               {(c, r): v for (r, c), v in self.entries.items()})
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -208,7 +225,7 @@ class Matrix:
                 e.pop(k, None)
             else:
                 e[k] = s
-        return Matrix(self.rows, self.cols, f, e)
+        return Matrix._trusted(self.rows, self.cols, f, e)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(self.field.neg(self.field.one()))
@@ -258,7 +275,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 out.pop(key, None)
             else:
                 out[key] = s
-    return Matrix(a.rows, b.cols, f, out)
+    return Matrix._trusted(a.rows, b.cols, f, out)
 
 
 def _primitive(row: dict) -> dict:

@@ -221,7 +221,7 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
         else:
             entries[key] = s
     rows, cols = (phi.m, phi.n) if source_rows else (phi.n, phi.m)
-    return Matrix(dm * da ** rows, dm * da ** cols, f, entries)
+    return Matrix._trusted(dm * da ** rows, dm * da ** cols, f, entries)
 
 
 def loday_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,

@@ -26,6 +26,7 @@ differential on them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -206,17 +207,21 @@ class _Assembler:
 
     def differential(self, n: int) -> Matrix:
         """Chain: delta_n = sum (-1)^i d_i from level n; cochain: delta^n from
-        the faces of level n+1."""
-        spec = self.spec
-        f = spec.algebra.field
-        level = n if spec.variant == CHAIN else n + 1
-        acc = None
+        the faces of level n+1.  The signed entries of every face matrix are
+        accumulated into one entry dict in a single pass."""
+        f = self.spec.algebra.field
+        level = n if self.spec.variant == CHAIN else n + 1
+        entries: dict = {}
         for i in range(level + 1):
             m = self.face_matrix(level, i)
-            if i % 2:
-                m = m.scale(f.neg(f.one()))
-            acc = m if acc is None else acc + m
-        return acc
+            combine = f.sub if i % 2 else f.add
+            for k, v in m.entries.items():
+                s = combine(entries.get(k, 0), v)
+                if s:
+                    entries[k] = s
+                else:
+                    del entries[k]
+        return Matrix._trusted(m.rows, m.cols, f, entries)
 
 
 def _resolve(spec: ComplexSpec):
@@ -397,7 +402,7 @@ def _normalize(spec: ComplexSpec, diffs):
                 raise ComplexError(
                     f"normalization: the degenerate span is not a subcomplex; the "
                     f"degree-{n} differential has entry {v} at row {r}, column {c}")
-        new_diffs[n] = Matrix(len(kept[tgt]), len(kept[n]), f, entries)
+        new_diffs[n] = Matrix._trusted(len(kept[tgt]), len(kept[n]), f, entries)
     return [len(ks) for ks in kept], new_diffs
 
 
@@ -598,33 +603,14 @@ def cosimplicial_check(spec: ComplexSpec, cutoff: int) -> list[str]:
         amap = default_assignment(spec.module, classes, spec.variant)
     asm = _Assembler(spec, classes, amap)
     chain = spec.variant == CHAIN
-
-    faces: dict[tuple[int, int], Matrix] = {}
-    degens: dict[tuple[int, int], Matrix] = {}
-
-    def F(level, i):
-        if (level, i) not in faces:
-            faces[(level, i)] = asm.face_matrix(level, i)
-        return faces[(level, i)]
-
-    def S(level, i):
-        if (level, i) not in degens:
-            degens[(level, i)] = asm.degeneracy_matrix(level, i)
-        return degens[(level, i)]
-
-    def comp_faces(outer, inner):
-        # matrix of d_outer o d_inner (inner applied first, from `level`)
-        (lo, io), (li, ii) = outer, inner
-        if chain:
-            return F(lo, io) * F(li, ii)
-        return F(li, ii) * F(lo, io)
-
+    F = functools.cache(asm.face_matrix)
+    S = functools.cache(asm.degeneracy_matrix)
     problems = []
     for n in range(2, cutoff + 1):
         for j in range(1, n + 1):
             for i in range(j):
-                lhs = comp_faces((n - 1, i), (n, j))
-                rhs = comp_faces((n - 1, j - 1), (n, i))
+                lhs = _compose2(F(n - 1, i), F(n, j), chain)
+                rhs = _compose2(F(n - 1, j - 1), F(n, i), chain)
                 if lhs != rhs:
                     problems.append(f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}")
     for n in range(0, cutoff - 1):

@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
+from types import MappingProxyType
+from typing import Mapping
 
 from .simplicial import SimplexRef, SimplicialSet
 
@@ -347,10 +349,12 @@ def check_nncmo(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -
     return None
 
 
-def _face_words(n: int, length: int):
+@functools.cache
+def _face_words(n: int, length: int) -> Mapping[frozenset, tuple[tuple[int, ...], ...]]:
     """All compositions of ``length`` face maps from level n, as tuples in
     application order, keyed by the set of deleted positions (equal maps
-    share a key)."""
+    share a key).  Cached per ``(n, length)``; the mapping is read-only and
+    its values are tuples, so no caller can change the cached value."""
     out: dict[frozenset, list[tuple[int, ...]]] = {}
 
     def rec(level, word, positions):
@@ -362,7 +366,7 @@ def _face_words(n: int, length: int):
             rec(level - 1, word + [i], positions[:i] + positions[i + 1:])
 
     rec(n, [], list(range(n + 1)))
-    return out
+    return MappingProxyType({k: tuple(words) for k, words in out.items()})
 
 
 def check_nncmo_full(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:
@@ -736,21 +740,13 @@ class ActionClassReport:
     classes: tuple[ActionClass, ...]
     notes: tuple[str, ...]
     _by_site: dict = dc_field(init=False, repr=False, compare=False)
-    _by_id: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_site", {
             site: cls for cls in self.classes for site in cls.sites})
-        object.__setattr__(self, "_by_id", {cls.class_id: cls for cls in self.classes})
 
     def class_of_site(self, site: Site) -> ActionClass | None:
         return self._by_site.get(site)
-
-    def by_id(self, class_id: str) -> ActionClass:
-        try:
-            return self._by_id[class_id]
-        except KeyError:
-            raise OrderingError(f"unknown action class {class_id!r}") from None
 
 
 _TYPING_NOTE = (

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochord.algebras import upper_tri
+from hochord.algebras import custom_algebra, upper_tri
 from hochord.exact import Field, Matrix, QQ, mat_mul, nullspace, rank, solve
 from hochord.hochschild import CHAIN, build_complex, make_spec
 from hochord.modules import tensor_square_bimodule
@@ -35,6 +35,94 @@ def test_scalar_canonical_forms():
     assert f.of(Fraction(1, 2)) == 4  # 1/2 = 4 mod 7
     assert f.of(-1) == 6
     assert QQ.of(2) == Fraction(2)
+
+
+def _is_canonical(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def test_rationals_are_ints_when_whole():
+    half = Fraction(1, 2)
+    cases = [
+        (QQ.zero(), 0), (QQ.one(), 1),
+        (QQ.of(7), 7), (QQ.of(Fraction(6, 3)), 2), (QQ.of("-4/2"), -2),
+        (QQ.of(True), 1), (QQ.of(half), half), (QQ.of("1/10"), Fraction(1, 10)),
+        (QQ.mul(half, 2), 1), (QQ.add(half, half), 1), (QQ.sub(half, Fraction(-1, 2)), 1),
+        (QQ.neg(half), Fraction(-1, 2)), (QQ.neg(3), -3),
+        (QQ.inv(Fraction(1, 3)), 3), (QQ.inv(Fraction(-1, 3)), -3), (QQ.inv(2), half),
+        (QQ.inv(-1), -1), (QQ.div(3, Fraction(3, 2)), 2), (QQ.add(half, 1), Fraction(3, 2)),
+    ]
+    for got, want in cases:
+        assert got == want and _is_canonical(got), (got, want)
+        assert str(got) == str(Fraction(want))
+    assert type(Field(7).zero()) is int and type(Field(7).one()) is int
+
+
+def _fraction_residue(x, p):
+    """The residue of ``x`` mod p read through ``Fraction``, as F_p scalars
+    were once computed."""
+    q = Fraction(x)
+    return q.numerator * pow(q.denominator % p, -1, p) % p
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, 2**31 - 1])
+def test_prime_field_of_matches_fraction_residue(p):
+    ints = [0, 1, -1, p - 1, p, p + 1, -p, -p - 1, 3 * p + 2, -5 * p - 3, 10**40 + 7,
+            -(10**40) - 9]
+    for x in ints:
+        assert Field(p).of(x) == _fraction_residue(x, p), x
+        assert type(Field(p).of(x)) is int
+    for x in [Fraction(1, 3), Fraction(-5, 9), Fraction(4, 2), Fraction(p + 1, p + 2)]:
+        if x.denominator % p:
+            assert Field(p).of(x) == _fraction_residue(x, p), x
+
+
+def test_prime_field_of_builds_no_fraction_for_ints(fraction_count):
+    f = Field(7)
+    assert [f.of(x) for x in (-15, 0, 3, 100)] == [6, 0, 3, 2]
+    assert [QQ.of(x) for x in (-15, 0, 3)] == [-15, 0, 3]
+    assert fraction_count == [0]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)])
+def test_floats_are_refused(field):
+    for value in (0.5, 0.1, 2.0, float("nan")):
+        with pytest.raises(TypeError, match=repr(value)):
+            field.of(value)
+    with pytest.raises(TypeError, match="0.1"):
+        Matrix.from_rows([[0.1, 2]], field)
+    with pytest.raises(TypeError, match="0.5"):
+        custom_algebra("k", field, ["1", "x"], [1, 0.5], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    with pytest.raises(TypeError, match="1.0"):
+        custom_algebra("k", field, ["1"], [1.0], [[[1]]])
+
+
+def test_exact_inputs_still_coerce():
+    assert Matrix.from_rows([[Fraction(1, 10), "2/4", 3]]).entries == {
+        (0, 0): Fraction(1, 10), (0, 1): Fraction(1, 2), (0, 2): 3}
+    assert Matrix.from_rows([["6/3", 0]]).entries == {(0, 0): 2}
+    assert type(Matrix.from_rows([["6/3", 0]]).get(0, 0)) is int
+    assert Matrix.from_rows([[Fraction(1, 2), 8]], Field(7)).entries == {(0, 0): 4, (0, 1): 1}
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(IndexError):
+        Matrix(2, 2, QQ, {(2, 0): 1})
+    with pytest.raises(ValueError):
+        Matrix(-1, 2, QQ)
+    m = Matrix(2, 2, Field(5), {(0, 0): 5, (0, 1): 7, (1, 1): Fraction(4, 2)})
+    assert m.entries == {(0, 1): 2, (1, 1): 2}
+    assert Matrix(1, 1, QQ, {(0, 0): Fraction(0)}).is_zero()
+
+
+def test_matrix_results_are_canonical():
+    a = Matrix.from_rows([[Fraction(1, 2), 1], [2, Fraction(1, 3)]])
+    b = Matrix.from_rows([[2, 0], [0, 3]])
+    for m in (a * b, a + a, a - a, a.scale(6), a.transpose(), b * a):
+        assert all(_is_canonical(v) for v in m.entries.values()), m.entries
+        assert Matrix(m.rows, m.cols, m.field, m.entries) == m
+    assert (a * b).entries == {(0, 0): 1, (0, 1): 3, (1, 0): 4, (1, 1): 1}
+    assert (a - a).is_zero()
 
 
 def test_mat_mul_identity_and_zero():

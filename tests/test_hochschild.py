@@ -2,17 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from hochord.algebras import (commutator_span_dim, center, cyclic_group_algebra,
-                              multiply, trunc_poly, upper_tri)
+from hochord.algebras import (commutator_span_dim, center, custom_algebra,
+                              cyclic_group_algebra, multiply, trunc_poly, upper_tri)
 from hochord.exact import Field, Matrix, QQ, nullspace
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
-                                OrderingRefusal, build_complex, classical_complex,
+                                OrderingRefusal, _Assembler, _resolve,
+                                build_complex, classical_complex,
                                 cosimplicial_check, is_subsimplicial, make_spec,
                                 pair_constraints)
-from hochord.modules import dual_module, regular_bimodule, symmetric_module
+from hochord.modules import (dual_module, regular_bimodule, symmetric_module,
+                             tensor_square_bimodule)
 from hochord.ordering import OrderingAssignment, assignment_from_level_orders, cyclic_ordering
 from hochord.simplicial import (NondegSimplex, SimplexRef, SimplicialSet, circle,
-                                from_file, point, sphere2, wedge_of_circles)
+                                from_file, interval, point, sphere2, wedge_of_circles)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,90 @@ def test_prime_field_complex():
     c = build_complex(make_spec(circle(), alg, mod, CHAIN, 3))
     assert c.verify_square_zero()
     assert c.betti[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# canonical scalars and one-pass assembly
+
+def _half_unit(field=QQ):
+    """k[x]/(x^2) on the basis 2, x: the unit is (1/2, 0), and products such
+    as (1/2)*2 must come out as the int 1."""
+    return custom_algebra("half unit", field, ["u", "x"], [Fraction(1, 2), 0],
+                          [[[2, 0], [0, 2]], [[0, 2], [0, 0]]])
+
+
+def _half_basis(field=QQ):
+    """k[x]/(x^2) on the basis 1/2, x: the unit is (2, 0) and the structure
+    constants are 1/2, so the plain differentials hold proper fractions."""
+    h = Fraction(1, 2)
+    return custom_algebra("half basis", field, ["u", "x"], [2, 0],
+                          [[[h, 0], [0, h]], [[0, h], [0, 0]]])
+
+
+# (set, algebra, module, max degree): the bundled complexes of the acceptance
+# suite, one degree lower, and k[x]/(x^2) on two bases with fractional units
+CANONICAL_CASES = [
+    (point, trunc_poly(2), symmetric_module, 3),
+    (point, upper_tri(2), regular_bimodule, 3),
+    (interval, trunc_poly(2), symmetric_module, 3),
+    (interval, upper_tri(2), regular_bimodule, 3),
+    (circle, trunc_poly(2), symmetric_module, 3),
+    (circle, upper_tri(2), regular_bimodule, 3),
+    (circle, cyclic_group_algebra(2), regular_bimodule, 3),
+    (lambda: wedge_of_circles(2), trunc_poly(2), symmetric_module, 2),
+    (lambda: wedge_of_circles(2), upper_tri(2), tensor_square_bimodule, 2),
+    (lambda: wedge_of_circles(3), trunc_poly(2), symmetric_module, 2),
+    (sphere2, trunc_poly(2), symmetric_module, 3),
+    (circle, _half_unit(), regular_bimodule, 3),
+    (sphere2, _half_unit(), symmetric_module, 3),
+    (circle, _half_basis(), regular_bimodule, 3),
+    (sphere2, _half_basis(), symmetric_module, 3),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CANONICAL_CASES)))
+def test_differentials_are_canonical_over_q(case):
+    builder, alg, module, degree = CANONICAL_CASES[case]
+    X = builder()
+    fractions = 0
+    for variant in (CHAIN, COCHAIN):
+        for normalized in (False, True):
+            spec = make_spec(X, alg, module(alg), variant, degree, normalized=normalized)
+            for m in build_complex(spec).differentials.values():
+                for v in m.entries.values():
+                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                    fractions += type(v) is Fraction
+                # the trusted constructor holds what the public one would build
+                assert Matrix(m.rows, m.cols, m.field, m.entries) == m
+    assert (fractions > 0) == (alg.name == "half basis")
+
+
+@pytest.mark.parametrize("case", [0, 5, 8, 10, 11, 13])
+@pytest.mark.parametrize("p", [None, 7])
+def test_one_pass_differential_is_the_signed_sum_of_faces(case, p):
+    builder, alg, module, degree = CANONICAL_CASES[case]
+    alg = custom_algebra(alg.name, Field(p), alg.basis_names, alg.unit, alg.table)
+    X = builder()
+    for variant in (CHAIN, COCHAIN):
+        spec = make_spec(X, alg, module(alg), variant, degree)
+        asm = _Assembler(spec, *_resolve(spec))
+        for n in range(1, degree + 1) if variant == CHAIN else range(degree):
+            level = n if variant == CHAIN else n + 1
+            faces = [asm.face_matrix(level, i).scale((-1) ** i) for i in range(level + 1)]
+            total = faces[0]
+            for m in faces[1:]:
+                total = total + m
+            assert asm.differential(n) == total, (variant, n)
+
+
+def test_normalized_build_constructs_no_fraction(fraction_count):
+    """wedge2, trunc-poly(2), symmetric module, chain, D=5, normalized: every
+    structure constant is an integer, so no scalar needs a Fraction."""
+    alg = trunc_poly(2)
+    c = build_complex(make_spec(wedge_of_circles(2), alg, symmetric_module(alg), CHAIN, 5,
+                                normalized=True))
+    assert len(c.betti) == 6 and c.betti[0] == 2  # H_0 is the module k[x]/(x^2)
+    assert fraction_count == [0]
 
 
 # ---------------------------------------------------------------------------

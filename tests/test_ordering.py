@@ -476,3 +476,17 @@ def test_typing_reads_each_face_once(monkeypatch):
     classify_actions(X, 4)
     # one face-table entry per (simplex, face index) up to the cutoff
     assert calls[0] <= bound
+
+
+def test_face_words_are_cached_and_read_only():
+    words = _face_words(4, 3)
+    assert _face_words(4, 3) is words
+    with pytest.raises(TypeError):
+        words[frozenset()] = ()
+    assert all(type(ws) is tuple and all(type(w) is tuple for w in ws)
+               for ws in words.values())
+    # equal maps share a key: the composite deleting positions D is the same
+    # face map for every word, and there are (n+1)!/(n+1-length)! words in all
+    assert sum(len(ws) for ws in words.values()) == 5 * 4 * 3
+    assert all(len(key) == 3 for key in words)
+    assert len(words) == 10  # C(5, 3) deleted-position sets
