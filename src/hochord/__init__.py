@@ -25,8 +25,8 @@ from .modules import (Action, Multimodule, default_assignment, dual_module,  # n
                       tensor_square_bimodule, validate as validate_module,
                       validate_assignment)
 from .simplicial import (NondegSimplex, SimplexRef, SimplicialSet, circle,  # noqa: E402
-                         from_file, interval, point, simplex2_boundary_collapsed,
-                         sphere2, to_file, wedge_of_circles)
+                         from_file, interval, point, sphere2, to_file,
+                         wedge_of_circles)
 from .ordering import (ActionClass, ActionClassReport, FiberOrdering,  # noqa: E402
                        InconclusiveSearch, NncmoResult, OrderingAssignment, Witness,
                        assignment_from_level_orders, check_nncmo, check_nncmo_full,

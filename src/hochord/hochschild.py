@@ -6,7 +6,8 @@ most significant); the cochain complex uses ``hom`` of the same tensor space
 into M.  Face and degeneracy matrices come from the tensor/hom functors
 applied to the level maps of the simplicial set, with fiber products ordered
 by the multiplicative-ordering certificate and basepoint-fiber factors routed
-through the class-to-action assignment.
+through the class-to-action assignment.  The classes are typed against the
+certificate the products use, or handedness and products disagree.
 
 For a noncommutative algebra the certificate is mandatory: without one (or
 with one failing the consistency check) construction refuses loudly, carrying
@@ -227,38 +228,56 @@ class _Assembler:
 def _resolve(spec: ComplexSpec):
     """Validate the spec against the ordering theorem and the action typing;
     returns (classes, action_map) or raises ``OrderingRefusal``."""
-    X, alg = spec.X, spec.algebra
-    commutative = is_commutative(alg)
-    classes = classify_actions(X, max(spec.max_degree, 2))
+    X, D = spec.X, spec.max_degree
+    commutative = is_commutative(spec.algebra)
     if not commutative:
         if spec.assignment is None:
-            result = classify_nncmo(X, max(spec.max_degree, 2))
-            if not result.admits:
-                raise OrderingRefusal(
-                    "the algebra is noncommutative and this simplicial set admits "
-                    "no multiplicative ordering (it is not one-dimensional); "
-                    "witness: " + "; ".join(result.witness.describe(X)),
-                    result.witness)
+            _canonical_certificate(X, max(D, 2))  # refuses with a witness if none
             raise OrderingRefusal(
                 "the algebra is noncommutative: an ordering certificate is required "
                 "(the set admits one; classify_nncmo constructs it)")
-        if spec.assignment.cutoff < spec.max_degree:
+        if spec.assignment.cutoff < D:
             raise OrderingRefusal(
-                f"assignment cutoff {spec.assignment.cutoff} is below max_degree "
-                f"{spec.max_degree}")
-        bad = check_nncmo(X, spec.assignment, spec.max_degree)
+                f"assignment cutoff {spec.assignment.cutoff} is below max_degree {D}")
+        bad = check_nncmo(X, spec.assignment, D)
         if bad is not None:
             raise OrderingRefusal(
                 "the supplied ordering assignment is not multiplicative; witness: "
                 + "; ".join(bad.describe(X)), bad)
-    amap = spec.action_map
-    if amap is None:
-        amap = default_assignment(spec.module, classes, spec.variant)
+    classes, amap = _typed_actions(spec, max(D, 2), not commutative and D >= 2)
     problems = validate_assignment(spec.module, classes, amap, spec.variant)
     if problems:
         raise ComplexError("action assignment rejected: " + "; ".join(problems))
     if not commutative:
         _check_simultaneous_actions(spec, classes, amap)
+    return classes, amap
+
+
+def _canonical_certificate(X: SimplicialSet, cutoff: int) -> OrderingAssignment:
+    """The canonical ordering certificate, or ``OrderingRefusal`` carrying the
+    witness that the set has none."""
+    result = classify_nncmo(X, cutoff)
+    if not result.admits:
+        raise OrderingRefusal(
+            "no multiplicative ordering exists for this simplicial set, so the "
+            "construction is undefined over a noncommutative algebra; witness: "
+            + "; ".join(result.witness.describe(X)),
+            result.witness)
+    return result.assignment
+
+
+def _typed_actions(spec: ComplexSpec, cutoff: int, checked: bool = False):
+    """(classes, action map), typed against the certificate the products use:
+    ``spec.assignment`` if it reaches ``cutoff`` and is multiplicative there
+    (``checked``: the gate found so), else the canonical one."""
+    cert = spec.assignment
+    if cert is not None and (cert.cutoff < cutoff or not checked
+                             and check_nncmo(spec.X, cert, cutoff) is not None):
+        cert = None
+    classes = classify_actions(spec.X, cutoff, assignment=cert)
+    amap = spec.action_map
+    if amap is None:
+        amap = default_assignment(spec.module, classes, spec.variant)
     return classes, amap
 
 
@@ -302,14 +321,7 @@ def make_spec(X: SimplicialSet, algebra: Algebra, module: Multimodule,
     default action map."""
     assignment = None
     if not is_commutative(algebra):
-        result = classify_nncmo(X, max(max_degree, 2))
-        if not result.admits:
-            raise OrderingRefusal(
-                "no multiplicative ordering exists for this simplicial set, so the "
-                "construction is undefined over a noncommutative algebra; witness: "
-                + "; ".join(result.witness.describe(X)),
-                result.witness)
-        assignment = result.assignment
+        assignment = _canonical_certificate(X, max(max_degree, 2))
     return ComplexSpec(X, algebra, module, variant, max_degree,
                        assignment=assignment, normalized=normalized)
 
@@ -317,7 +329,8 @@ def make_spec(X: SimplicialSet, algebra: Algebra, module: Multimodule,
 def build_complex(spec: ComplexSpec) -> Complex:
     """Assemble dims, differentials and Betti numbers for the spec.
 
-    Noncommutative algebras refuse without a valid ordering certificate.  With
+    Noncommutative algebras refuse without a valid ordering certificate;
+    any valid one, canonical or supplied, also types the classes.  With
     ``normalized=True`` the result is the normalized complex: the quotient by
     degeneracies (chain) or the cochains vanishing on degenerate tensors
     (cochain), computed by index restriction (see ``_normalize``).  When the
@@ -595,13 +608,10 @@ def cosimplicial_check(spec: ComplexSpec, cutoff: int) -> list[str]:
     face and degeneracy matrices up to the cutoff; returns violations.
 
     Runs without the ordering gate on purpose: this is the diagnostic that
-    shows *why* a bad assignment breaks the complex.
+    shows *why* a bad assignment breaks the complex.  Classes are typed as in
+    ``build_complex``; a non-multiplicative assignment, canonically.
     """
-    classes = classify_actions(spec.X, max(cutoff, 2))
-    amap = spec.action_map
-    if amap is None:
-        amap = default_assignment(spec.module, classes, spec.variant)
-    asm = _Assembler(spec, classes, amap)
+    asm = _Assembler(spec, *_typed_actions(spec, max(cutoff, 2)))
     chain = spec.variant == CHAIN
     F = functools.cache(asm.face_matrix)
     S = functools.cache(asm.degeneracy_matrix)

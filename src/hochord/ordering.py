@@ -159,22 +159,10 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
 # ---------------------------------------------------------------------------
 # composition-induced orders
 
-def induced_compare(X: SimplicialSet, assignment: OrderingAssignment,
-                    steps: tuple[int, ...], level: int,
-                    x: SimplexRef, y: SimplexRef) -> int:
-    """-1/0/+1 comparison of two fiber members in the order induced by the
-    composition whose faces apply in the order listed in ``steps``.
-
-    Two members separate either inside a single-step fiber (the chosen
-    f-ordering decides) or strictly earlier in their downstream images (the
-    remaining composition decides on the images).
-    """
-    index = X.index(level)
-    return _induced_compare(X, assignment, steps, level, index[x], index[y])
-
-
 def _induced_compare(X, assignment, steps, level, x: int, y: int) -> int:
-    """``induced_compare`` on level indices."""
+    """-1/0/+1 order of two fiber members (level indices) induced by the
+    composition applying the faces in ``steps``: they separate inside a
+    single-step fiber (its order decides) or earlier in their images."""
     if x == y:
         return 0
     for i in steps:
@@ -447,8 +435,7 @@ class _PairVars:
         return True
 
 
-def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000,
-                 full_oracle: bool = False) -> NncmoResult:
+def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> NncmoResult:
     """Backtracking search over per-fiber total orders, encoded as pairwise
     precedence variables with equivalence propagation and transitivity.
 
@@ -830,11 +817,14 @@ def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
     return [tuple(sorted(v)) for _, v in sorted(groups.items())]
 
 
-def classify_actions(X: SimplicialSet, cutoff: int = 4,
-                     max_word_length: int = 4) -> ActionClassReport:
+def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4,
+                     assignment: OrderingAssignment | None = None) -> ActionClassReport:
     """Partition the basepoint-hitting sites (simplex, face index) into
     classes under the coface compatibility rules, then type each class by a
-    factorization search against the canonical ordering certificate.
+    factorization search against ``assignment``, the certificate whose fiber
+    orders the caller multiplies with (trusted as multiplicative; reaching
+    level ``cutoff``, else ``OrderingError``), or when it is None against the
+    canonical certificate ``classify_nncmo`` derives.
 
     Sets of dimension >= 2 carry no multiplicative ordering, so their classes
     are reported untyped (only commutative coefficients apply there and any
@@ -845,19 +835,22 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
     member pairs.
     """
     _require_cutoff(cutoff)
+    if assignment is not None and assignment.cutoff < cutoff:
+        raise OrderingError(f"assignment cutoff {assignment.cutoff} is below the "
+                            f"typing cutoff {cutoff}")
     notes = [_TYPING_NOTE]
     site_groups = _union_sites(X, cutoff)
 
-    assignment = None
-    if X.dimension() <= 1:
+    if X.dimension() > 1:
+        assignment = None
+        notes.append("set is not one-dimensional: no multiplicative ordering exists, "
+                     "classes left untyped")
+    elif assignment is None:
         res = classify_nncmo(X, cutoff)
         if res.admits:
             assignment = res.assignment
         else:
             notes.append("no multiplicative ordering found; classes left untyped")
-    else:
-        notes.append("set is not one-dimensional: no multiplicative ordering exists, "
-                     "classes left untyped")
 
     # site_class[n][i][k]: the class of the site (n, level(n)[k], i), or None
     site_class = {n: [[None] * len(X.level(n)) for _ in range(n + 1)]

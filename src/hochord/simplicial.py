@@ -291,12 +291,6 @@ def sphere2() -> SimplicialSet:
     ])
 
 
-def simplex2_boundary_collapsed() -> SimplicialSet:
-    """The 2-simplex with its whole boundary collapsed to the basepoint;
-    this is the same minimal model as ``sphere2``."""
-    return sphere2()
-
-
 BUILTIN_SETS = {
     "point": point,
     "interval": interval,

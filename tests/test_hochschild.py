@@ -12,7 +12,9 @@ from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
                                 pair_constraints)
 from hochord.modules import (dual_module, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
-from hochord.ordering import OrderingAssignment, assignment_from_level_orders, cyclic_ordering
+from hochord import hochschild, ordering
+from hochord.ordering import (OrderingAssignment, assignment_from_level_orders,
+                              cyclic_ordering, search_nncmo)
 from hochord.simplicial import (NondegSimplex, SimplexRef, SimplicialSet, circle,
                                 from_file, interval, point, sphere2, wedge_of_circles)
 
@@ -165,6 +167,26 @@ def test_refusal_with_inconsistent_assignment():
     assert err.value.witness is not None and err.value.witness.kind == "assignment"
 
 
+def test_refusal_without_assignment_names_no_dimension_cause():
+    # the theta graph is one-dimensional yet has no multiplicative ordering
+    X = from_file("""
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex a dim=1 faces=[p, v0]
+simplex b dim=1 faces=[p, v0]
+simplex c dim=1 faces=[p, v0]
+""")
+    assert X.dimension() == 1
+    alg = upper_tri(2)
+    spec = ComplexSpec(X, alg, regular_bimodule(alg), COCHAIN, 3)
+    with pytest.raises(OrderingRefusal) as err:
+        build_complex(spec)
+    assert err.value.witness is not None and err.value.witness.level == 2
+    assert "not one-dimensional" not in str(err.value)
+    assert "no multiplicative ordering exists" in str(err.value)
+
+
 def test_point_betti():
     alg = upper_tri(2)
     mod = regular_bimodule(alg)
@@ -239,6 +261,48 @@ def test_cosimplicial_check_commutative_sphere():
     alg = trunc_poly(2)
     spec = make_spec(sphere2(), alg, symmetric_module(alg), COCHAIN, 3)
     assert cosimplicial_check(spec, 3) == []
+
+
+def _supplied_certificate(set_name):
+    """A valid certificate other than the canonical one: the search's on the
+    interval, the reversed cyclic level orders on the circle."""
+    if set_name == "interval":
+        X = interval()
+        return X, search_nncmo(X, 3).assignment
+    X = circle()
+    orders = {n: tuple(reversed(o)) for n, o in cyclic_ordering(X, 3).items()}
+    return X, assignment_from_level_orders(X, orders, 3)
+
+
+@pytest.mark.parametrize("set_name", ["interval", "circle"])
+@pytest.mark.parametrize("module", [regular_bimodule, tensor_square_bimodule])
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+def test_supplied_certificate_types_the_classes_it_orders(set_name, module, variant):
+    X, cert = _supplied_certificate(set_name)
+    alg = upper_tri(2)
+    mod = module(alg)
+    canonical = make_spec(X, alg, mod, variant, 3)
+    assert cert.orders != canonical.assignment.orders
+    spec = ComplexSpec(X, alg, mod, variant, 3, assignment=cert)
+    c = build_complex(spec)
+    assert c.verify_square_zero()
+    assert c.betti == build_complex(canonical).betti
+    assert cosimplicial_check(spec, 3) == []
+
+
+def test_one_certificate_derivation_per_build(monkeypatch):
+    calls = []
+    original = ordering.classify_nncmo
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ordering, "classify_nncmo", counting)
+    monkeypatch.setattr(hochschild, "classify_nncmo", counting)
+    alg = upper_tri(2)
+    build_complex(make_spec(circle(), alg, regular_bimodule(alg), COCHAIN, 3))
+    assert len(calls) == 1
 
 
 def test_cochain_is_transpose_of_chain_over_the_dual_module():

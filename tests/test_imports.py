@@ -1,4 +1,5 @@
-"""Imports in ``src/hochord``: all at module level, and all used.
+"""Imports in ``src/hochord``: all at module level, and all used; and every
+public top-level definition has a reader somewhere in the repository.
 
 No function body imports anything, so a module's dependencies are the list
 at its top.  Every module-level import is used in its module; the only
@@ -59,3 +60,38 @@ def test_no_function_local_imports():
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in _function_local_imports(path)]
     assert found == []
+
+
+def _public_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a file reads, as a bare name, an attribute or an imported
+    alias; strings (docstrings included) do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_no_unreferenced_public_definitions():
+    """Every public top-level function or class of the package is used:
+    referenced in its own module or by some file of the package, the tests,
+    the demos or the benchmark harness."""
+    files = [path for top in ("src", "tests", "demos", "hochbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    referenced = {path: _referenced_names(path) for path in files}
+    unreferenced = [f"{path.stem}.{name}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for name in _public_definitions(path)
+                    if not any(name in names for names in referenced.values())]
+    assert unreferenced == []

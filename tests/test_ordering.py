@@ -335,6 +335,19 @@ def test_classify_actions_accepts_cutoff_one():
     assert classify_actions(circle(), 1).classes
 
 
+def test_classify_actions_types_against_a_supplied_certificate():
+    X = circle()
+    assert classify_actions(X, 4, assignment=classify_nncmo(X, 4).assignment) \
+        == classify_actions(X, 4)
+    # reversing every level order swaps which class acts on which side
+    orders = {n: tuple(reversed(o)) for n, o in cyclic_ordering(X, 4).items()}
+    reversed_ = classify_actions(X, 4, assignment=assignment_from_level_orders(X, orders, 4))
+    assert [(c.class_id, c.action_type) for c in reversed_.classes] == [
+        ("d0:[01]", "right"), ("d1:[01]", "left")]
+    with pytest.raises(OrderingError, match="below the typing cutoff"):
+        classify_actions(X, 4, assignment=classify_nncmo(X, 3).assignment)
+
+
 def test_interval_single_right_class():
     rep = classify_actions(interval(), 4)
     assert len(rep.classes) == 1

@@ -2,8 +2,8 @@ import pytest
 
 from hochord.simplicial import (BUILTIN_SETS, NondegSimplex, SimplexRef,
                                 SimplicialError, SimplicialSet, circle, from_file, interval,
-                                normalize_word, point, simplex2_boundary_collapsed,
-                                sphere2, to_file, wedge_of_circles)
+                                normalize_word, point, sphere2, to_file,
+                                wedge_of_circles)
 
 
 def test_normalize_word():
@@ -112,8 +112,7 @@ def test_simplicial_identities_exhaustive(builder):
 
 
 def test_validate_ok_for_builders():
-    for X in (point(), interval(), circle(), wedge_of_circles(3), sphere2(),
-              simplex2_boundary_collapsed()):
+    for X in (point(), interval(), circle(), wedge_of_circles(3), sphere2()):
         assert X.validate() == []
 
 
