@@ -15,13 +15,18 @@ asserts this rather than assuming it.
 
 Basis enumeration is mixed-radix with the module factor most significant and
 slot 1 next, so matrices are reproducible.
+
+A matrix is built by one table-driven pass: the ordered product of every
+coordinate tuple is tabulated once per fiber length, each fiber reads that
+table with the strides of its members' slots, and a term's packed row and
+column are sums of stride offsets, so no per-term index is re-derived and a
+coefficient of 1 is never multiplied.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .algebras import Algebra, multiply
 from .exact import Matrix
@@ -136,91 +141,75 @@ def compose(psi: PointedMap, phi: PointedMap,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _morphism_terms(alg: Algebra, module: Multimodule, phi: PointedMap,
-                    actions: dict[int, str]):
-    """Sparse expansion of the functor action on ``phi``.
-
-    Yields tuples (src_coords, dst_coords, mu_out, mu_in, coeff): the basis
-    tensor with algebra coordinates ``src_coords`` and module index ``mu_in``
-    contributes ``coeff`` times the basis tensor (``mu_out``, ``dst_coords``).
-
-    Fiber products and basepoint operator composites are tabulated once per
-    call, so the cost is proportional to the number of nonzero terms.
-    """
+def _fiber_products(alg: Algebra, lengths) -> dict[int, list[list]]:
+    """For each fiber length, the nonzero ``(k, v)`` pairs of the ordered
+    product of every coordinate tuple, the first coordinate most significant.
+    The last factor (the largest fiber member) multiplies on the left, so each
+    length extends the one before by one ``multiply`` per tuple."""
     f = alg.field
-    da = alg.dim
-    bp = phi.basepoint_fiber()
-
-    slot_items = []  # per output slot: (fiber slots, [(coords, k, coeff), ...])
-    for i in range(1, phi.n + 1):
-        fiber = phi.fiber(i)
-        items = []
-        for coords in iter_product(range(da), repeat=len(fiber)):
-            # ascending fiber order, larger member multiplied on the left
-            acc = alg.unit
-            for c in coords:
-                acc = multiply(alg, alg.basis_vector(c), acc)
-            for k, v in enumerate(acc):
-                if v != f.zero():
-                    items.append((coords, k, v))
-        slot_items.append((fiber, items))
-
-    op_items = []  # (bp coords, [((mu_out, mu_in), coeff), ...])
-    for coords in iter_product(range(da), repeat=len(bp)):
-        acc = Matrix.identity(module.dim, f)
-        for j, c in zip(bp, coords):  # smallest slot acts first
-            try:
-                name = actions[j]
-            except KeyError:
-                raise FunctorError(
-                    f"basepoint fiber member {j} has no assigned action") from None
-            acc = module.action(name).operators[c] * acc
-        op_items.append((coords, sorted(acc.entries.items())))
-
-    slot_choices = [items for (_, items) in slot_items]
-    for bp_coords, opnz in op_items:
-        if not opnz:
-            continue
-        for choice in iter_product(*slot_choices) if slot_choices else [()]:
-            src = [0] * phi.m
-            for j, c in zip(bp, bp_coords):
-                src[j - 1] = c
-            coeff = f.one()
-            dst = []
-            for (fiber, _), (coords, k, v) in zip(slot_items, choice):
-                for j, c in zip(fiber, coords):
-                    src[j - 1] = c
-                dst.append(k)
-                coeff = f.mul(coeff, v)
-            src_t, dst_t = tuple(src), tuple(dst)
-            for (mu_out, mu_in), v in opnz:
-                yield src_t, dst_t, mu_out, mu_in, f.mul(coeff, v)
-
-
-def _pack(da: int, mu: int, coords) -> int:
-    idx = mu
-    for t in coords:
-        idx = idx * da + t
-    return idx
+    basis = [alg.basis_vector(c) for c in range(alg.dim)]
+    vecs = [alg.unit]
+    table = {}
+    for length in range(max(lengths, default=0) + 1):
+        if length == 1:
+            vecs = basis  # a single factor times the unit
+        elif length:
+            vecs = [multiply(alg, e, v) if any(v) else v for v in vecs for e in basis]
+        if length in lengths:
+            table[length] = [[(k, v) for k, v in enumerate(vec) if v != f.zero()]
+                             for vec in vecs]
+    return table
 
 
 def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
                     actions: dict[int, str] | None, source_rows: bool) -> Matrix:
-    """Sum the terms of ``_morphism_terms`` into a matrix.  Module indices
-    always map ``mu_in`` (column) to ``mu_out`` (row); the tensor coordinates
-    of the source side index the rows if ``source_rows``, else the columns."""
+    """The functor on ``phi`` as a matrix, built from offset triples.
+
+    Source slot j has the mixed-radix stride ``da**(m-j)`` and target slot i
+    the stride ``da**(n-i)``.  The products of each fiber length are
+    tabulated once; a fiber of that length turns the table into triples
+    (source offset, target offset, coeff), and the slots fold into partial
+    triples by Cartesian extension.  The basepoint-fiber operator composites
+    add their source offset and the module indices: ``mu_in`` (column) maps
+    to ``mu_out`` (row), and the tensor coordinates of the source side index
+    the rows if ``source_rows``, else the columns.  Distinct terms land on
+    distinct keys, so entries are written, never summed.
+    """
     f = alg.field
-    da, dm = alg.dim, module.dim
+    da, dm, m, n = alg.dim, module.dim, phi.m, phi.n
+    one = f.one()
+    slots = [phi.fiber(i) for i in range(1, n + 1)]
+    products = _fiber_products(alg, {len(s) for s in slots})
+    partial = [(0, 0, one)]  # (row offset, col offset, coeff)
+    for i, fiber in enumerate(slots, 1):
+        offsets = [0]
+        for j in fiber:
+            stride = da ** (m - j)
+            offsets = [o + c * stride for o in offsets for c in range(da)]
+        stride = da ** (n - i)
+        triples = [(o, k * stride, v) if source_rows else (k * stride, o, v)
+                   for o, nz in zip(offsets, products[len(fiber)]) for k, v in nz]
+        partial = [(r + r2, c + c2, v2 if v == one else v if v2 == one else f.mul(v, v2))
+                   for r, c, v in partial for r2, c2, v2 in triples]
+
+    ops = [(0, Matrix.identity(dm, f))]  # (source offset, operator composite)
+    for t, j in enumerate(phi.basepoint_fiber()):  # smallest member acts first
+        name = (actions or {}).get(j)
+        if name is None:
+            raise FunctorError(f"basepoint fiber member {j} has no assigned action")
+        operators = module.action(name).operators
+        stride = da ** (m - j)
+        ops = [(o + c * stride, op * acc if t else op) for o, acc in ops if acc.entries
+               for c, op in enumerate(operators)]
+
+    rows, cols = (m, n) if source_rows else (n, m)
     entries: dict[tuple[int, int], object] = {}
-    for src, dst, mu_out, mu_in, coeff in _morphism_terms(alg, module, phi, actions or {}):
-        row, col = (src, dst) if source_rows else (dst, src)
-        key = (_pack(da, mu_out, row), _pack(da, mu_in, col))
-        s = f.add(entries.get(key, f.zero()), coeff)
-        if s == f.zero():
-            entries.pop(key, None)
-        else:
-            entries[key] = s
-    rows, cols = (phi.m, phi.n) if source_rows else (phi.n, phi.m)
+    for o, acc in ops:
+        for (mu_out, mu_in), w in acc.entries.items():
+            r0 = mu_out * da ** rows + (o if source_rows else 0)
+            c0 = mu_in * da ** cols + (0 if source_rows else o)
+            entries.update(((r0 + r, c0 + c), v if w == one else f.mul(v, w))
+                           for r, c, v in partial)
     return Matrix._trusted(dm * da ** rows, dm * da ** cols, f, entries)
 
 

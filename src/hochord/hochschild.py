@@ -609,8 +609,12 @@ def cosimplicial_check(spec: ComplexSpec, cutoff: int) -> list[str]:
 
     Runs without the ordering gate on purpose: this is the diagnostic that
     shows *why* a bad assignment breaks the complex.  Classes are typed as in
-    ``build_complex``; a non-multiplicative assignment, canonically.
+    ``build_complex``; a non-multiplicative assignment, canonically.  A
+    cutoff above the assignment's raises ``ComplexError``.
     """
+    if spec.assignment is not None and spec.assignment.cutoff < cutoff:
+        raise ComplexError(
+            f"assignment cutoff {spec.assignment.cutoff} is below the check cutoff {cutoff}")
     asm = _Assembler(spec, *_typed_actions(spec, max(cutoff, 2)))
     chain = spec.variant == CHAIN
     F = functools.cache(asm.face_matrix)

@@ -1,12 +1,20 @@
+from fractions import Fraction
+from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
 
-from hochord.algebras import multiply, trunc_poly, upper_tri
-from hochord.exact import Matrix, mat_mul
+from hochord import functors
+from hochord.algebras import custom_algebra, multiply, trunc_poly, upper_tri
+from hochord.exact import Field, Matrix, mat_mul
 from hochord.functors import (FunctorError, compose, hom_functor_on_morphism,
                               identity_map, loday_on_morphism, pointed_map)
-from hochord.modules import regular_bimodule, symmetric_module, tensor_square_bimodule
+from hochord.hochschild import (CHAIN, COCHAIN, ComplexSpec, _typed_actions,
+                                degeneracy_pointed_map, face_pointed_map, make_spec)
+from hochord.modules import (multi_regular, regular_bimodule, symmetric_module,
+                             tensor_square_bimodule)
+from hochord.ordering import classify_nncmo
+from hochord.simplicial import BUILTIN_SETS, wedge_of_circles
 
 
 def all_pointed_maps(m, n):
@@ -160,3 +168,191 @@ def test_composed_fiber_orders_are_lexicographic():
     # composite fiber over 1 is {1, 2}; their phi-images 2, 1 compare by the
     # psi-order over 1, which is (1, 2): so phi-image 1 (source 2) comes first
     assert comp.orders[1] == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven kernel against the per-term expansion it replaced
+
+def _morphism_terms(alg, module, phi, actions):
+    """Oracle: yields (src_coords, dst_coords, mu_out, mu_in, coeff), one term
+    per choice of source coordinates, slot products and operator entry, with
+    every fiber product recomputed from the unit."""
+    f = alg.field
+    da = alg.dim
+    bp = phi.basepoint_fiber()
+
+    slot_items = []  # per output slot: (fiber slots, [(coords, k, coeff), ...])
+    for i in range(1, phi.n + 1):
+        fiber = phi.fiber(i)
+        items = []
+        for coords in iter_product(range(da), repeat=len(fiber)):
+            # ascending fiber order, larger member multiplied on the left
+            acc = alg.unit
+            for c in coords:
+                acc = multiply(alg, alg.basis_vector(c), acc)
+            for k, v in enumerate(acc):
+                if v != f.zero():
+                    items.append((coords, k, v))
+        slot_items.append((fiber, items))
+
+    op_items = []  # (bp coords, [((mu_out, mu_in), coeff), ...])
+    for coords in iter_product(range(da), repeat=len(bp)):
+        acc = Matrix.identity(module.dim, f)
+        for j, c in zip(bp, coords):  # smallest slot acts first
+            try:
+                name = actions[j]
+            except KeyError:
+                raise FunctorError(
+                    f"basepoint fiber member {j} has no assigned action") from None
+            acc = module.action(name).operators[c] * acc
+        op_items.append((coords, sorted(acc.entries.items())))
+
+    slot_choices = [items for (_, items) in slot_items]
+    for bp_coords, opnz in op_items:
+        if not opnz:
+            continue
+        for choice in iter_product(*slot_choices) if slot_choices else [()]:
+            src = [0] * phi.m
+            for j, c in zip(bp, bp_coords):
+                src[j - 1] = c
+            coeff = f.one()
+            dst = []
+            for (fiber, _), (coords, k, v) in zip(slot_items, choice):
+                for j, c in zip(fiber, coords):
+                    src[j - 1] = c
+                dst.append(k)
+                coeff = f.mul(coeff, v)
+            src_t, dst_t = tuple(src), tuple(dst)
+            for (mu_out, mu_in), v in opnz:
+                yield src_t, dst_t, mu_out, mu_in, f.mul(coeff, v)
+
+
+def _pack(da, mu, coords):
+    idx = mu
+    for t in coords:
+        idx = idx * da + t
+    return idx
+
+
+def _summed_matrix(alg, module, phi, actions, source_rows):
+    """Oracle: the terms summed into a matrix, and the number of terms."""
+    f = alg.field
+    da, dm = alg.dim, module.dim
+    entries = {}
+    terms = 0
+    for src, dst, mu_out, mu_in, coeff in _morphism_terms(alg, module, phi, actions or {}):
+        terms += 1
+        row, col = (src, dst) if source_rows else (dst, src)
+        key = (_pack(da, mu_out, row), _pack(da, mu_in, col))
+        s = f.add(entries.get(key, f.zero()), coeff)
+        if s == f.zero():
+            entries.pop(key, None)
+        else:
+            entries[key] = s
+    rows, cols = (phi.m, phi.n) if source_rows else (phi.n, phi.m)
+    return Matrix(dm * da ** rows, dm * da ** cols, f, entries), terms
+
+
+def _assert_kernel_matches_oracle(alg, module, phi, actions, variant):
+    kernel = loday_on_morphism if variant == CHAIN else hom_functor_on_morphism
+    got = kernel(alg, module, phi, actions)
+    want, terms = _summed_matrix(alg, module, phi, actions, variant == COCHAIN)
+    assert got == want
+    # every term has its own key: the kernel writes entries without summing
+    assert len(got.entries) == terms
+
+
+def _half_basis(field):
+    """k[x]/(x^2) on the basis 1/2, x: structure constants 1/2, unit (2, 0)."""
+    h = Fraction(1, 2)
+    return custom_algebra("half basis", field, ["u", "x"], [2, 0],
+                          [[[h, 0], [0, h]], [[0, h], [0, 0]]])
+
+
+KERNEL_ORACLE_DIM = 60_000
+KERNEL_CASES = {
+    "trunc-poly2-regular": (lambda f: trunc_poly(2, f), regular_bimodule),
+    "trunc-poly2-symmetric": (lambda f: trunc_poly(2, f), symmetric_module),
+    "trunc-poly2-tensor-square": (lambda f: trunc_poly(2, f), tensor_square_bimodule),
+    "trunc-poly2-multi12": (lambda f: trunc_poly(2, f), lambda a: multi_regular(a, 1, 2)),
+    "upper-tri2-regular": (lambda f: upper_tri(2, f), regular_bimodule),
+    "upper-tri2-tensor-square": (lambda f: upper_tri(2, f), tensor_square_bimodule),
+    "half-basis-regular": (_half_basis, regular_bimodule),
+}
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_term_expansion_on_bundled_sets(case, variant, p):
+    # every face map to level 4 with its fiber orders and basepoint actions,
+    # and every degeneracy map out of levels 0..3, short of the levels with
+    # more than KERNEL_ORACLE_DIM basis tensors, where the term-by-term oracle
+    # is slow; fibers follow the canonical certificate, or level order on
+    # sphere2, which has none
+    make_alg, make_module = KERNEL_CASES[case]
+    alg = make_alg(Field(p))
+    module = make_module(alg)
+    for builder in BUILTIN_SETS.values():
+        X = builder()
+        cert = classify_nncmo(X, 4)
+        spec = ComplexSpec(X, alg, module, variant, 4,
+                           assignment=cert.assignment if cert.admits else None)
+        classes, amap = _typed_actions(spec, 4)
+        top = max(level for level in range(5)
+                  if module.dim * alg.dim ** len(X.level_nonbase(level)) <= KERNEL_ORACLE_DIM)
+        for level in range(1, top + 1):
+            for i in range(level + 1):
+                phi, actions = face_pointed_map(X, level, i, spec.assignment, classes, amap)
+                _assert_kernel_matches_oracle(alg, module, phi, actions, variant)
+        for level in range(top):
+            for i in range(level + 1):
+                phi = degeneracy_pointed_map(X, level, i)
+                _assert_kernel_matches_oracle(alg, module, phi, {}, variant)
+
+
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+def test_kernel_matches_term_expansion_on_every_fiber_order(variant):
+    # all maps 3+ -> 2+ under every order of every fiber, the basepoint fiber
+    # routed through two distinct actions
+    alg = _half_basis(Field())
+    module = tensor_square_bimodule(alg)
+    for images in iter_product(range(3), repeat=3):
+        phi = pointed_map(3, 2, (0, *images))
+        fibers = {i: phi.fiber(i) for i in phi.orders}
+        for choice in iter_product(*(permutations(f) for f in fibers.values())):
+            twisted = pointed_map(3, 2, phi.images, dict(zip(fibers, choice)))
+            actions = {j: ("left1", "right2")[k % 2]
+                       for k, j in enumerate(twisted.basepoint_fiber())}
+            _assert_kernel_matches_oracle(alg, module, twisted, actions, variant)
+
+
+@pytest.mark.parametrize("kernel", [loday_on_morphism, hom_functor_on_morphism])
+def test_kernel_refuses_a_basepoint_member_without_action(kernel):
+    a = trunc_poly(2)
+    m = tensor_square_bimodule(a)
+    phi = pointed_map(3, 1, (0, 0, 1, 0))
+    with pytest.raises(FunctorError, match="member 3 has no assigned action"):
+        kernel(a, m, phi, {1: "left1"})
+    with pytest.raises(FunctorError, match="member 1 has no assigned action"):
+        kernel(a, m, phi, None)
+
+
+def test_products_are_tabulated_once_per_fiber_length(monkeypatch):
+    # d_1 at level 4 of wedge2 has two fibers of length 2 and four of length 1
+    X = wedge_of_circles(2)
+    alg = upper_tri(2)
+    spec = make_spec(X, alg, regular_bimodule(alg), CHAIN, 4)
+    classes, amap = _typed_actions(spec, 4)
+    phi, actions = face_pointed_map(X, 4, 1, spec.assignment, classes, amap)
+    lengths = [len(phi.fiber(i)) for i in range(1, phi.n + 1)]
+    assert sorted(lengths) == [1, 1, 1, 1, 2, 2]
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return multiply(*args)
+
+    monkeypatch.setattr(functors, "multiply", counted)
+    loday_on_morphism(alg, spec.module, phi, actions)
+    assert calls[0] <= sum(length * alg.dim ** length for length in set(lengths))

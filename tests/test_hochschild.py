@@ -257,6 +257,14 @@ def test_cosimplicial_check_passes_and_detects_mutation():
     assert problems and any("d_" in p for p in problems)
 
 
+def test_cosimplicial_check_refuses_a_cutoff_above_the_certificate():
+    alg = upper_tri(2)
+    spec = make_spec(circle(), alg, regular_bimodule(alg), COCHAIN, 2)
+    with pytest.raises(ComplexError, match="assignment cutoff 2 is below the check cutoff 3"):
+        cosimplicial_check(spec, 3)
+    assert cosimplicial_check(spec, 2) == []
+
+
 def test_cosimplicial_check_commutative_sphere():
     alg = trunc_poly(2)
     spec = make_spec(sphere2(), alg, symmetric_module(alg), COCHAIN, 3)
