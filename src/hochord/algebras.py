@@ -106,18 +106,17 @@ def multiply(alg: Algebra, x, y) -> tuple[Scalar, ...]:
     d = alg.dim
     if len(x) != d or len(y) != d:
         raise AlgebraError(f"vector length mismatch: expected {d}")
+    x, y = [f.of(v) for v in x], [f.of(v) for v in y]
     out = [f.zero()] * d
     for i, xi in enumerate(x):
-        xi = f.of(xi)
-        if xi == f.zero():
+        if not xi:
             continue
         for j, yj in enumerate(y):
-            yj = f.of(yj)
-            if yj == f.zero():
+            if not yj:
                 continue
             coef = f.mul(xi, yj)
             for l, c in enumerate(alg.table[i][j]):
-                if c != f.zero():
+                if c:
                     out[l] = f.add(out[l], f.mul(coef, c))
     return tuple(out)
 

@@ -12,6 +12,7 @@ expected production).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -519,6 +520,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="hochord",
                 description="Higher-order Hochschild (co)homology over pointed "

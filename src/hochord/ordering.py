@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
+from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -830,11 +831,13 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4
     are reported untyped (only commutative coefficients apply there and any
     action of a commutative algebra obeys both laws).
 
-    Typing walks each level once (see ``_type_level``): its cost grows with
-    words x members plus merging pairs x word pairs, not with word pairs x
-    member pairs.
+    Typing walks each level's trie of face words once (``_route_tables``):
+    254 prefix steps at cutoff 4 with words up to length 4, where simulating
+    each word alone takes 808, plus merging pairs x word pairs of evidence.
     """
     _require_cutoff(cutoff)
+    if max_word_length < 2:
+        raise OrderingError(f"max_word_length must be at least 2, got {max_word_length}")
     if assignment is not None and assignment.cutoff < cutoff:
         raise OrderingError(f"assignment cutoff {assignment.cutoff} is below the "
                             f"typing cutoff {cutoff}")
@@ -891,69 +894,75 @@ def _type_level(X, assignment, site_class, evidence, n, max_word_length):
     and all three death sites lie in one class.  The fiber order at the
     meeting step names the smaller member; the smaller member dying strictly
     later makes the class a left action, dying first a right action.
-
-    Every (member, word) route is simulated once on the face tables, into a
-    per-word table of death steps and death-site classes plus the word's
-    merging pairs; the word-pair loop reads only these tables.
     """
-    for length in range(2, min(n, max_word_length) + 1):
-        for words in _face_words(n, length).values():
-            tables = [_route_table(X, assignment, site_class, n, w) for w in words]
-            # the word a merging pair comes from, or -1 if several words merge it
-            owner: dict[tuple[int, int, int], int] = {}
-            for w, (_, merges) in enumerate(tables):
-                for m in merges:
-                    owner[m] = w if owner.get(m, w) == w else -1
-            for split_at, (deaths, _) in enumerate(tables):
-                for (g, small, large), merge_at in owner.items():
-                    if split_at == merge_at:
-                        continue  # a merged pair dies at one step on its own word
-                    ds, dl = deaths[small], deaths[large]
-                    if ds is None or dl is None or ds[1] != g or dl[1] != g \
-                            or ds[0] == dl[0]:
-                        continue
-                    evidence[g].add("left" if dl[0] < ds[0] else "right")
+    for _, tables in _route_tables(X, assignment, site_class, n, min(n, max_word_length)):
+        # the word a merging pair comes from, or -1 if several words merge it
+        owner: dict[tuple[int, int, int], int] = {}
+        for w, (_, merges) in enumerate(tables):
+            for m in merges:
+                owner[m] = w if owner.get(m, w) == w else -1
+        for split_at, (deaths, _) in enumerate(tables):
+            for (g, small, large), merge_at in owner.items():
+                if split_at == merge_at:
+                    continue  # a merged pair dies at one step on its own word
+                ds, dl = deaths[small], deaths[large]
+                if ds is None or dl is None or ds[1] != g or dl[1] != g \
+                        or ds[0] == dl[0]:
+                    continue
+                evidence[g].add("left" if dl[0] < ds[0] else "right")
 
 
-def _route_table(X, assignment, site_class, n, word):
-    """Simulate every member along ``word`` (faces applied first to last).
-
-    Returns ``(deaths, merges)`` on level-n indices: ``deaths[x]`` is member
-    x's death step and the class of its death site, or None if it survives
-    the word (or x is the basepoint); ``merges`` lists ``(class, smaller,
-    larger)`` for every member pair whose images first meet at a
-    non-basepoint simplex that later dies in a classified site, smaller and
-    larger in the fiber order at the meeting step.
-
-    The walk moves distinct images, not members: members that met travel
-    together from then on.
+def _route_tables(X, assignment, site_class, n, depth):
+    """Yield ``(kept, tables)`` for each map made by face words of length
+    2..depth from level n, faces applied first to last: ``kept`` is the
+    map's surviving vertex positions, ``tables`` one ``(deaths, merges)``
+    per word, in word order.  ``deaths[x]`` is member x's death step and
+    death-site class, or None if x survives or is the basepoint; ``merges``
+    lists ``(class, smaller, larger)`` for every member pair whose images
+    first meet at a non-basepoint simplex that later dies in a classified
+    site, in the fiber order at that meeting.  One depth-first walk over the
+    word trie applies each prefix step once, undoing its deaths and meetings
+    on backtracking, and yields a map of t faces once its t! words are done.
     """
     deaths = [None] * len(X.level(n))
-    holders = {x: [x] for x in range(1, len(deaths))}  # alive image -> its members
-    meetings = []  # per meeting: the members of each part, parts in fiber order
-    for t, i in enumerate(word, start=1):
-        m = n - t + 1
-        col = X.face_table(m)[i]
-        parts: dict[int, list[int]] = {}
-        for p, xs in holders.items():
-            q = col[p]
-            if q:
-                parts.setdefault(q, []).append(p)
-            else:
-                death = (t, site_class[m][i][p])
-                for x in xs:
-                    deaths[x] = death
-        rank = assignment.ranks(m, i)
-        for ps in parts.values():
-            if len(ps) > 1:
-                meetings.append([holders[p] for p in sorted(ps, key=rank.__getitem__)])
-        holders = {q: [x for p in ps for x in holders[p]] for q, ps in parts.items()}
+    meetings = []  # per meeting: a member and its (smaller, larger) member pairs
+    groups: dict[tuple[int, ...], list] = {}
 
-    merges = []
-    for ranked in meetings:
-        death = deaths[ranked[0][0]]
-        if death is None or death[1] is None:
-            continue
-        for a, b in combinations(ranked, 2):
-            merges.extend((death[1], x, y) for x in a for y in b)
-    return deaths, merges
+    def walk(t, holders, positions):  # holders: alive image -> its members
+        m = n - t + 1
+        table, classes = X.face_table(m), site_class[m]
+        for i in range(m + 1):
+            col, parts, dead = table[i], {}, []
+            for p, xs in holders.items():
+                q = col[p]
+                if q:
+                    parts.setdefault(q, []).append(p)
+                else:
+                    death = (t, classes[i][p])
+                    for x in xs:
+                        deaths[x] = death
+                    dead += xs
+            mark, rank = len(meetings), assignment.ranks(m, i)
+            for ps in parts.values():
+                if len(ps) > 1:
+                    ranked = [holders[p] for p in sorted(ps, key=rank.__getitem__)]
+                    meetings.append((ranked[0][0], [(x, y) for a, b in combinations(ranked, 2)
+                                                    for x in a for y in b]))
+            below = positions[:i] + positions[i + 1:]
+            if t >= 2:
+                merges = []
+                for rep, pairs in meetings:
+                    g = deaths[rep] and deaths[rep][1]
+                    if g is not None:
+                        merges += [(g, x, y) for x, y in pairs]
+                groups.setdefault(below, []).append((deaths.copy(), merges))
+                if len(groups[below]) == factorial(t):
+                    yield below, groups.pop(below)
+            if t < depth:
+                yield from walk(t + 1, {q: [x for p in ps for x in holders[p]]
+                                        for q, ps in parts.items()}, below)
+            for x in dead:
+                deaths[x] = None
+            del meetings[mark:]
+
+    yield from walk(1, {x: [x] for x in range(1, len(deaths))}, tuple(range(n + 1)))

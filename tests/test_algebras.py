@@ -160,3 +160,22 @@ def test_unit_first_rescales_a_scaled_unit():
     assert b.unit == (1, 0)
     assert basis[0] == (Fraction(1, 2), 0)
     assert b.table == trunc_poly(2).table
+
+
+def test_multiply_coerces_its_operands():
+    a = upper_tri(2)
+    # a float is refused on either side, even where the other factor is zero
+    with pytest.raises(TypeError, match="inexact scalar"):
+        multiply(a, a.unit, (0.5, 0, 0))
+    with pytest.raises(TypeError, match="inexact scalar"):
+        multiply(a, a.zero_vector(), (0, 0.5, 0))
+    # whole rationals come back as ints, other rationals in lowest terms
+    got = multiply(a, (Fraction(4, 2), 0, "1/2"), a.unit)
+    assert got == (2, 0, Fraction(1, 2)) and type(got[0]) is int
+    assert multiply(a, a.unit, ("6/3", Fraction(0), 1)) == (2, 0, 1)
+    f5 = Field(5)
+    b = upper_tri(2, f5)
+    assert multiply(b, (Fraction(1, 2), 0, 0), b.unit) == (3, 0, 0)
+    for x, y in (((1, 0), a.unit), (a.unit, (1, 0, 0, 0))):
+        with pytest.raises(AlgebraError, match="vector length mismatch: expected 3"):
+            multiply(a, x, y)

@@ -197,3 +197,29 @@ def test_package_runs_as_a_module():
     report = json.loads(proc.stdout)
     assert report["command"] == "validate" and report["set"] == "circle"
     assert report["ok"] is True and report["violations"] == []
+
+
+def test_repeated_main_calls_match_fresh_processes():
+    from hochord.cli import CliInputError, _build_parser
+    argvs = [["validate", "circle", "--json"],
+             ["actions", "wedge2", "--cutoff", "3", "--json"],
+             ["actions", "circle", "--cutoff", "x"],
+             ["nncmo", "circle", "--cutoff", "3"],
+             ["frobnicate", "circle"],
+             ["cohomology", "circle", "--algebra", "upper-tri 2", "--max-degree", "2"]]
+    src = os.path.dirname(os.path.dirname(hochord.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "hochord", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 1, 0]
+    # one process, the parser built once and reused across commands and refusals
+    for _ in range(2):
+        assert [run_cli(argv) for argv in argvs] == fresh
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        with pytest.raises(CliInputError, match="invalid int value: 'x'"):
+            _build_parser().parse_args(argvs[2])

@@ -348,6 +348,14 @@ def test_classify_actions_types_against_a_supplied_certificate():
         classify_actions(X, 4, assignment=classify_nncmo(X, 3).assignment)
 
 
+@pytest.mark.parametrize("max_word_length", [1, 0, -2])
+def test_classify_actions_refuses_word_length_below_two(max_word_length):
+    # a word of one face carries no factorization, so nothing could be typed
+    with pytest.raises(OrderingError,
+                       match=f"max_word_length must be at least 2, got {max_word_length}"):
+        classify_actions(circle(), 4, max_word_length)
+
+
 def test_interval_single_right_class():
     rep = classify_actions(interval(), 4)
     assert len(rep.classes) == 1
@@ -458,6 +466,126 @@ def test_route_tables_match_pairwise_typing(builder, max_word_length, monkeypatc
     want = classify_actions(builder(), 4, max_word_length)
     # ids, types, sites and notes
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the trie walk against the word-by-word route simulation
+
+def _route_table(X, assignment, site_class, n, word):
+    """Simulate every member along ``word`` (faces applied first to last).
+
+    Returns ``(deaths, merges)`` on level-n indices: ``deaths[x]`` is member
+    x's death step and the class of its death site, or None if it survives
+    the word (or x is the basepoint); ``merges`` lists ``(class, smaller,
+    larger)`` for every member pair whose images first meet at a
+    non-basepoint simplex that later dies in a classified site, smaller and
+    larger in the fiber order at the meeting step.
+
+    The walk moves distinct images, not members: members that met travel
+    together from then on.
+    """
+    deaths = [None] * len(X.level(n))
+    holders = {x: [x] for x in range(1, len(deaths))}  # alive image -> its members
+    meetings = []  # per meeting: the members of each part, parts in fiber order
+    for t, i in enumerate(word, start=1):
+        m = n - t + 1
+        col = X.face_table(m)[i]
+        parts: dict[int, list[int]] = {}
+        for p, xs in holders.items():
+            q = col[p]
+            if q:
+                parts.setdefault(q, []).append(p)
+            else:
+                death = (t, site_class[m][i][p])
+                for x in xs:
+                    deaths[x] = death
+        rank = assignment.ranks(m, i)
+        for ps in parts.values():
+            if len(ps) > 1:
+                meetings.append([holders[p] for p in sorted(ps, key=rank.__getitem__)])
+        holders = {q: [x for p in ps for x in holders[p]] for q, ps in parts.items()}
+
+    merges = []
+    for ranked in meetings:
+        death = deaths[ranked[0][0]]
+        if death is None or death[1] is None:
+            continue
+        for a, b in combinations(ranked, 2):
+            merges.extend((death[1], x, y) for x in a for y in b)
+    return deaths, merges
+
+
+def _site_class_table(X, cutoff):
+    """The ``site_class[n][i][k]`` table ``classify_actions`` builds."""
+    site_class = {n: [[None] * len(X.level(n)) for _ in range(n + 1)]
+                  for n in range(1, cutoff + 1)}
+    for gi, group in enumerate(ordering._union_sites(X, cutoff)):
+        for n, k, i in group:
+            site_class[n][i][k] = gi
+    return site_class
+
+
+THETA = """
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex a dim=1 faces=[p, v0]
+simplex b dim=1 faces=[p, v0]
+simplex c dim=1 faces=[p, v0]
+"""
+
+
+@pytest.mark.parametrize("cutoff", [4, 5])
+@pytest.mark.parametrize("builder", BUNDLED + [lambda: from_file(BIGON, "bigon"),
+                                               lambda: from_file(THETA, "theta")],
+                         ids=["point", "interval", "circle", "wedge2", "wedge3",
+                              "sphere2", "bigon", "theta"])
+def test_trie_walk_matches_route_table_oracle(builder, cutoff):
+    X = builder()
+    site_class = _site_class_table(X, cutoff)
+    # the level-order certificate exists on every set, multiplicative or not
+    assignments = [_level_order_assignment(X, cutoff)]
+    res = classify_nncmo(X, cutoff)
+    if res.admits:
+        assignments.append(res.assignment)
+    for assignment in assignments:
+        for max_word_length in (2, 3, 4, 5):
+            for n in range(2, cutoff + 1):
+                depth = min(n, max_word_length)
+                want = {}
+                for length in range(2, depth + 1):
+                    for deleted, words in _face_words(n, length).items():
+                        kept = tuple(v for v in range(n + 1) if v not in deleted)
+                        want[kept] = [_route_table(X, assignment, site_class, n, w)
+                                      for w in words]
+                got = list(ordering._route_tables(X, assignment, site_class, n, depth))
+                # every map once, every word's table, words of one map in order
+                assert len(got) == len(want) and dict(got) == want
+
+
+def test_typing_walk_shares_word_prefixes(monkeypatch):
+    X = circle()
+    assignment = classify_nncmo(X, 4).assignment
+    face_table, type_level = X.face_table, ordering._type_level
+    typing, calls = [False], [0]
+
+    def counted_table(n):
+        calls[0] += typing[0]
+        return face_table(n)
+
+    def counted_level(*args):
+        typing[0] = True
+        try:
+            type_level(*args)
+        finally:
+            typing[0] = False
+
+    monkeypatch.setattr(X, "face_table", counted_table)
+    monkeypatch.setattr(ordering, "_type_level", counted_level)
+    classify_actions(X, 4, assignment=assignment)
+    # one lookup per trie node (9 + 40 + 205 over levels 2-4) at most; a
+    # simulation per word takes one per word step, 12 + 96 + 700 = 808
+    assert 0 < calls[0] <= 254
 
 
 def test_typing_simulates_each_route_once(monkeypatch):
