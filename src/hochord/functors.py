@@ -21,6 +21,14 @@ coordinate tuple is tabulated once per fiber length, each fiber reads that
 table with the strides of its members' slots, and a term's packed row and
 column are sums of stride offsets, so no per-term index is re-derived and a
 coefficient of 1 is never multiplied.
+
+For the normalized complex the kernel also takes, per degeneracy into the
+source level, the bitmask of source slots it misses.  A source tensor with
+the unit in every slot of one mask is degenerate; each partial term and
+operator composite carries a bitmask of the degeneracies it may still lie
+in and is dropped as soon as the slots it fixes settle one, so no term from
+a degenerate source is ever written.  ``nondegenerate_tensors`` enumerates
+the kept tensors of a level the same way.
 """
 
 from __future__ import annotations
@@ -161,71 +169,144 @@ def _fiber_products(alg: Algebra, lengths) -> dict[int, list[list]]:
     return table
 
 
+def _unit_slot(alg: Algebra) -> int:
+    """The basis index of the unit, which marks the slots a degeneracy fills."""
+    k = next((k for k, c in enumerate(alg.unit) if c), 0)
+    if alg.unit == alg.basis_vector(k):
+        return k
+    raise FunctorError("degenerate tensors are recognized by index only when "
+                       "the unit is a basis vector (see algebras.unit_first)")
+
+
+class _Degeneracies:
+    """Bit bookkeeping for recognizing degenerate source tensors.
+
+    ``missed[t]`` is the bitmask of source slots (bit j for slot j) that the
+    t-th degeneracy misses; a tensor lies in its image when it carries the
+    unit in all of them.  A term tracks ``state``, the bitmask of the
+    degeneracies whose missed slots, among those fixed so far, all hold the
+    unit: it starts at ``full`` and a non-unit coordinate in slot j clears
+    ``kill[j]``.  Once the slots ``fixed`` are all set, the term is
+    degenerate exactly when ``state & self.done(fixed)`` is nonzero."""
+
+    def __init__(self, alg: Algebra, missed, slots: int):
+        self.missed = tuple(missed)
+        self.unit = _unit_slot(alg) if self.missed else -1
+        self.full = (1 << len(self.missed)) - 1
+        self.kill = [sum(1 << t for t, mask in enumerate(self.missed) if mask >> j & 1)
+                     for j in range(slots + 1)]
+
+    def done(self, fixed: int) -> int:
+        """The degeneracies whose missed slots all lie in the mask ``fixed``."""
+        return sum(1 << t for t, mask in enumerate(self.missed) if not mask & ~fixed)
+
+
+def nondegenerate_tensors(alg: Algebra, slots: int, missed) -> list[int]:
+    """Ascending mixed-radix indices (slot 1 most significant) of the basis
+    tensors on ``slots`` slots that carry the unit in every slot of none of
+    the ``missed`` bitmasks (bit j for slot j).  Slots are fixed one at a
+    time and a prefix is dropped as soon as it is degenerate."""
+    da, deg = alg.dim, _Degeneracies(alg, missed, slots)
+    tensors = [(0, deg.full)] if not deg.full & deg.done(0) else []
+    for j in range(1, slots + 1):
+        done, keep = deg.done((2 << j) - 1), ~deg.kill[j]
+        tensors = [(t * da + c, w) for t, s in tensors for c in range(da)
+                   for w in (s if c == deg.unit else s & keep,) if not w & done]
+    return [t for t, _ in tensors]
+
+
 def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
-                    actions: dict[int, str] | None, source_rows: bool) -> Matrix:
-    """The functor on ``phi`` as a matrix, built from offset triples.
+                    actions: dict[int, str] | None, source_rows: bool,
+                    missed=()) -> Matrix:
+    """The functor on ``phi`` as a matrix, built from offset terms.
 
     Source slot j has the mixed-radix stride ``da**(m-j)`` and target slot i
     the stride ``da**(n-i)``.  The products of each fiber length are
-    tabulated once; a fiber of that length turns the table into triples
+    tabulated once; a fiber of that length turns the table into terms
     (source offset, target offset, coeff), and the slots fold into partial
-    triples by Cartesian extension.  The basepoint-fiber operator composites
+    terms by Cartesian extension.  The basepoint-fiber operator composites
     add their source offset and the module indices: ``mu_in`` (column) maps
     to ``mu_out`` (row), and the tensor coordinates of the source side index
     the rows if ``source_rows``, else the columns.  Distinct terms land on
     distinct keys, so entries are written, never summed.
+
+    ``missed`` holds one bitmask of source slots (bit j for slot j) per
+    degeneracy into the source level: the slots it misses.  A source tensor
+    carrying the unit in every slot of one mask is degenerate and gets no
+    entry.  Partial terms and operator composites carry a degeneracy state
+    (``_Degeneracies``) and are dropped as soon as the slots they fix make
+    them degenerate, so degenerate sources are never extended.  With no
+    masks (the default) every source tensor is kept.
     """
     f = alg.field
     da, dm, m, n = alg.dim, module.dim, phi.m, phi.n
     one = f.one()
+    deg = _Degeneracies(alg, missed, m)
     slots = [phi.fiber(i) for i in range(1, n + 1)]
     products = _fiber_products(alg, {len(s) for s in slots})
-    partial = [(0, 0, one)]  # (row offset, col offset, coeff)
+    fixed = 0  # the source slots the partial terms have set
+    # (row offset, col offset, coeff, degeneracy state)
+    partial = [(0, 0, one, deg.full)] if not deg.full & deg.done(fixed) else []
     for i, fiber in enumerate(slots, 1):
-        offsets = [0]
+        offsets = [(0, deg.full)]  # (source offset, state) per coordinate tuple
         for j in fiber:
-            stride = da ** (m - j)
-            offsets = [o + c * stride for o in offsets for c in range(da)]
+            stride, keep = da ** (m - j), ~deg.kill[j]
+            offsets = [(o + c * stride, s if c == deg.unit else s & keep)
+                       for o, s in offsets for c in range(da)]
+            fixed |= 1 << j
+        done = deg.done(fixed)
         stride = da ** (n - i)
-        triples = [(o, k * stride, v) if source_rows else (k * stride, o, v)
-                   for o, nz in zip(offsets, products[len(fiber)]) for k, v in nz]
-        partial = [(r + r2, c + c2, v2 if v == one else v if v2 == one else f.mul(v, v2))
-                   for r, c, v in partial for r2, c2, v2 in triples]
+        terms = [(o, k * stride, v, s) if source_rows else (k * stride, o, v, s)
+                 for (o, s), nz in zip(offsets, products[len(fiber)]) for k, v in nz]
+        partial = [(r + r2, c + c2, v2 if v == one else v if v2 == one else f.mul(v, v2),
+                    s & s2)
+                   for r, c, v, s in partial for r2, c2, v2, s2 in terms
+                   if not s & s2 & done]
 
-    ops = [(0, Matrix.identity(dm, f))]  # (source offset, operator composite)
+    # (source offset, operator composite, degeneracy state)
+    ops = [(0, Matrix.identity(dm, f), deg.full)]
+    bp_fixed = 0
     for t, j in enumerate(phi.basepoint_fiber()):  # smallest member acts first
         name = (actions or {}).get(j)
         if name is None:
             raise FunctorError(f"basepoint fiber member {j} has no assigned action")
         operators = module.action(name).operators
-        stride = da ** (m - j)
-        ops = [(o + c * stride, op * acc if t else op) for o, acc in ops if acc.entries
-               for c, op in enumerate(operators)]
+        bp_fixed |= 1 << j
+        done, stride, keep = deg.done(bp_fixed), da ** (m - j), ~deg.kill[j]
+        ops = [(o + c * stride, op * acc if t else op, w)
+               for o, acc, s in ops if acc.entries
+               for c, op in enumerate(operators)
+               for w in (s if c == deg.unit else s & keep,) if not w & done]
 
     rows, cols = (m, n) if source_rows else (n, m)
     entries: dict[tuple[int, int], object] = {}
-    for o, acc in ops:
+    live = {0: partial}  # operator state -> the partial terms it keeps
+    for o, acc, s in ops:
+        kept = live.get(s)
+        if kept is None:
+            kept = live[s] = [p for p in partial if not s & p[3]]
         for (mu_out, mu_in), w in acc.entries.items():
             r0 = mu_out * da ** rows + (o if source_rows else 0)
             c0 = mu_in * da ** cols + (0 if source_rows else o)
             entries.update(((r0 + r, c0 + c), v if w == one else f.mul(v, w))
-                           for r, c, v in partial)
+                           for r, c, v, _ in kept)
     return Matrix._trusted(dm * da ** rows, dm * da ** cols, f, entries)
 
 
 def loday_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
-                      actions: dict[int, str] | None = None) -> Matrix:
+                      actions: dict[int, str] | None = None, missed=()) -> Matrix:
     """Matrix of the tensor functor on ``phi``:
     M (x) A^(x)m  ->  M (x) A^(x)n.
 
     Columns and rows are mixed-radix indices (module most significant, then
-    slot 1, 2, ...).
+    slot 1, 2, ...).  Columns of the source tensors that ``missed`` marks
+    degenerate are left empty (see ``_functor_matrix``).
     """
-    return _functor_matrix(alg, module, phi, actions, source_rows=False)
+    return _functor_matrix(alg, module, phi, actions, False, missed)
 
 
 def hom_functor_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
-                            actions: dict[int, str] | None = None) -> Matrix:
+                            actions: dict[int, str] | None = None, missed=()) -> Matrix:
     """Matrix of the hom functor on ``phi``:
     hom(A^(x)n, M)  ->  hom(A^(x)m, M).
 
@@ -233,6 +314,7 @@ def hom_functor_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
     vector; indices are mixed-radix like the tensor side.  A functional f on
     the target tensors pulls back to evaluate the operator composite against
     f of the fiber products, which transposes the tensor-coordinate part of
-    the term expansion but not the module part.
+    the term expansion but not the module part.  Rows of the source tensors
+    that ``missed`` marks degenerate are left empty.
     """
-    return _functor_matrix(alg, module, phi, actions, source_rows=True)
+    return _functor_matrix(alg, module, phi, actions, True, missed)

@@ -20,9 +20,14 @@ The normalized complex is the quotient by degeneracies (chain) or the
 cochains vanishing on degenerate tensors (cochain).  Each degeneracy is
 injective and fills the slots it misses with the unit, so once the unit is a
 basis vector (after a unit-first change of basis when it is not, see
-``algebras.unit_first``) both are computed by index restriction: keep the
-basis tensors outside every degeneracy image and take the submatrix of each
-differential on them.
+``algebras.unit_first``) both live on the basis tensors outside every
+degeneracy image.  The normalized build assembles on those alone: the kept
+indices of each degree are enumerated once from the slots each ``s_j``
+misses, the functor kernel writes no term from a degenerate source tensor,
+and each differential is accumulated straight into kept positions.  That the
+degenerate span is a subcomplex is checked structurally, on face tables,
+certificate ranks and site classes (``_check_degenerate_closure``), since
+the entries that would show a violation are never computed.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from .algebras import Algebra, is_commutative, unit_first
 # hochbench/tracer.py wraps ``hochschild.nullspace``/``hochschild.solve`` (with
 # ``rank`` and the two functor entry points) by name to time these layers.
 from .exact import Field, Matrix, nullspace, rank, solve  # noqa: F401
-from .functors import PointedMap, hom_functor_on_morphism, loday_on_morphism
+from .functors import (PointedMap, hom_functor_on_morphism, loday_on_morphism,
+                       nondegenerate_tensors)
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
@@ -163,36 +169,52 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
 
 def degeneracy_pointed_map(X: SimplicialSet, level: int, i: int) -> PointedMap:
     """s_i : X_level -> X_{level+1}; injective, so fibers are singletons."""
-    src = X.level_nonbase(level)
-    dst = X.level_nonbase(level + 1)
-    dst_index = {ref: k + 1 for k, ref in enumerate(dst)}
-    images = [0]
-    for ref in src:
-        img = X.degeneracy(ref, i)
-        images.append(dst_index[img])
-    orders = {images[j]: (j,) for j in range(1, len(src) + 1)}
-    return PointedMap(len(src), len(dst), tuple(images), orders)
+    images = X.degeneracy_table(level)[i]
+    orders = {images[j]: (j,) for j in range(1, len(images))}
+    return PointedMap(len(images) - 1, len(X.level(level + 1)) - 1, images, orders)
 
 
 class _Assembler:
     """Shared matrix assembly for both variants (no ordering gate here;
-    ``build_complex`` is the gated entry point)."""
+    ``build_complex`` is the gated entry point).
+
+    With ``normalized`` the unit must be a basis vector (``_unit_first_spec``)
+    and every matrix lives on the nondegenerate basis tensors: the kept
+    indices of each degree up to ``max_degree`` are found once, face matrices
+    skip degenerate source tensors, and ``differential`` maps rows and
+    columns straight to kept positions."""
 
     def __init__(self, spec: ComplexSpec, classes: ActionClassReport,
-                 action_map: dict[str, str]):
+                 action_map: dict[str, str], normalized: bool = False):
         self.spec = spec
         self.classes = classes
         self.action_map = action_map
+        # level -> one bitmask of missed slots per degeneracy into the level
+        self.missed: dict[int, tuple[int, ...]] = {}
+        # degree -> (dimension, position of each plain index or None if dropped)
+        self.kept: dict[int, tuple[int, list]] = {}
+        if normalized:
+            X, alg, dm = spec.X, spec.algebra, spec.module.dim
+            for n in range(spec.max_degree + 1):
+                self.missed[n] = _missed_slots(X, n)
+                slots = len(X.level_nonbase(n))
+                tensors = nondegenerate_tensors(alg, slots, self.missed[n])
+                size, count = alg.dim ** slots, len(tensors)
+                pos = [None] * (dm * size)
+                for mu in range(dm):
+                    for k, t in enumerate(tensors, mu * count):
+                        pos[mu * size + t] = k
+                self.kept[n] = (dm * count, pos)
 
     def face_matrix(self, level: int, i: int) -> Matrix:
         """Chain: the matrix C_level -> C_{level-1}; cochain: the coface
-        C^{level-1} -> C^level induced by d_i : X_level -> X_{level-1}."""
+        C^{level-1} -> C^level induced by d_i : X_level -> X_{level-1}.
+        Plain indices; when normalized, degenerate sources have no entries."""
         spec = self.spec
         phi, actions = face_pointed_map(spec.X, level, i, spec.assignment,
                                         self.classes, self.action_map)
-        if spec.variant == CHAIN:
-            return loday_on_morphism(spec.algebra, spec.module, phi, actions)
-        return hom_functor_on_morphism(spec.algebra, spec.module, phi, actions)
+        functor = loday_on_morphism if spec.variant == CHAIN else hom_functor_on_morphism
+        return functor(spec.algebra, spec.module, phi, actions, self.missed.get(level, ()))
 
     def degeneracy_matrix(self, level: int, i: int) -> Matrix:
         """Chain: C_level -> C_{level+1}; cochain: C^{level+1} -> C^level."""
@@ -203,26 +225,57 @@ class _Assembler:
         return hom_functor_on_morphism(spec.algebra, spec.module, phi, {})
 
     def degree_dim(self, n: int) -> int:
+        if n in self.kept:
+            return self.kept[n][0]
         return self.spec.module.dim * self.spec.algebra.dim ** len(
             self.spec.X.level_nonbase(n))
 
     def differential(self, n: int) -> Matrix:
         """Chain: delta_n = sum (-1)^i d_i from level n; cochain: delta^n from
         the faces of level n+1.  The signed entries of every face matrix are
-        accumulated into one entry dict in a single pass."""
+        moved to their kept row and column (dropped if either is degenerate)
+        and accumulated into one entry dict in a single pass."""
         f = self.spec.algebra.field
-        level = n if self.spec.variant == CHAIN else n + 1
+        chain = self.spec.variant == CHAIN
+        level = n if chain else n + 1
+        row_deg, col_deg = (n - 1, n) if chain else (n + 1, n)
         entries: dict = {}
         for i in range(level + 1):
-            m = self.face_matrix(level, i)
             combine = f.sub if i % 2 else f.add
-            for k, v in m.entries.items():
+            items = self.face_matrix(level, i).entries.items()
+            if self.kept:
+                items = _moved(items, self.kept[row_deg][1], self.kept[col_deg][1])
+            for k, v in items:
                 s = combine(entries.get(k, 0), v)
                 if s:
                     entries[k] = s
                 else:
                     del entries[k]
-        return Matrix._trusted(m.rows, m.cols, f, entries)
+        return Matrix._trusted(self.degree_dim(row_deg), self.degree_dim(col_deg), f, entries)
+
+
+def _moved(items, rows, cols):
+    """Matrix entries moved to the positions ``rows[r]``, ``cols[c]``; an
+    entry whose row or column maps to None is dropped."""
+    for (r, c), v in items:
+        r, c = rows[r], cols[c]
+        if r is not None and c is not None:
+            yield (r, c), v
+
+
+def _missed_slots(X: SimplicialSet, n: int) -> tuple[int, ...]:
+    """For each degeneracy ``s_j : X_{n-1} -> X_n``, the bitmask of level-n
+    slots (bit k for level index k) outside its image.  ``s_j`` is injective
+    and puts the unit into each slot it misses, so its image is spanned by the
+    basis tensors carrying the unit in all of those slots."""
+    every = (1 << len(X.level(n))) - 2  # bits 1..slots
+    masks = []
+    for images in X.degeneracy_table(n - 1) if n else ():
+        hit = 0
+        for k in images:
+            hit |= 1 << k
+        masks.append(every & ~hit)
+    return tuple(masks)
 
 
 def _resolve(spec: ComplexSpec):
@@ -333,26 +386,23 @@ def build_complex(spec: ComplexSpec) -> Complex:
     any valid one, canonical or supplied, also types the classes.  With
     ``normalized=True`` the result is the normalized complex: the quotient by
     degeneracies (chain) or the cochains vanishing on degenerate tensors
-    (cochain), computed by index restriction (see ``_normalize``).  When the
-    algebra's unit is not a basis vector the complex is built after a
-    unit-first change of basis (``algebras.unit_first``), so its matrices are
-    in that basis.  Betti numbers are unchanged by normalization.
+    (cochain).  It is assembled on the nondegenerate basis tensors only (see
+    ``_Assembler``), and ``_check_degenerate_closure`` verifies that the
+    degenerate span is a subcomplex.  When the algebra's unit is not a basis
+    vector the complex is built after a unit-first change of basis
+    (``algebras.unit_first``), so its matrices are in that basis.  Betti
+    numbers are unchanged by normalization.
     """
     classes, amap = _resolve(spec)
     if spec.normalized:
         spec = _unit_first_spec(spec)
-    asm = _Assembler(spec, classes, amap)
+    asm = _Assembler(spec, classes, amap, spec.normalized)
     D = spec.max_degree
     dims = [asm.degree_dim(n) for n in range(D + 1)]
-    diffs: dict[int, Matrix] = {}
-    if spec.variant == CHAIN:
-        for n in range(1, D + 1):
-            diffs[n] = asm.differential(n)
-    else:
-        for n in range(D):
-            diffs[n] = asm.differential(n)
+    degrees = range(1, D + 1) if spec.variant == CHAIN else range(D)
+    diffs = {n: asm.differential(n) for n in degrees}
     if spec.normalized:
-        dims, diffs = _normalize(spec, diffs)
+        _check_degenerate_closure(spec, classes, amap)
     return Complex(spec.variant, spec.algebra.field, dims, diffs)
 
 
@@ -364,59 +414,76 @@ def _unit_first_spec(spec: ComplexSpec) -> ComplexSpec:
     return replace(spec, algebra=alg, module=rebased(spec.module, alg, basis))
 
 
-def _nondegenerate(spec: ComplexSpec, n: int, unit: int) -> list[int]:
-    """Indices of the degree-n basis tensors outside every degeneracy image.
+def _check_degenerate_closure(spec: ComplexSpec, classes: ActionClassReport,
+                              amap: dict[str, str]) -> None:
+    """Raise ``ComplexError`` unless the degenerate tensors span a subcomplex,
+    checked on face tables, certificate ranks and site classes.
 
-    ``s_j : X_{n-1} -> X_n`` is injective and puts the unit into each slot it
-    misses, so with the unit the basis vector ``unit`` its image is spanned by
-    the basis tensors carrying ``unit`` in all of those slots; the module
-    factor plays no part.  Indices follow the functors' mixed-radix packing
-    (module most significant, then slot 1), which ``product`` enumerates in
-    ascending order.
+    For every level n <= max_degree, j < n and i not in {j, j+1}, the
+    simplicial identity ``d_i s_j = s_{j-1} d_i`` (i < j) or
+    ``d_i s_j = s_j d_{i-1}`` (i > j+1) holds on simplices.  The functor on
+    either side multiplies the factors of each x in X_{n-1} over the same
+    target slot and routes the factor of each x whose face is the basepoint
+    through an action.  The two sides agree as tensor maps when:
+
+    * the fiber order of ``d_i`` at level n, restricted to the images
+      ``s_j x``, is the order of the face on the right at level n-1 (only
+      read when the algebra is noncommutative);
+    * the site ``(n, s_j x, i)`` and the site of x on the right act through
+      the same operators.
+
+    Every other slot on the left is missed by ``s_j`` and carries the unit,
+    which multiplies and acts trivially by the unit axioms that ``Algebra``
+    and ``modules.validate`` enforce; by the same axioms ``d_j s_j`` and
+    ``d_{j+1} s_j`` are the identity on tensors.  So each term of
+    ``d s_j = sum (-1)^i d_i s_j`` either cancels or lands in the image of a
+    degeneracy: the chain differential maps degenerate tensors to degenerate
+    ones, and dually the cochain differential keeps the cochains vanishing on
+    them.  The check is therefore sufficient for closure, and it accepts no
+    input whose assembled differentials link a dropped tensor to a kept one.
     """
-    X, da = spec.X, spec.algebra.dim
-    slots = len(X.level_nonbase(n))
-    missed = []
-    for j in range(n):
-        hit = set(degeneracy_pointed_map(X, n - 1, j).images[1:])
-        missed.append([k for k in range(slots) if k + 1 not in hit])
-    kept = [idx for idx, coords in enumerate(product(range(da), repeat=slots))
-            if not any(all(coords[k] == unit for k in m) for m in missed)]
-    size = da ** slots
-    return [mu * size + idx for mu in range(spec.module.dim) for idx in kept]
+    X, module = spec.X, spec.module
+    ordered = not is_commutative(spec.algebra)
 
+    def action(level: int, k: int, i: int) -> str | None:
+        cls = classes.class_of_site((level, X.level(level)[k], i))
+        return None if cls is None else amap.get(cls.class_id)
 
-def _normalize(spec: ComplexSpec, diffs):
-    """Restrict the differentials to the nondegenerate basis tensors.
+    def same_operators(a: str | None, b: str | None) -> bool:
+        return a == b or (a is not None and b is not None and
+                          module.action(a).operators == module.action(b).operators)
 
-    Chain degree n becomes the quotient by the span of the degenerate basis
-    tensors, cochain degree n the cochains vanishing on them; either way each
-    differential keeps the rows and columns of nondegenerate tensors.  The
-    unit must be a basis vector (``_unit_first_spec``).  The degenerate span
-    must be a subcomplex, which is checked entry by entry: a nonzero entry
-    from a dropped column to a kept row (chain), or from a kept column to a
-    dropped row (cochain), raises ``ComplexError``.
-    """
-    f = spec.algebra.field
-    chain = spec.variant == CHAIN
-    unit = spec.algebra.unit.index(f.one())
-    kept = [_nondegenerate(spec, n, unit) for n in range(spec.max_degree + 1)]
-    pos = [{idx: k for k, idx in enumerate(ks)} for ks in kept]
-    new_diffs = {}
-    for n, d in diffs.items():
-        tgt = n - 1 if chain else n + 1
-        rows, cols = pos[tgt], pos[n]
-        entries = {}
-        for (r, c), v in d.entries.items():
-            kr, kc = rows.get(r), cols.get(c)
-            if kr is not None and kc is not None:
-                entries[(kr, kc)] = v
-            elif (kr is not None) if chain else (kc is not None):
+    for n in range(2, spec.max_degree + 1):
+        for j in range(n):
+            degen = X.degeneracy_table(n - 1)[j]
+            for i in range(n + 1):
+                if i in (j, j + 1):
+                    continue
+                low = i if i < j else i - 1
+                below = X.face_table(n - 1)[low]
+                if not all(same_operators(action(n - 1, x, low), action(n, degen[x], i))
+                           for x in range(1, len(below)) if below[x] == 0):
+                    what = "basepoint actions"
+                elif ordered and not _orders_agree(below, spec.assignment.ranks(n - 1, low),
+                                                   spec.assignment.ranks(n, i), degen):
+                    what = "fiber orders"
+                else:
+                    continue
+                right = f"s_{j - 1} d_{i}" if i < j else f"s_{j} d_{i - 1}"
                 raise ComplexError(
-                    f"normalization: the degenerate span is not a subcomplex; the "
-                    f"degree-{n} differential has entry {v} at row {r}, column {c}")
-        new_diffs[n] = Matrix._trusted(len(kept[tgt]), len(kept[n]), f, entries)
-    return [len(ks) for ks in kept], new_diffs
+                    f"normalization: the degenerate span is not a subcomplex; at "
+                    f"level {n}, d_{i} s_{j} and {right} differ in their {what}")
+
+
+def _orders_agree(below, rank_low, rank, degen) -> bool:
+    """Whether each fiber of the face table ``below``, sorted by ``rank_low``,
+    is sorted by ``rank`` once mapped through the degeneracy images
+    ``degen``."""
+    fibers: dict[int, list[int]] = {}
+    for x in sorted(range(1, len(below)), key=rank_low.__getitem__):
+        if below[x]:
+            fibers.setdefault(below[x], []).append(rank[degen[x]])
+    return all(seen == sorted(seen) for seen in fibers.values())
 
 
 def _betti_table(variant, dims, diffs, field, D):

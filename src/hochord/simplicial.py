@@ -79,6 +79,7 @@ class SimplicialSet:
         self._levels: dict[int, tuple[SimplexRef, ...]] = {}
         self._index: dict[int, dict[SimplexRef, int]] = {}
         self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._degeneracy_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._check_well_formed()
 
     # -- structure ------------------------------------------------------
@@ -202,6 +203,16 @@ class SimplicialSet:
             self._face_tables[n] = tuple(
                 tuple(below[self.face(ref, i)] for ref in refs) for i in range(n + 1))
         return self._face_tables[n]
+
+    def degeneracy_table(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """``degeneracy_table(n)[j][k]`` is the index in ``level(n + 1)`` of
+        ``s_j(level(n)[k])``; entry 0 of each row is the basepoint's image, 0."""
+        if n not in self._degeneracy_tables:
+            above = self.index(n + 1)
+            refs = self.level(n)
+            self._degeneracy_tables[n] = tuple(
+                tuple(above[self.degeneracy(ref, j)] for ref in refs) for j in range(n + 1))
+        return self._degeneracy_tables[n]
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> list[str]:

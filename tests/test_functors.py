@@ -5,13 +5,13 @@ from itertools import product as iter_product
 import pytest
 
 from hochord import functors
-from hochord.algebras import custom_algebra, multiply, trunc_poly, upper_tri
+from hochord.algebras import custom_algebra, multiply, trunc_poly, unit_first, upper_tri
 from hochord.exact import Field, Matrix, mat_mul
 from hochord.functors import (FunctorError, compose, hom_functor_on_morphism,
                               identity_map, loday_on_morphism, pointed_map)
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexSpec, _typed_actions,
                                 degeneracy_pointed_map, face_pointed_map, make_spec)
-from hochord.modules import (multi_regular, regular_bimodule, symmetric_module,
+from hochord.modules import (multi_regular, rebased, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
 from hochord.ordering import classify_nncmo
 from hochord.simplicial import BUILTIN_SETS, wedge_of_circles
@@ -309,6 +309,67 @@ def test_kernel_matches_term_expansion_on_bundled_sets(case, variant, p):
             for i in range(level + 1):
                 phi = degeneracy_pointed_map(X, level, i)
                 _assert_kernel_matches_oracle(alg, module, phi, {}, variant)
+
+
+def _unit_first_case(case):
+    """The kernel case over a unit-first copy of its algebra, the basis that
+    normalized builds use, and the module rebased onto it."""
+    make_alg, make_module = KERNEL_CASES[case]
+    alg = make_alg(Field())
+    module = make_module(alg)
+    alg1, basis = unit_first(alg)
+    return alg1, module if alg1 is alg else rebased(module, alg1, basis)
+
+
+def _missed_slot_sets(X, level):
+    """For each degeneracy into ``level``, the slots (level indices) it misses."""
+    slots = set(range(1, len(X.level(level))))
+    return [slots - set(degeneracy_pointed_map(X, level - 1, j).images[1:])
+            for j in range(level)]
+
+
+def _nondegenerate_restriction(alg, m, matrix, missed_sets, source_rows):
+    """``matrix`` without the entries whose source tensor carries the unit in
+    every slot of some missed set; the source index is the row if
+    ``source_rows``, else the column, packed module first, then slot 1."""
+    unit = alg.unit.index(alg.field.one())
+    size = alg.dim ** m
+    degenerate = {t for t, coords in enumerate(iter_product(range(alg.dim), repeat=m))
+                  if any(all(coords[k - 1] == unit for k in s) for s in missed_sets)}
+    entries = {(r, c): v for (r, c), v in matrix.entries.items()
+               if (r if source_rows else c) % size not in degenerate}
+    return Matrix(matrix.rows, matrix.cols, matrix.field, entries)
+
+
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+@pytest.mark.parametrize("case", ["trunc-poly2-tensor-square", "trunc-poly2-multi12",
+                                  "upper-tri2-regular", "upper-tri2-tensor-square",
+                                  "half-basis-regular"])
+def test_pruned_kernel_matches_restricted_term_expansion(case, variant):
+    # every face map to level 4 of the bundled sets, fed the slots each
+    # degeneracy into its source level misses: the kernel must write exactly
+    # the oracle's terms whose source tensor is nondegenerate, and skip the
+    # rest, including those made degenerate by basepoint-fiber slots
+    alg, module = _unit_first_case(case)
+    kernel = loday_on_morphism if variant == CHAIN else hom_functor_on_morphism
+    source_rows = variant == COCHAIN
+    for builder in BUILTIN_SETS.values():
+        X = builder()
+        cert = classify_nncmo(X, 4)
+        spec = ComplexSpec(X, alg, module, variant, 4,
+                           assignment=cert.assignment if cert.admits else None)
+        classes, amap = _typed_actions(spec, 4)
+        for level in range(1, 5):
+            if module.dim * alg.dim ** len(X.level_nonbase(level)) > KERNEL_ORACLE_DIM:
+                break
+            missed_sets = _missed_slot_sets(X, level)
+            missed = tuple(sum(1 << k for k in s) for s in missed_sets)
+            for i in range(level + 1):
+                phi, actions = face_pointed_map(X, level, i, spec.assignment, classes, amap)
+                got = kernel(alg, module, phi, actions, missed)
+                want, _ = _summed_matrix(alg, module, phi, actions, source_rows)
+                assert got == _nondegenerate_restriction(alg, phi.m, want, missed_sets,
+                                                         source_rows)
 
 
 @pytest.mark.parametrize("variant", [CHAIN, COCHAIN])

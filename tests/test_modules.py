@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +32,34 @@ def test_left_multiplication_of_noncommutative_tagged_lr_fails():
     bad = Multimodule("bad", a, a.dim, {"m": Action(LR, ops)})
     problems = validate(bad)
     assert any("right law" in p for p in problems)
+
+
+def test_validate_reports_each_axiom_with_its_message():
+    a = upper_tri(2)  # basis e11, e12, e22: e_i e_j != e_j e_i at (0,1), (1,2)
+    left = tuple(a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim))
+
+    def problems(**actions):
+        return validate(Multimodule("bad", a, a.dim, actions))
+
+    assert problems(count=Action("left", left[:2])) == [
+        "action 'count': expected 3 operators, got 2"]
+    assert problems(shape=Action("left", (Matrix.identity(2, QQ),) * 3)) == [
+        "action 'shape': operator shape mismatch"]
+    assert problems(tag=Action("up", left)) == ["action 'tag': unknown tag 'up'"]
+    # a malformed action beside a valid one is reported, not read out of range
+    assert problems(count=Action("left", left[:2]), left=Action("left", left)) == [
+        "action 'count': expected 3 operators, got 2"]
+    skew = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    actions = {"both": Action(LR, left), "doubled": Action("left", tuple(op.scale(2) for op in left)),
+               "left": Action("left", left), "mislabeled": Action("right", left)}
+    assert problems(**actions) == (
+        [f"action 'both': right law fails at basis pair ({i},{j})" for i, j in skew]
+        + ["action 'doubled': not unital"]
+        + [f"action 'doubled': left law fails at basis pair ({i},{j})"
+           for i, j in [(0, 0), (0, 1), (1, 2), (2, 2)]]
+        + [f"action 'mislabeled': right law fails at basis pair ({i},{j})" for i, j in skew]
+        + [f"actions {x!r} and {y!r} do not commute at basis pair ({i},{j})"
+           for x, y in combinations(sorted(actions), 2) for i, j in skew])
 
 
 def test_multi_regular_rejects_two_left_copies_on_noncommutative():
