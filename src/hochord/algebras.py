@@ -1,17 +1,21 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
 An algebra is a basis, a unit vector, and a dense 3-index table
-``table[i][j][l]`` with ``e_i e_j = sum_l table[i][j][l] e_l``.  Associativity
-and unitality are checked exhaustively at construction; dimensions stay small
-(at most ~9 for the bundled algebras) so the dense table is the simple choice.
+``table[i][j][l]`` with ``e_i e_j = sum_l table[i][j][l] e_l``.  Next to it
+each algebra derives once the sparse rows ``sparse[i][j]``, the nonzero
+``(l, c)`` pairs of ``table[i][j]``; products, multiplication operators, the
+exhaustive associativity and unitality checks at construction and the
+unit-first change of basis read those pairs, never a zero constant.  The
+ordered products of basis tuples that the tensor and hom functors need are
+tabulated on the algebra itself (``Algebra.fiber_products``), once per length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 
-from .exact import Field, Matrix, QQ, Scalar, nullspace, rank
+from .exact import Field, Matrix, QQ, Scalar, combine, nullspace, rank
 
 
 class AlgebraError(ValueError):
@@ -25,16 +29,24 @@ class Algebra:
     basis_names: tuple[str, ...]
     unit: tuple[Scalar, ...]
     table: tuple  # table[i][j] = tuple of coefficients over the basis
+    # sparse[i][j] = the nonzero (l, c) pairs of table[i][j]
+    sparse: tuple = dc_field(init=False, repr=False, compare=False)
+    # the ordered fiber products by length, extended by fiber_products
+    _products: tuple = dc_field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         d = self.dim
         if d < 1:
             raise AlgebraError("algebra must have dimension >= 1")
-        if len(self.unit) != d or len(self.table) != d:
+        if len(self.unit) != d:
             raise AlgebraError("unit/table shape mismatch")
-        for row in self.table:
-            if len(row) != d or any(len(cell) != d for cell in row):
-                raise AlgebraError("structure-constant table is not dim^3")
+        if len(self.table) != d or any(len(row) != d or any(len(cell) != d for cell in row)
+                                       for row in self.table):
+            raise AlgebraError("structure-constant table is not dim^3")
+        f = self.field
+        object.__setattr__(self, "sparse", tuple(
+            tuple(tuple((l, c) for l, c in enumerate(map(f.of, cell)) if c) for cell in row)
+            for row in self.table))
         self._check_axioms()
 
     @property
@@ -43,19 +55,20 @@ class Algebra:
 
     # -- construction-time validation ----------------------------------
     def _check_axioms(self):
+        """Unitality on every basis element, then associativity on every
+        basis triple, each side combined from sparse rows."""
         f = self.field
-        d = self.dim
+        d, sp = self.dim, self.sparse
+        unit = [(k, u) for k, u in enumerate(map(f.of, self.unit)) if u]
         for i in range(d):
-            ei = self.basis_vector(i)
-            if multiply(self, self.unit, ei) != ei or multiply(self, ei, self.unit) != ei:
+            if (combine(f, ((u, sp[k][i]) for k, u in unit)) != {i: 1}
+                    or combine(f, ((u, sp[i][k]) for k, u in unit)) != {i: 1}):
                 raise AlgebraError(f"unit axiom fails on basis element {self.basis_names[i]}")
         for i in range(d):
             for j in range(d):
-                ij = tuple(self.table[i][j])
                 for l in range(d):
-                    left = multiply(self, ij, self.basis_vector(l))
-                    right = multiply(self, self.basis_vector(i), tuple(self.table[j][l]))
-                    if left != right:
+                    if (combine(f, ((c, sp[k][l]) for k, c in sp[i][j]))
+                            != combine(f, ((c, sp[i][k]) for k, c in sp[j][l]))):
                         raise AlgebraError(
                             "associativity fails on triple "
                             f"({self.basis_names[i]}, {self.basis_names[j]}, {self.basis_names[l]})")
@@ -76,49 +89,61 @@ class Algebra:
 
     def left_mult_matrix(self, vec) -> Matrix:
         """Matrix of x -> vec * x in the basis."""
-        f = self.field
-        entries = {}
-        for j in range(self.dim):
-            col = multiply(self, vec, self.basis_vector(j))
-            for r, v in enumerate(col):
-                if v != f.zero():
-                    entries[(r, j)] = v
-        return Matrix(self.dim, self.dim, f, entries)
+        return self._mult_matrix(vec, lambda i, j: self.sparse[i][j])
 
     def right_mult_matrix(self, vec) -> Matrix:
         """Matrix of x -> x * vec in the basis."""
-        f = self.field
+        return self._mult_matrix(vec, lambda i, j: self.sparse[j][i])
+
+    def _mult_matrix(self, vec, row) -> Matrix:
+        """Column j is ``sum_i vec_i row(i, j)``."""
+        f, d = self.field, self.dim
+        vec, = _coerced(self, vec)
         entries = {}
-        for j in range(self.dim):
-            col = multiply(self, self.basis_vector(j), vec)
-            for r, v in enumerate(col):
-                if v != f.zero():
-                    entries[(r, j)] = v
-        return Matrix(self.dim, self.dim, f, entries)
+        for j in range(d):
+            col = combine(f, ((x, row(i, j)) for i, x in enumerate(vec) if x))
+            entries.update(((l, j), v) for l, v in col.items())
+        return Matrix._trusted(d, d, f, entries)
+
+    def fiber_products(self, lengths) -> dict[int, tuple]:
+        """By fiber length, the nonzero ``(k, v)`` pairs of the ordered product
+        of every coordinate tuple, the first coordinate most significant.  A
+        length extends the one before by one ``multiply`` per tuple, the last
+        factor on the left, and is kept on the algebra (``_products``, one
+        ``(vectors, pairs)`` entry per length), so it is never recomputed."""
+        known = self._products
+        while len(known) <= max(lengths, default=0):
+            basis = tuple(self.basis_vector(c) for c in range(self.dim))
+            if not known:
+                vecs = (self.unit,)
+            elif len(known) == 1:
+                vecs = basis  # a single factor times the unit
+            else:
+                vecs = tuple(multiply(self, e, v) if any(v) else v
+                             for v in known[-1][0] for e in basis)
+            known += ((vecs, tuple(tuple((k, v) for k, v in enumerate(vec) if v)
+                                   for vec in vecs)),)
+        object.__setattr__(self, "_products", known)
+        return {length: known[length][1] for length in lengths}
 
     def describe(self) -> str:
         return f"{self.name} (dim {self.dim} over {self.field.describe()})"
 
 
+def _coerced(alg: Algebra, *vectors) -> list[list[Scalar]]:
+    if any(len(x) != alg.dim for x in vectors):
+        raise AlgebraError(f"vector length mismatch: expected {alg.dim}")
+    return [[alg.field.of(v) for v in x] for x in vectors]
+
+
 def multiply(alg: Algebra, x, y) -> tuple[Scalar, ...]:
-    """Bilinear extension of the structure-constant table."""
+    """Bilinear extension of the structure constants."""
     f = alg.field
-    d = alg.dim
-    if len(x) != d or len(y) != d:
-        raise AlgebraError(f"vector length mismatch: expected {d}")
-    x, y = [f.of(v) for v in x], [f.of(v) for v in y]
-    out = [f.zero()] * d
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coef = f.mul(xi, yj)
-            for l, c in enumerate(alg.table[i][j]):
-                if c:
-                    out[l] = f.add(out[l], f.mul(coef, c))
-    return tuple(out)
+    x, y = _coerced(alg, x, y)
+    sp = alg.sparse
+    out = combine(f, ((f.mul(xi, yj), sp[i][j]) for i, xi in enumerate(x) if xi
+                       for j, yj in enumerate(y) if yj))
+    return tuple(out.get(l, f.zero()) for l in range(alg.dim))
 
 
 def is_commutative(alg: Algebra) -> bool:
@@ -132,17 +157,11 @@ def is_commutative(alg: Algebra) -> bool:
 
 def center(alg: Algebra) -> list[tuple[Scalar, ...]]:
     """Basis of {z : z a = a z for all a}, via the nullspace of the
-    stacked commutator system over the algebra basis."""
-    f = alg.field
-    d = alg.dim
-    entries = {}
-    for a in range(d):
-        la = alg.left_mult_matrix(alg.basis_vector(a))
-        ra = alg.right_mult_matrix(alg.basis_vector(a))
-        diff = ra - la  # row r, col j: coeff of e_r in e_j*e_a - e_a*e_j
-        for (r, c), v in diff.entries.items():
-            entries[(a * d + r, c)] = v
-    system = Matrix(d * d, d, f, entries)
+    stacked commutator system over the algebra basis: row ``a * d + r``,
+    column j holds the coefficient of e_r in e_j e_a - e_a e_j."""
+    f, d, t = alg.field, alg.dim, alg.table
+    system = Matrix(d * d, d, f, {(a * d + r, j): f.sub(t[j][a][r], t[a][j][r])
+                                  for a in range(d) for j in range(d) for r in range(d)})
     return [tuple(v) for v in nullspace(system)]
 
 
@@ -158,23 +177,25 @@ def unit_first(alg: Algebra) -> tuple[Algebra, tuple[tuple[Scalar, ...], ...]]:
     """
     f = alg.field
     d = alg.dim
-    basis = [alg.basis_vector(i) for i in range(d)]
+    e = tuple(alg.basis_vector(i) for i in range(d))
     p = next(i for i, c in enumerate(alg.unit) if c != f.zero())
-    if alg.unit == basis[p]:
-        return alg, tuple(basis)
-    basis[p] = alg.unit
+    if alg.unit == e[p]:
+        return alg, e
 
-    def coords(x):
+    def coords(pairs):
         # x = sum_{i != p} y_i e_i + y_p * unit, solved for y
-        yp = f.div(x[p], alg.unit[p])
-        return tuple(yp if i == p else f.sub(x[i], f.mul(yp, alg.unit[i]))
+        x = dict(pairs)
+        yp = f.div(x.get(p, 0), alg.unit[p])
+        return tuple(yp if i == p else f.sub(x.get(i, 0), f.mul(yp, alg.unit[i]))
                      for i in range(d))
 
-    table = tuple(tuple(coords(multiply(alg, bi, bj)) for bj in basis) for bi in basis)
+    # the unit times new basis vector j, on either side, is new basis vector j
+    table = tuple(tuple(e[j] if i == p else e[i] if j == p else coords(alg.sparse[i][j])
+                        for j in range(d)) for i in range(d))
     names = list(alg.basis_names)
     names[p] = "+".join(n if c == f.one() else f"{c}*{n}"
                         for c, n in zip(alg.unit, alg.basis_names) if c != f.zero())
-    return Algebra(alg.name, f, tuple(names), alg.basis_vector(p), table), tuple(basis)
+    return Algebra(alg.name, f, tuple(names), e[p], table), e[:p] + (alg.unit,) + e[p + 1:]
 
 
 def commutator_span_dim(alg: Algebra) -> int:
@@ -184,9 +205,7 @@ def commutator_span_dim(alg: Algebra) -> int:
     d = alg.dim
     for i in range(d):
         for j in range(d):
-            ij = multiply(alg, alg.basis_vector(i), alg.basis_vector(j))
-            ji = multiply(alg, alg.basis_vector(j), alg.basis_vector(i))
-            vecs.append([f.sub(a, b) for a, b in zip(ij, ji)])
+            vecs.append([f.sub(a, b) for a, b in zip(alg.table[i][j], alg.table[j][i])])
     m = Matrix(len(vecs), d, f,
                {(r, c): v for r, row in enumerate(vecs) for c, v in enumerate(row)})
     return rank(m)
@@ -222,28 +241,22 @@ def upper_tri(n: int, field: Field = QQ) -> Algebra:
     """Upper-triangular n x n matrices; basis e_ij for i <= j."""
     if n < 1:
         raise AlgebraError("upper_tri needs n >= 1")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    idx = {p: k for k, p in enumerate(pairs)}
-    names = [f"e{i}{j}" for (i, j) in pairs]
-
-    def prod(a, b):
-        (i, j), (k, l) = pairs[a], pairs[b]
-        out = [0] * len(pairs)
-        if j == k:
-            out[idx[(i, l)]] = 1
-        return out
-
-    unit = [1 if i == j else 0 for (i, j) in pairs]
-    return _build(f"upper-tri {n}", field, names, unit, prod)
+    return _matrix_units(f"upper-tri {n}", field, [(i, j) for i in range(1, n + 1)
+                                                   for j in range(i, n + 1)])
 
 
 def matrix_algebra(n: int, field: Field = QQ) -> Algebra:
     """Full matrix algebra M_n; basis e_ij."""
     if n < 1:
         raise AlgebraError("matrix_algebra needs n >= 1")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _matrix_units(f"matrix {n}", field, [(i, j) for i in range(1, n + 1)
+                                                for j in range(1, n + 1)])
+
+
+def _matrix_units(name: str, field: Field, pairs) -> Algebra:
+    """The span of the matrix units e_ij, (i, j) in ``pairs``, closed under
+    e_ij e_kl = [j = k] e_il and holding every e_ii."""
     idx = {p: k for k, p in enumerate(pairs)}
-    names = [f"e{i}{j}" for (i, j) in pairs]
 
     def prod(a, b):
         (i, j), (k, l) = pairs[a], pairs[b]
@@ -253,7 +266,7 @@ def matrix_algebra(n: int, field: Field = QQ) -> Algebra:
         return out
 
     unit = [1 if i == j else 0 for (i, j) in pairs]
-    return _build(f"matrix {n}", field, names, unit, prod)
+    return _build(name, field, [f"e{i}{j}" for (i, j) in pairs], unit, prod)
 
 
 def cyclic_group_algebra(n: int, field: Field = QQ) -> Algebra:
@@ -293,7 +306,5 @@ def symmetric_group_algebra_s3(field: Field = QQ) -> Algebra:
 def custom_algebra(name: str, field: Field, basis_names, unit, table) -> Algebra:
     """Validated algebra from an explicit table; rejects bad data with the
     offending triple named in the error."""
-    d = len(basis_names)
-    tbl = tuple(tuple(tuple(field.of(c) for c in table[i][j]) for j in range(d))
-                for i in range(d))
+    tbl = tuple(tuple(tuple(field.of(c) for c in cell) for cell in row) for row in table)
     return Algebra(name, field, tuple(basis_names), tuple(field.of(c) for c in unit), tbl)

@@ -7,6 +7,8 @@ an arbitrary-precision ``Fraction`` only otherwise, or in a prime field F_p
 
 Matrices are sparse triplet maps ``(row, col) -> scalar`` holding only nonzero
 entries, so structural equality of matrices is equality of field elements.
+The coefficient layer (algebra products, module operators and their checks)
+forms its entry maps with one sparse linear combination, ``combine``.
 
 Rank, kernel and solving share one sparse elimination kernel, ``_echelon``.
 Rows are ``{col: int}`` dicts: residues over F_p, and over Q integer
@@ -263,12 +265,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     f = a.field
-    by_row: dict[int, list[tuple[int, Scalar]]] = {}
-    for (r, c), v in b.entries.items():
-        by_row.setdefault(r, []).append((c, v))
+    b_rows = by_row(b.entries)
     out: dict[tuple[int, int], Scalar] = {}
     for (r, k), va in a.entries.items():
-        for c, vb in by_row.get(k, ()):
+        for c, vb in b_rows.get(k, ()):
             key = (r, c)
             s = f.add(out.get(key, f.zero()), f.mul(va, vb))
             if s == f.zero():
@@ -276,6 +276,36 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             else:
                 out[key] = s
     return Matrix._trusted(a.rows, b.cols, f, out)
+
+
+def combine(f: Field, terms) -> dict:
+    """The nonzero entries of ``sum c * row`` over the ``(c, row)`` terms,
+    each row an iterable of ``(key, value)`` pairs."""
+    out: dict = {}
+    p = f.p
+    for c, row in terms:
+        for k, v in row:
+            s = out.get(k, 0) + c * v
+            s = _canonical(s) if p is None else s % p
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def by_row(entries: dict) -> dict:
+    """``{row: [(col, value), ...]}`` for a matrix entry dict."""
+    out: dict = {}
+    for (r, c), v in entries.items():
+        out.setdefault(r, []).append((c, v))
+    return out
+
+
+def product_entries(f: Field, a: dict, b_rows: dict) -> dict:
+    """Entries of the product of an entry dict and a ``by_row`` table."""
+    return combine(f, ((va, [((r, c), vb) for c, vb in b_rows.get(k, ())])
+                       for (r, k), va in a.items()))
 
 
 def _primitive(row: dict) -> dict:

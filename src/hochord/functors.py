@@ -17,10 +17,11 @@ Basis enumeration is mixed-radix with the module factor most significant and
 slot 1 next, so matrices are reproducible.
 
 A matrix is built by one table-driven pass: the ordered product of every
-coordinate tuple is tabulated once per fiber length, each fiber reads that
-table with the strides of its members' slots, and a term's packed row and
-column are sums of stride offsets, so no per-term index is re-derived and a
-coefficient of 1 is never multiplied.
+coordinate tuple is tabulated once per algebra and fiber length, on the
+algebra (``Algebra.fiber_products``), each fiber reads that table with the
+strides of its members' slots, and a term's packed row and column are sums
+of stride offsets, so no per-term index is re-derived and a coefficient of 1
+is never multiplied.
 
 For the normalized complex the kernel also takes, per degeneracy into the
 source level, the bitmask of source slots it misses.  A source tensor with
@@ -36,7 +37,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebras import Algebra, multiply
+from .algebras import Algebra
 from .exact import Matrix
 from .modules import Multimodule
 
@@ -149,26 +150,6 @@ def compose(psi: PointedMap, phi: PointedMap,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _fiber_products(alg: Algebra, lengths) -> dict[int, list[list]]:
-    """For each fiber length, the nonzero ``(k, v)`` pairs of the ordered
-    product of every coordinate tuple, the first coordinate most significant.
-    The last factor (the largest fiber member) multiplies on the left, so each
-    length extends the one before by one ``multiply`` per tuple."""
-    f = alg.field
-    basis = [alg.basis_vector(c) for c in range(alg.dim)]
-    vecs = [alg.unit]
-    table = {}
-    for length in range(max(lengths, default=0) + 1):
-        if length == 1:
-            vecs = basis  # a single factor times the unit
-        elif length:
-            vecs = [multiply(alg, e, v) if any(v) else v for v in vecs for e in basis]
-        if length in lengths:
-            table[length] = [[(k, v) for k, v in enumerate(vec) if v != f.zero()]
-                             for vec in vecs]
-    return table
-
-
 def _unit_slot(alg: Algebra) -> int:
     """The basis index of the unit, which marks the slots a degeneracy fills."""
     k = next((k for k, c in enumerate(alg.unit) if c), 0)
@@ -243,7 +224,7 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
     one = f.one()
     deg = _Degeneracies(alg, missed, m)
     slots = [phi.fiber(i) for i in range(1, n + 1)]
-    products = _fiber_products(alg, {len(s) for s in slots})
+    products = alg.fiber_products({len(s) for s in slots})
     fixed = 0  # the source slots the partial terms have set
     # (row offset, col offset, coeff, degeneracy state)
     partial = [(0, 0, one, deg.full)] if not deg.full & deg.done(fixed) else []

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra, is_commutative
-from .exact import Matrix, mat_mul
+from .exact import Matrix, by_row, combine, product_entries
 
 LEFT = "left"
 RIGHT = "right"
@@ -36,15 +36,15 @@ class Action:
     operators: tuple[Matrix, ...]  # one dim_M x dim_M matrix per algebra basis elt
 
     def operator_of(self, algebra: Algebra, vec) -> Matrix:
-        """Operator of a general algebra element (linear combination)."""
+        """Operator of a general algebra element (linear combination); the
+        stored operator itself for a basis element with coefficient 1."""
         f = algebra.field
+        terms = [(i, c) for i, c in enumerate(map(f.of, vec)) if c]
+        if len(terms) == 1 and terms[0][1] == f.one():
+            return self.operators[terms[0][0]]
         dim_m = self.operators[0].rows
-        acc = Matrix.zero(dim_m, dim_m, f)
-        for i, c in enumerate(vec):
-            c = f.of(c)
-            if c != f.zero():
-                acc = acc + self.operators[i].scale(c)
-        return acc
+        return Matrix._trusted(dim_m, dim_m, f, combine(
+            f, ((c, self.operators[i].entries.items()) for i, c in terms)))
 
 
 @dataclass(frozen=True)
@@ -69,31 +69,45 @@ class Multimodule:
 
 
 def validate(module: Multimodule) -> list[str]:
-    """Exhaustive axiom check; returns a list of violation messages (empty = ok)."""
+    """Exhaustive axiom check; returns a list of violation messages (empty = ok).
+
+    Products are formed on entry dicts: each operator's entries by row are
+    built once per call, and the operator of ``e_i e_j`` is combined from the
+    algebra's sparse structure constants."""
     alg = module.algebra
     f = alg.field
     d = alg.dim
     problems = []
-    ident = Matrix.identity(module.dim, f)
+    ident = {(r, r): f.one() for r in range(module.dim)}
+    unit = [(l, u) for l, u in enumerate(map(f.of, alg.unit)) if u]
+    rows = {}  # well-formed action -> each operator's entries by row
     for name, act in sorted(module.actions.items()):
+        fields = sorted({op.field.describe() for op in act.operators if op.field != f})
+        if len(act.operators) != d:
+            malformed = f"expected {d} operators, got {len(act.operators)}"
+        elif any(op.rows != module.dim or op.cols != module.dim for op in act.operators):
+            malformed = "operator shape mismatch"
+        elif fields:
+            malformed = f"operators over {', '.join(fields)}, algebra over {f.describe()}"
+        else:
+            malformed = None
+            rows[name] = [by_row(op.entries) for op in act.operators]
         if act.tag not in TAGS:
             problems.append(f"action {name!r}: unknown tag {act.tag!r}")
             continue
-        if len(act.operators) != d:
-            problems.append(f"action {name!r}: expected {d} operators, got {len(act.operators)}")
+        if malformed:
+            problems.append(f"action {name!r}: {malformed}")
             continue
-        if any(op.rows != module.dim or op.cols != module.dim for op in act.operators):
-            problems.append(f"action {name!r}: operator shape mismatch")
-            continue
-        if act.operator_of(alg, alg.unit) != ident:
+        ops = [op.entries for op in act.operators]
+        if combine(f, ((c, ops[l].items()) for l, c in unit)) != ident:
             problems.append(f"action {name!r}: not unital")
         # operator of e_i e_j, read from the structure constants; the left
         # law at (i, j) and the right law at (j, i) share it
-        product_ops = [[act.operator_of(alg, alg.table[i][j]) for j in range(d)]
-                       for i in range(d)]
+        product_ops = [[combine(f, ((c, ops[l].items()) for l, c in alg.sparse[i][j]))
+                        for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(d):
-                comp = mat_mul(act.operators[i], act.operators[j])
+                comp = product_entries(f, ops[i], rows[name][j])
                 if act.tag in (LEFT, LR) and comp != product_ops[i][j]:
                     problems.append(
                         f"action {name!r}: left law fails at basis pair ({i},{j})")
@@ -101,15 +115,15 @@ def validate(module: Multimodule) -> list[str]:
                     problems.append(
                         f"action {name!r}: right law fails at basis pair ({i},{j})")
     # commutation is checked between the actions whose operators have the
-    # right count and shape; the others are reported above
-    names = [n for n, a in sorted(module.actions.items()) if len(a.operators) == d
-             and all(op.rows == op.cols == module.dim for op in a.operators)]
+    # right count, shape and field; the others are reported above
+    names = sorted(rows)
     for x in range(len(names)):
         for y in range(x + 1, len(names)):
-            a, b = module.actions[names[x]], module.actions[names[y]]
+            a, b = module.actions[names[x]].operators, module.actions[names[y]].operators
             for i in range(d):
                 for j in range(d):
-                    if mat_mul(a.operators[i], b.operators[j]) != mat_mul(b.operators[j], a.operators[i]):
+                    if (product_entries(f, a[i].entries, rows[names[y]][j])
+                            != product_entries(f, b[j].entries, rows[names[x]][i])):
                         problems.append(
                             f"actions {names[x]!r} and {names[y]!r} do not commute "
                             f"at basis pair ({i},{j})")
@@ -126,18 +140,23 @@ def _validated(module: Multimodule) -> Multimodule:
 # ---------------------------------------------------------------------------
 # builders
 
+def _mult_operators(alg: Algebra, left: bool) -> tuple[Matrix, ...]:
+    mult = alg.left_mult_matrix if left else alg.right_mult_matrix
+    return tuple(mult(alg.basis_vector(i)) for i in range(alg.dim))
+
+
 def regular_bimodule(alg: Algebra) -> Multimodule:
     """A as a bimodule over itself: actions 'left' (a.m) and 'right' (m.a)."""
-    left = Action(LEFT, tuple(alg.left_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)))
-    right = Action(RIGHT, tuple(alg.right_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)))
-    return _validated(Multimodule("regular", alg, alg.dim, {"left": left, "right": right}))
+    actions = {"left": Action(LEFT, _mult_operators(alg, True)),
+               "right": Action(RIGHT, _mult_operators(alg, False))}
+    return _validated(Multimodule("regular", alg, alg.dim, actions))
 
 
 def symmetric_module(alg: Algebra) -> Multimodule:
     """A over itself with the single lr multiplication action (commutative only)."""
     if not is_commutative(alg):
         raise ModuleError("symmetric_module requires a commutative algebra")
-    act = Action(LR, tuple(alg.left_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)))
+    act = Action(LR, _mult_operators(alg, True))
     return _validated(Multimodule("symmetric", alg, alg.dim, {"mult": act}))
 
 
@@ -148,13 +167,10 @@ def multi_regular(alg: Algebra, l: int, r: int) -> Multimodule:
     left-multiplication copies already fail (ab != ba), and the builder
     rejects the configuration with the violated pair reported.
     """
-    actions = {}
-    for k in range(l):
-        actions[f"left{k + 1}" if l > 1 else "left"] = Action(
-            LEFT, tuple(alg.left_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)))
-    for k in range(r):
-        actions[f"right{k + 1}" if r > 1 else "right"] = Action(
-            RIGHT, tuple(alg.right_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)))
+    left = Action(LEFT, _mult_operators(alg, True))
+    right = Action(RIGHT, _mult_operators(alg, False))
+    actions = {f"left{k + 1}" if l > 1 else "left": left for k in range(l)}
+    actions.update((f"right{k + 1}" if r > 1 else "right", right) for k in range(r))
     return _validated(Multimodule(f"multi-regular {l},{r}", alg, alg.dim, actions))
 
 
@@ -178,12 +194,11 @@ def tensor_square_bimodule(alg: Algebra) -> Multimodule:
                     entries[(other * d + r, other * d + c)] = v
         return Matrix(dim_m, dim_m, f, entries)
 
+    left, right = _mult_operators(alg, True), _mult_operators(alg, False)
     actions = {}
     for factor, label in ((0, "1"), (1, "2")):
-        actions[f"left{label}"] = Action(
-            LEFT, tuple(op(alg.left_mult_matrix(alg.basis_vector(i)), factor) for i in range(d)))
-        actions[f"right{label}"] = Action(
-            RIGHT, tuple(op(alg.right_mult_matrix(alg.basis_vector(i)), factor) for i in range(d)))
+        actions[f"left{label}"] = Action(LEFT, tuple(op(mat, factor) for mat in left))
+        actions[f"right{label}"] = Action(RIGHT, tuple(op(mat, factor) for mat in right))
     return _validated(Multimodule("tensor-square", alg, dim_m, actions))
 
 

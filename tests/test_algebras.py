@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hochord.algebras import (AlgebraError, center, commutator_span_dim, custom_algebra,
+from hochord.algebras import (Algebra, AlgebraError, center, commutator_span_dim, custom_algebra,
                               cyclic_group_algebra, is_commutative, matrix_algebra,
                               multiply, symmetric_group_algebra_s3, trunc_poly, unit_first,
                               upper_tri)
-from hochord.exact import Field, QQ
+from hochord.exact import Field, Matrix, QQ
 
 
 def test_trunc_poly_square_of_generator_vanishes():
@@ -179,3 +179,107 @@ def test_multiply_coerces_its_operands():
     for x, y in (((1, 0), a.unit), (a.unit, (1, 0, 0, 0))):
         with pytest.raises(AlgebraError, match="vector length mismatch: expected 3"):
             multiply(a, x, y)
+
+
+def test_custom_algebra_refuses_a_short_table_or_row():
+    with pytest.raises(AlgebraError, match=r"^structure-constant table is not dim\^3$"):
+        custom_algebra("x", QQ, ["a", "b"], [1, 0], [[[1, 0]]])
+    with pytest.raises(AlgebraError, match=r"^structure-constant table is not dim\^3$"):
+        custom_algebra("x", QQ, ["a", "b"], [1, 0], [[[1, 0], [0, 1]], [[0, 1]]])
+    # a longer table is refused the same way, not truncated
+    one = [[[1]], [[1]]]
+    with pytest.raises(AlgebraError, match=r"^structure-constant table is not dim\^3$"):
+        custom_algebra("x", QQ, ["a"], [1], one)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the dense implementations the sparse structure constants replaced
+
+def _dense_multiply(alg, x, y):
+    f = alg.field
+    out = [f.zero()] * alg.dim
+    for i, xi in enumerate(map(f.of, x)):
+        for j, yj in enumerate(map(f.of, y)):
+            if xi and yj:
+                for l, c in enumerate(alg.table[i][j]):
+                    out[l] = f.add(out[l], f.mul(f.mul(xi, yj), c))
+    return tuple(out)
+
+
+def _oracle_axiom_error(alg):
+    """The first failing axiom as ``Algebra._check_axioms`` words it, or None;
+    reads only ``alg.table``, ``alg.unit`` and the names."""
+    d = alg.dim
+    for i in range(d):
+        ei = alg.basis_vector(i)
+        if _dense_multiply(alg, alg.unit, ei) != ei or _dense_multiply(alg, ei, alg.unit) != ei:
+            return f"unit axiom fails on basis element {alg.basis_names[i]}"
+    for i in range(d):
+        for j in range(d):
+            for l in range(d):
+                left = _dense_multiply(alg, alg.table[i][j], alg.basis_vector(l))
+                right = _dense_multiply(alg, alg.basis_vector(i), alg.table[j][l])
+                if left != right:
+                    n = alg.basis_names
+                    return f"associativity fails on triple ({n[i]}, {n[j]}, {n[l]})"
+    return None
+
+
+def _oracle_mult_matrix(alg, vec, left):
+    f = alg.field
+    entries = {}
+    for j in range(alg.dim):
+        ej = alg.basis_vector(j)
+        col = _dense_multiply(alg, vec, ej) if left else _dense_multiply(alg, ej, vec)
+        entries.update(((r, j), v) for r, v in enumerate(col) if v != f.zero())
+    return Matrix(alg.dim, alg.dim, f, entries)
+
+
+class _Unchecked:
+    """An algebra's data with no checks, for the oracle to read."""
+
+    def __init__(self, field, names, unit, table):
+        self.field, self.basis_names, self.unit, self.table = field, names, unit, table
+        self.dim = len(names)
+
+    def basis_vector(self, i):
+        return tuple(self.field.one() if j == i else self.field.zero() for j in range(self.dim))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_sparse_structure_constants_agree_with_the_dense_oracles(field, oracle_algebras):
+    rng = random.Random(11)
+    for alg in oracle_algebras(field):
+        assert alg.sparse == tuple(tuple(tuple((l, c) for l, c in enumerate(cell) if c)
+                                         for cell in row) for row in alg.table)
+        assert _oracle_axiom_error(alg) is None
+        vectors = [alg.basis_vector(i) for i in range(alg.dim)] + [
+            tuple(field.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                  for _ in range(alg.dim)) for _ in range(3)]
+        for x in vectors:
+            assert alg.left_mult_matrix(x) == _oracle_mult_matrix(alg, x, True)
+            assert alg.right_mult_matrix(x) == _oracle_mult_matrix(alg, x, False)
+            for y in vectors:
+                assert multiply(alg, x, y) == _dense_multiply(alg, x, y)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_perturbed_structure_constants_fail_with_the_oracle_message(field):
+    base = upper_tri(2, field)
+    d, refused = base.dim, 0
+    for i in range(d):
+        for j in range(d):
+            for l in range(d):
+                table = [[list(cell) for cell in row] for row in base.table]
+                table[i][j][l] = field.add(table[i][j][l], field.one())
+                table = tuple(tuple(tuple(cell) for cell in row) for row in table)
+                expected = _oracle_axiom_error(
+                    _Unchecked(field, base.basis_names, base.unit, table))
+                try:
+                    Algebra("mutant", field, base.basis_names, base.unit, table)
+                    got = None
+                except AlgebraError as err:
+                    got = str(err)
+                assert got == expected, (i, j, l)
+                refused += got is not None
+    assert refused == d ** 3  # every single perturbation breaks an axiom

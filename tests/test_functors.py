@@ -1,10 +1,12 @@
+import contextlib
+import io
 from fractions import Fraction
 from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
 
-from hochord import functors
+from hochord import algebras
 from hochord.algebras import custom_algebra, multiply, trunc_poly, unit_first, upper_tri
 from hochord.exact import Field, Matrix, mat_mul
 from hochord.functors import (FunctorError, compose, hom_functor_on_morphism,
@@ -414,6 +416,88 @@ def test_products_are_tabulated_once_per_fiber_length(monkeypatch):
         calls[0] += 1
         return multiply(*args)
 
-    monkeypatch.setattr(functors, "multiply", counted)
+    monkeypatch.setattr(algebras, "multiply", counted)
     loday_on_morphism(alg, spec.module, phi, actions)
-    assert calls[0] <= sum(length * alg.dim ** length for length in set(lengths))
+    assert 0 < calls[0] <= sum(length * alg.dim ** length for length in set(lengths))
+    # the products live on the algebra: another face map with no longer
+    # fiber, in either functor, reads them and multiplies nothing
+    calls[0] = 0
+    psi, psi_actions = face_pointed_map(X, 4, 2, spec.assignment, classes, amap)
+    assert max(len(psi.fiber(i)) for i in range(1, psi.n + 1)) <= 2
+    loday_on_morphism(alg, spec.module, psi, psi_actions)
+    hom_functor_on_morphism(alg, spec.module, phi, actions)
+    assert calls[0] == 0
+    # the unit-first copy is another algebra and tabulates its own products
+    stored = alg._products
+    alg1, basis = unit_first(alg)
+    loday_on_morphism(alg1, rebased(spec.module, alg1, basis), phi, actions)
+    assert calls[0] > 0 and alg._products is stored
+    assert len(alg1._products) == len(stored) == 3
+
+
+def test_stored_products_are_tuples_and_leave_equality_alone():
+    alg, twin = upper_tri(2), upper_tri(2)
+    products = alg.fiber_products({2})
+    assert type(alg._products) is tuple
+    for vectors, pairs in alg._products:
+        assert type(vectors) is tuple and all(type(v) is tuple for v in vectors)
+        assert type(pairs) is tuple and all(type(p) is tuple for p in pairs)
+    assert products[2] is alg._products[2][1]
+    # a longer length extends the table; the shorter ones are kept as they were
+    first = alg._products
+    alg.fiber_products({3})
+    assert alg._products[:3] == first and len(alg._products) == 4
+    assert not twin._products
+    assert alg == twin and hash(alg) == hash(twin)
+    spec = make_spec(BUILTIN_SETS["circle"](), twin, regular_bimodule(alg), CHAIN, 2)
+    assert spec.algebra is twin
+
+
+def _oracle_fiber_products(alg, lengths):
+    """The ordered fiber products tabulated afresh, as before they were kept
+    on the algebra."""
+    f = alg.field
+    basis = [alg.basis_vector(c) for c in range(alg.dim)]
+    vecs = [alg.unit]
+    table = {}
+    for length in range(max(lengths, default=0) + 1):
+        if length == 1:
+            vecs = basis
+        elif length:
+            vecs = [multiply(alg, e, v) if any(v) else v for v in vecs for e in basis]
+        if length in lengths:
+            table[length] = [[(k, v) for k, v in enumerate(vec) if v != f.zero()]
+                             for vec in vecs]
+    return table
+
+
+@pytest.mark.parametrize("field", [Field(), Field(101)], ids=["Q", "F101"])
+def test_stored_fiber_products_agree_with_the_oracle(field, oracle_algebras):
+    for alg in oracle_algebras(field):
+        top = 3 if alg.dim <= 4 else 2
+        for lengths in ({2}, {0, top}, {1}, set(range(top + 1))):
+            got = alg.fiber_products(lengths)
+            want = _oracle_fiber_products(alg, lengths)
+            assert {k: [list(p) for p in v] for k, v in got.items()} == want, alg.name
+
+
+def test_normalized_cli_jobs_multiply_little(monkeypatch):
+    """The four jobs of the benchmark's ``normalized`` workload multiply in
+    the algebra only to tabulate fiber products, once per algebra (502
+    calls when every check and face map multiplied afresh)."""
+    from hochord import cli
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return multiply(*args)
+
+    monkeypatch.setattr(algebras, "multiply", counted)
+    for cmd, X, alg in (("homology", "sphere2", "trunc-poly 2"),
+                        ("cohomology", "wedge2", "trunc-poly 2"),
+                        ("homology", "circle", "upper-tri 2"),
+                        ("cohomology", "circle", "upper-tri 2")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([cmd, X, "--algebra", alg, "--max-degree", "4",
+                             "--normalized", "--json"]) == 0
+    assert 0 < calls[0] <= 60

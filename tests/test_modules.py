@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from hochord.algebras import multiply, trunc_poly, unit_first, upper_tri
-from hochord.exact import Matrix, QQ
-from hochord.modules import (LR, Action, ModuleError, Multimodule, default_assignment,
+from hochord.algebras import is_commutative, multiply, trunc_poly, unit_first, upper_tri
+from hochord.exact import Field, Matrix, QQ, mat_mul
+from hochord.modules import (LR, Action, ModuleError, Multimodule, custom_module,
+                             default_assignment,
                              dual_module, multi_regular, rebased, regular_bimodule,
                              symmetric_module, tensor_square_bimodule, validate,
                              validate_assignment)
@@ -165,3 +166,122 @@ def test_rebased_module_acts_through_the_new_basis():
     for name, act in m.actions.items():
         assert act.operators[0] == Matrix.identity(3, QQ)  # the unit acts trivially
         assert act.operators[1:] == plain.actions[name].operators[1:]
+
+
+def test_operators_over_another_field_are_a_validation_problem():
+    a = upper_tri(2)
+    f7 = Field(7)
+    ops = tuple(Matrix(op.rows, op.cols, f7, op.entries)
+                for op in regular_bimodule(a).actions["left"].operators)
+    problems = validate(Multimodule("foreign", a, a.dim, {"left": Action("left", ops)}))
+    assert problems == ["action 'left': operators over F(7), algebra over Q"]
+    with pytest.raises(ModuleError, match=r"operators over F\(7\), algebra over Q"):
+        custom_module("foreign", a, a.dim, {"left": Action("left", ops)})
+
+
+def test_operator_of_a_basis_element_is_the_stored_operator():
+    a = upper_tri(2)
+    act = regular_bimodule(a).actions["left"]
+    for i in range(a.dim):
+        assert act.operator_of(a, a.basis_vector(i)) is act.operators[i]
+    twice = act.operator_of(a, (2, 0, 0))
+    assert twice == act.operators[0].scale(2) and twice is not act.operators[0]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Matrix-product validation that the entry tables replaced
+
+def _oracle_validate(module):
+    alg = module.algebra
+    f = alg.field
+    d = alg.dim
+    problems = []
+    ident = Matrix.identity(module.dim, f)
+
+    def operator_of(act, vec):
+        acc = Matrix.zero(module.dim, module.dim, f)
+        for i, c in enumerate(vec):
+            if f.of(c) != f.zero():
+                acc = acc + act.operators[i].scale(c)
+        return acc
+
+    for name, act in sorted(module.actions.items()):
+        if act.tag not in ("left", "right", "lr"):
+            problems.append(f"action {name!r}: unknown tag {act.tag!r}")
+            continue
+        if len(act.operators) != d:
+            problems.append(f"action {name!r}: expected {d} operators, got {len(act.operators)}")
+            continue
+        if any(op.rows != module.dim or op.cols != module.dim for op in act.operators):
+            problems.append(f"action {name!r}: operator shape mismatch")
+            continue
+        if operator_of(act, alg.unit) != ident:
+            problems.append(f"action {name!r}: not unital")
+        for i in range(d):
+            for j in range(d):
+                comp = mat_mul(act.operators[i], act.operators[j])
+                if act.tag in ("left", "lr") and comp != operator_of(act, alg.table[i][j]):
+                    problems.append(f"action {name!r}: left law fails at basis pair ({i},{j})")
+                if act.tag in ("right", "lr") and comp != operator_of(act, alg.table[j][i]):
+                    problems.append(f"action {name!r}: right law fails at basis pair ({i},{j})")
+    names = [n for n, a in sorted(module.actions.items()) if len(a.operators) == d
+             and all(op.rows == op.cols == module.dim for op in a.operators)]
+    for x, y in combinations(names, 2):
+        a, b = module.actions[x], module.actions[y]
+        for i in range(d):
+            for j in range(d):
+                if mat_mul(a.operators[i], b.operators[j]) != mat_mul(b.operators[j], a.operators[i]):
+                    problems.append(f"actions {x!r} and {y!r} do not commute "
+                                    f"at basis pair ({i},{j})")
+    return problems
+
+
+def _unvalidated_modules(a):
+    """The library's modules over ``a``; symmetric and multi(1,2) are formed
+    without the builders' check, so on a noncommutative algebra they carry
+    the problems both validations must report alike."""
+    left = tuple(a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim))
+    right = tuple(a.right_mult_matrix(a.basis_vector(i)) for i in range(a.dim))
+    regular = regular_bimodule(a)
+    out = [regular, tensor_square_bimodule(a), dual_module(regular),
+           Multimodule("symmetric", a, a.dim, {"mult": Action(LR, left)}),
+           Multimodule("multi-regular 1,2", a, a.dim, {"left": Action("left", left),
+                                                       "right1": Action("right", right),
+                                                       "right2": Action("right", right)})]
+    b, basis = unit_first(a)
+    if b is not a:
+        out.append(rebased(regular, b, basis))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_validate_agrees_with_the_matrix_oracle(field, oracle_algebras):
+    for a in oracle_algebras(field):
+        for m in _unvalidated_modules(a):
+            problems = validate(m)
+            assert problems == _oracle_validate(m), (a.name, m.name)
+            assert not problems or m.name in ("symmetric", "multi-regular 1,2")
+            assert not problems or not is_commutative(a)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_perturbed_operator_entries_fail_like_the_oracle(field):
+    a = upper_tri(2, field)
+    m = regular_bimodule(a)
+    n = m.dim
+    caught = 0
+    for name, act in sorted(m.actions.items()):
+        for k, op in enumerate(act.operators):
+            for r in range(n):
+                for c in range(n):
+                    entries = dict(op.entries)
+                    entries[(r, c)] = field.add(op.get(r, c), field.one())
+                    ops = act.operators[:k] + (Matrix(n, n, field, entries),) + act.operators[k + 1:]
+                    mutant = Multimodule("mutant", a, n, {**m.actions, name: Action(act.tag, ops)})
+                    problems = validate(mutant)
+                    assert problems == _oracle_validate(mutant), (name, k, r, c)
+                    caught += bool(problems)
+    # doubling the one entry of op(e12) in either action twists the module by
+    # the automorphism e12 -> 2 e12 of the algebra, which is valid; every
+    # other single perturbation breaks an axiom
+    assert caught == 2 * a.dim * n * n - 2
