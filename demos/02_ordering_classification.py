@@ -1,10 +1,12 @@
 """Which simplicial sets support noncommutative coefficients?
 
 A noncommutative algebra needs every face map to say in which order its
-fibers multiply, and the orders of equal compositions have to agree.  The
-classification: such a system of orders exists exactly for one-dimensional
-sets.  Both sides are mechanized here -- the fast classifier and the
-exhaustive backtracking search -- and they must agree.
+fibers multiply, and the orders of equal compositions have to agree.  A set
+of dimension 2 or more never has such a system of orders (a four-simplex
+witness shows it); a one-dimensional set is decided by construction or by
+search, which may also fail or be inconclusive.  Both sides are mechanized
+here -- the fast classifier and the exhaustive backtracking search -- and
+they must agree.
 """
 
 from hochord import (circle, classify_nncmo, interval, point, search_nncmo,

@@ -3,8 +3,9 @@
 The library computes the (co)chain complexes a finite pointed simplicial set
 assigns to a finite-dimensional algebra and multimodule, in exact arithmetic,
 and decides with certificates whether a simplicial set supports
-noncommutative coefficients at all (it does exactly when it is one
-dimensional).
+noncommutative coefficients at all: a set of dimension >= 2 never does (a
+four-simplex witness shows it), and a one-dimensional set is decided by
+construction or by search, which may also fail or be inconclusive.
 """
 
 import os
@@ -27,7 +28,7 @@ from .modules import (Action, Multimodule, default_assignment, dual_module,  # n
 from .simplicial import (NondegSimplex, SimplexRef, SimplicialSet, circle,  # noqa: E402
                          from_file, interval, point, sphere2, to_file,
                          wedge_of_circles)
-from .ordering import (ActionClass, ActionClassReport, FiberOrdering,  # noqa: E402
+from .ordering import (ActionClass, ActionClassReport,  # noqa: E402
                        InconclusiveSearch, NncmoResult, OrderingAssignment, Witness,
                        assignment_from_level_orders, check_nncmo, check_nncmo_full,
                        classify_actions, classify_nncmo, composition_induced_order,

@@ -155,13 +155,19 @@ def is_commutative(alg: Algebra) -> bool:
     return True
 
 
+def _commutator(alg: Algebra, i: int, j: int) -> dict[int, Scalar]:
+    """The nonzero coordinates of e_i e_j - e_j e_i."""
+    return combine(alg.field, ((1, alg.sparse[i][j]), (-1, alg.sparse[j][i])))
+
+
 def center(alg: Algebra) -> list[tuple[Scalar, ...]]:
     """Basis of {z : z a = a z for all a}, via the nullspace of the
     stacked commutator system over the algebra basis: row ``a * d + r``,
     column j holds the coefficient of e_r in e_j e_a - e_a e_j."""
-    f, d, t = alg.field, alg.dim, alg.table
-    system = Matrix(d * d, d, f, {(a * d + r, j): f.sub(t[j][a][r], t[a][j][r])
-                                  for a in range(d) for j in range(d) for r in range(d)})
+    d = alg.dim
+    system = Matrix._trusted(d * d, d, alg.field, {
+        (a * d + r, j): v for a in range(d) for j in range(d)
+        for r, v in _commutator(alg, j, a).items()})
     return [tuple(v) for v in nullspace(system)]
 
 
@@ -200,15 +206,10 @@ def unit_first(alg: Algebra) -> tuple[Algebra, tuple[tuple[Scalar, ...], ...]]:
 
 def commutator_span_dim(alg: Algebra) -> int:
     """Dimension of span{ab - ba}; computed by brute force over basis pairs."""
-    f = alg.field
-    vecs = []
     d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            vecs.append([f.sub(a, b) for a, b in zip(alg.table[i][j], alg.table[j][i])])
-    m = Matrix(len(vecs), d, f,
-               {(r, c): v for r, row in enumerate(vecs) for c, v in enumerate(row)})
-    return rank(m)
+    return rank(Matrix._trusted(d * d, d, alg.field, {
+        (i * d + j, l): v for i in range(d) for j in range(d)
+        for l, v in _commutator(alg, i, j).items()}))
 
 
 # ---------------------------------------------------------------------------

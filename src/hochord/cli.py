@@ -57,6 +57,13 @@ def load_simplicial_set(ref: str) -> SimplicialSet:
         f"{sorted(BUILTIN_SETS)}")
 
 
+def _parse_field(text: str, where: str) -> Field:
+    try:
+        return Field.parse(text)
+    except ValueError as e:
+        raise CliInputError(f"{where}: {e}") from None
+
+
 def _parse_rational(tok: str, where: str) -> Fraction:
     try:
         return Fraction(tok)
@@ -106,14 +113,14 @@ def parse_algebra(text: str, field: Field) -> Algebra:
     toks = [t for t in toks if not t.startswith("field=")] \
         + [t for t in toks if t.startswith("field=")]
     while toks and toks[-1].startswith("field="):
-        field = Field.parse(toks[-1][len("field="):])
+        field = _parse_field(toks[-1][len("field="):], f"algebra {text.strip()!r}")
         toks = toks[:-1]
     if not toks:
         raise CliInputError("empty algebra specification")
     kind, args = toks[0], toks[1:]
 
     def one_nat(name):
-        if len(args) != 1 or not args[0].isdigit():
+        if len(args) != 1 or not args[0].isdecimal():
             raise CliInputError(f"algebra {name} expects one natural argument")
         return int(args[0])
 
@@ -129,7 +136,7 @@ def parse_algebra(text: str, field: Field) -> Algebra:
                 return symmetric_group_algebra_s3(field)
             if kind == "group" and args and args[0] in ("cyclic", "C"):
                 args = args[1:]
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise CliInputError("group-cyclic expects one natural argument")
             return cyclic_group_algebra(int(args[0]), field)
         if kind in ("group-s3", "s3"):
@@ -165,7 +172,7 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
                 raise CliInputError(f"{path}:{no0}: unterminated unit=[...]")
             unit_src = t[len("unit=["):-1]
         elif t.startswith("field="):
-            field = Field.parse(t[len("field="):])
+            field = _parse_field(t[len("field="):], f"{path}:{no0}")
         else:
             raise CliInputError(f"{path}:{no0}: unexpected token {t!r} "
                                 "(expected basis=[...], unit=[...], field=...)")
@@ -229,7 +236,10 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
     dim = None
     for t in toks[2:]:
         if t.startswith("dim="):
-            dim = int(t[len("dim="):])
+            try:
+                dim = int(t[len("dim="):])
+            except ValueError:
+                raise CliInputError(f"{path}:{no0}: expected an integer in {t!r}") from None
         else:
             raise CliInputError(f"{path}:{no0}: unexpected token {t!r} (expected dim=<d>)")
     if dim is None:
@@ -303,7 +313,7 @@ def resolve_module(ref: str, alg: Algebra) -> Multimodule:
         if kind in ("tensor-square", "tensor_square"):
             return tensor_square_bimodule(alg)
         if kind == "multi":
-            if len(toks) != 3 or not toks[1].isdigit() or not toks[2].isdigit():
+            if len(toks) != 3 or not toks[1].isdecimal() or not toks[2].isdecimal():
                 raise CliInputError("module multi expects two naturals: multi <l> <r>")
             return multi_regular(alg, int(toks[1]), int(toks[2]))
     except ModuleError as e:
@@ -453,7 +463,7 @@ def cmd_complex(args, out, variant: str) -> int:
     if args.max_degree < 1:
         raise CliInputError("--max-degree must be at least 1")
     X = load_simplicial_set(args.set)
-    field = Field.parse(args.field)
+    field = _parse_field(args.field, "--field")
     alg = resolve_algebra(args.algebra, field)
     module = resolve_module(args.module, alg)
     try:

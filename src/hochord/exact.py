@@ -7,8 +7,10 @@ an arbitrary-precision ``Fraction`` only otherwise, or in a prime field F_p
 
 Matrices are sparse triplet maps ``(row, col) -> scalar`` holding only nonzero
 entries, so structural equality of matrices is equality of field elements.
-The coefficient layer (algebra products, module operators and their checks)
-forms its entry maps with one sparse linear combination, ``combine``.
+Every sparse sum outside elimination is one sparse linear combination,
+``combine``: matrix sums, scalings, products (``product_entries``) and
+matrix-vector products, the signed face-map sum of a differential, algebra
+products and module operators and their checks.
 
 Rank, kernel and solving share one sparse elimination kernel, ``_echelon``.
 Rows are ``{col: int}`` dicts: residues over F_p, and over Q integer
@@ -130,9 +132,9 @@ class Field:
         t = text.strip()
         if t in ("Q", "q", "QQ"):
             return Field()
-        if t.upper().startswith("F(") and t.endswith(")"):
+        if t.upper().startswith("F(") and t.endswith(")") and t[2:-1].strip().isdecimal():
             return Field(int(t[2:-1]))
-        if t.upper().startswith("F") and t[1:].isdigit():
+        if t.upper().startswith("F") and t[1:].isdecimal():
             return Field(int(t[1:]))
         raise ValueError(f"unrecognized field {text!r} (expected Q or F(p))")
 
@@ -216,26 +218,21 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
         self._compat(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        e = dict(self.entries)
-        f = self.field
-        for k, v in other.entries.items():
-            s = f.add(e.get(k, f.zero()), v)
-            if s == f.zero():
-                e.pop(k, None)
-            else:
-                e[k] = s
-        return Matrix._trusted(self.rows, self.cols, f, e)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.neg(self.field.one()))
+        return Matrix._trusted(self.rows, self.cols, self.field, combine(
+            self.field, ((1, self.entries.items()), (sign, other.entries.items()))))
 
     def scale(self, s) -> "Matrix":
-        s = self.field.of(s)
-        return Matrix(self.rows, self.cols, self.field,
-                      {k: self.field.mul(v, s) for k, v in self.entries.items()})
+        return Matrix._trusted(self.rows, self.cols, self.field, combine(
+            self.field, ((self.field.of(s), self.entries.items()),)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -244,11 +241,9 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         f = self.field
-        out = [f.zero()] * self.rows
-        for (r, c), v in self.entries.items():
-            if vec[c] != f.zero():
-                out[r] = f.add(out[r], f.mul(v, f.of(vec[c])))
-        return out
+        out = combine(f, ((f.of(vec[c]), ((r, v),)) for (r, c), v in self.entries.items()
+                          if vec[c] != f.zero()))
+        return [out.get(r, f.zero()) for r in range(self.rows)]
 
     def _compat(self, other: "Matrix"):
         if self.field != other.field:
@@ -264,18 +259,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     a._compat(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    f = a.field
-    b_rows = by_row(b.entries)
-    out: dict[tuple[int, int], Scalar] = {}
-    for (r, k), va in a.entries.items():
-        for c, vb in b_rows.get(k, ()):
-            key = (r, c)
-            s = f.add(out.get(key, f.zero()), f.mul(va, vb))
-            if s == f.zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Matrix._trusted(a.rows, b.cols, f, out)
+    return Matrix._trusted(a.rows, b.cols, a.field,
+                           product_entries(a.field, a.entries, by_row(b.entries)))
 
 
 def combine(f: Field, terms) -> dict:

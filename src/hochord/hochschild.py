@@ -40,7 +40,7 @@ from .algebras import Algebra, is_commutative, unit_first
 # ``nullspace`` and ``solve`` have no caller here; they stay bound because
 # hochbench/tracer.py wraps ``hochschild.nullspace``/``hochschild.solve`` (with
 # ``rank`` and the two functor entry points) by name to time these layers.
-from .exact import Field, Matrix, nullspace, rank, solve  # noqa: F401
+from .exact import Field, Matrix, combine, nullspace, rank, solve  # noqa: F401
 from .functors import (PointedMap, hom_functor_on_morphism, loday_on_morphism,
                        nondegenerate_tensors)
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
@@ -97,21 +97,18 @@ class Complex:
         self.differentials = dict(differentials)
         self.max_degree = len(self.dims) - 1
         self._betti: tuple[int, ...] | None = None
-        self._caveats: tuple[int, ...] | None = None
 
     @property
     def betti(self) -> tuple[int, ...]:
         if self._betti is None:
-            b, c = _betti_table(self.variant, self.dims, self.differentials,
-                                self.field, self.max_degree)
-            self._betti = tuple(b)
-            self._caveats = tuple(c)
+            self._betti = _betti_table(self.variant, self.dims, self.differentials)
         return self._betti
 
     @property
     def caveat_degrees(self) -> tuple[int, ...]:
-        self.betti
-        return self._caveats
+        """Degrees whose Betti number lacks the next differential: the top
+        one, on either variant."""
+        return (self.max_degree,)
 
     def differential(self, n: int) -> Matrix:
         try:
@@ -232,26 +229,24 @@ class _Assembler:
 
     def differential(self, n: int) -> Matrix:
         """Chain: delta_n = sum (-1)^i d_i from level n; cochain: delta^n from
-        the faces of level n+1.  The signed entries of every face matrix are
+        the faces of level n+1.  The signed entries of each face matrix are
         moved to their kept row and column (dropped if either is degenerate)
-        and accumulated into one entry dict in a single pass."""
+        and summed by one ``combine``, which builds each face matrix only
+        after the previous one's entries are consumed."""
         f = self.spec.algebra.field
         chain = self.spec.variant == CHAIN
         level = n if chain else n + 1
         row_deg, col_deg = (n - 1, n) if chain else (n + 1, n)
-        entries: dict = {}
-        for i in range(level + 1):
-            combine = f.sub if i % 2 else f.add
-            items = self.face_matrix(level, i).entries.items()
-            if self.kept:
-                items = _moved(items, self.kept[row_deg][1], self.kept[col_deg][1])
-            for k, v in items:
-                s = combine(entries.get(k, 0), v)
-                if s:
-                    entries[k] = s
-                else:
-                    del entries[k]
-        return Matrix._trusted(self.degree_dim(row_deg), self.degree_dim(col_deg), f, entries)
+
+        def signed_faces():
+            for i in range(level + 1):
+                items = self.face_matrix(level, i).entries.items()
+                if self.kept:
+                    items = _moved(items, self.kept[row_deg][1], self.kept[col_deg][1])
+                yield (-1) ** i, items
+
+        return Matrix._trusted(self.degree_dim(row_deg), self.degree_dim(col_deg), f,
+                               combine(f, signed_faces()))
 
 
 def _moved(items, rows, cols):
@@ -486,25 +481,14 @@ def _orders_agree(below, rank_low, rank, degen) -> bool:
     return all(seen == sorted(seen) for seen in fibers.values())
 
 
-def _betti_table(variant, dims, diffs, field, D):
-    """Homology dimensions per degree; the top degree needs the next
-    differential and is flagged as a caveat instead."""
+def _betti_table(variant, dims, diffs) -> tuple[int, ...]:
+    """Homology dimensions per degree: ``dims[n] - rank_n - rank_{n+1}`` for
+    a chain complex, ``dims[n] - rank_n - rank_{n-1}`` for a cochain complex
+    (rank 0 where no differential was built)."""
     ranks = {n: rank(m) for n, m in diffs.items()}
-    betti = []
-    caveats = []
-    for n in range(D + 1):
-        if variant == CHAIN:
-            out_rank = ranks.get(n, 0)          # delta_n : C_n -> C_{n-1}
-            in_rank = ranks.get(n + 1, 0)       # delta_{n+1} missing at the top
-            if n == D:
-                caveats.append(n)
-        else:
-            out_rank = ranks.get(n, 0)          # delta^n : C^n -> C^{n+1}
-            in_rank = ranks.get(n - 1, 0)
-            if n == D:
-                caveats.append(n)
-        betti.append(dims[n] - out_rank - in_rank)
-    return betti, sorted(set(caveats))
+    step = 1 if variant == CHAIN else -1
+    return tuple(dims[n] - ranks.get(n, 0) - ranks.get(n + step, 0)
+                 for n in range(len(dims)))
 
 
 def betti(complex_: Complex, n: int) -> int:

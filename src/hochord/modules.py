@@ -77,7 +77,7 @@ def validate(module: Multimodule) -> list[str]:
     alg = module.algebra
     f = alg.field
     d = alg.dim
-    problems = []
+    problems = [f"module dimension {module.dim} is negative"] if module.dim < 0 else []
     ident = {(r, r): f.one() for r in range(module.dim)}
     unit = [(l, u) for l, u in enumerate(map(f.of, alg.unit)) if u]
     rows = {}  # well-formed action -> each operator's entries by row

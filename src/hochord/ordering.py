@@ -65,14 +65,6 @@ def fibers_of_face(X: SimplicialSet, level: int, i: int) -> dict[SimplexRef, tup
     return {below[t]: tuple(refs[k] for k in members) for t, members in fibers.items()}
 
 
-@dataclass(frozen=True)
-class FiberOrdering:
-    level: int
-    face_index: int
-    target: SimplexRef
-    order: tuple[SimplexRef, ...]  # ascending
-
-
 class OrderingAssignment:
     """Per (level <= cutoff, face index): a total order for every fiber of
     d_i over a non-basepoint target, and for nothing else.
@@ -123,20 +115,13 @@ class OrderingAssignment:
     def ranks(self, level: int, i: int) -> tuple[int, ...]:
         return self._ranks[(level, i)]
 
-    def fiber_orderings(self) -> list[FiberOrdering]:
-        return [FiberOrdering(level, i, target, order)
-                for (level, i, target), order in sorted(
-                    self.orders.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))]
-
     def describe(self) -> list[str]:
         lines = []
-        for fo in self.fiber_orderings():
-            if len(fo.order) < 2:
+        for (level, i, target), order in sorted(self.orders.items()):
+            if len(order) < 2:
                 continue
-            chain = " < ".join(self.X.monotone_name(r) for r in fo.order)
-            lines.append(f"level {fo.level}, d_{fo.face_index} over "
-                         f"{self.X.monotone_name(fo.target)}: {chain}")
+            chain = " < ".join(self.X.monotone_name(r) for r in order)
+            lines.append(f"level {level}, d_{i} over {self.X.monotone_name(target)}: {chain}")
         return lines
 
 
@@ -674,9 +659,10 @@ def cyclic_ordering(X: SimplicialSet, cutoff: int) -> dict[int, tuple[SimplexRef
 
 
 def classify_nncmo(X: SimplicialSet, cutoff: int = 4) -> NncmoResult:
-    """Theorem-backed classification: one-dimensional sets admit a
-    multiplicative ordering (certificate constructed, cyclic when possible),
-    higher-dimensional sets fail with the generic four-simplex witness."""
+    """Sets of dimension >= 2 fail with the generic four-simplex witness.  A
+    one-dimensional set admits when its cyclic certificate exists and passes
+    ``check_nncmo``; otherwise ``search_nncmo`` decides, and it may find a
+    certificate, fail with a witness or raise ``InconclusiveSearch``."""
     problems = X.validate()
     if problems:
         raise OrderingError("invalid simplicial set: " + "; ".join(problems))

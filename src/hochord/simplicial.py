@@ -319,7 +319,7 @@ def _parse_face(token: str, names: dict[str, int], dims: dict[int, int],
                 line_no: int) -> SimplexRef:
     parts = token.split()
     words = []
-    while parts and parts[0].startswith("s") and parts[0][1:].isdigit():
+    while parts and parts[0].startswith("s") and parts[0][1:].isdecimal():
         words.append(int(parts[0][1:]))
         parts = parts[1:]
     if len(parts) != 1:
@@ -372,7 +372,7 @@ def from_file(text: str, name: str = "from-file") -> SimplicialSet:
                 tail = tail.strip()
                 if tail.startswith("dim="):
                     value = tail[4:].split(None, 1)
-                    if not value or not value[0].isdigit():
+                    if not value or not value[0].isdecimal():
                         raise SimplicialError(f"line {line_no}: expected dim=<natural>")
                     dim = int(value[0])
                     tail = value[1] if len(value) > 1 else ""

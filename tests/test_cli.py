@@ -181,6 +181,53 @@ def test_field_option():
     assert code == 0 and "F(5)" in out
 
 
+@pytest.mark.parametrize("field, message", [
+    ("Z", "unrecognized field 'Z' (expected Q or F(p))"), ("F(4)", "4 is not prime"),
+    ("F(x)", "unrecognized field 'F(x)' (expected Q or F(p))"),
+    ("F(1)", "characteristic out of range: 1")])
+def test_malformed_field_option_is_one_error_line(field, message):
+    code, out, err = run_cli(["homology", "circle", "--algebra", "trunc-poly 2",
+                              "--field", field])
+    assert (code, out, err) == (1, "", f"error: --field: {message}\n")
+
+
+CUSTOM_Z = ("algebra custom basis=[one,x] unit=[1,0] field=Z\ntable:\n"
+            "one*one = one; one*x = x; x*one = x; x*x = 0\n")
+
+
+@pytest.mark.parametrize("algebra, module, message", [
+    ("trunc-poly 2 field=Z", None, "algebra 'trunc-poly 2 field=Z': unrecognized field 'Z'"),
+    ("file:trunc-poly 2 field=F(x)", None, "algebra 'trunc-poly 2 field=F(x)': unrecognized"),
+    ("file:" + CUSTOM_Z, None, "bad.alg:1: unrecognized field 'Z'"),
+    ("trunc-poly 2", "module custom dim=x\n", "bad.mod:1: expected an integer in 'dim=x'"),
+    ("trunc-poly 2", "module custom dim=-1\n", "bad.mod: module dimension -1 is negative"),
+    ("trunc-poly \u00b2", None, "algebra trunc-poly expects one natural argument"),
+    ("trunc-poly 2", "module multi \u00b2 1\n", "module multi expects two naturals"),
+])
+def test_malformed_numbers_in_inputs_are_one_error_line(tmp_path, algebra, module, message):
+    """Each input names its file and line, or the inline spec, in one line."""
+    if algebra.startswith("file:"):
+        (tmp_path / "bad.alg").write_text(algebra[len("file:"):])
+        algebra = str(tmp_path / "bad.alg")
+    args = ["homology", "point", "--algebra", algebra]
+    if module is not None:
+        (tmp_path / "bad.mod").write_text(module)
+        args += ["--module", str(tmp_path / "bad.mod")]
+    code, out, err = run_cli(args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+@pytest.mark.parametrize("line", ["simplex e dim=\u00b2 faces=[v, v]",
+                                  "simplex e dim=1 faces=[s\u00b2 v, v]"])
+def test_non_decimal_digits_in_a_set_file_are_one_error_line(tmp_path, line):
+    p = tmp_path / "bad.sset"
+    p.write_text(f"basepoint v\nsimplex v dim=0\n{line}\n")
+    code, out, err = run_cli(["validate", str(p)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {p}: line 3: ") and err.count("\n") == 1, err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "hochord.cli", "validate", "circle"],
                           capture_output=True, text=True)

@@ -370,3 +370,115 @@ def test_large_sparse_rank_is_fast():
     assert rank(m) == rank(m.transpose())
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# matrix arithmetic against the entry-by-entry loops it replaced
+
+def _loop_add(a, b):
+    e = dict(a.entries)
+    f = a.field
+    for k, v in b.entries.items():
+        s = f.add(e.get(k, f.zero()), v)
+        if s == f.zero():
+            e.pop(k, None)
+        else:
+            e[k] = s
+    return Matrix._trusted(a.rows, a.cols, f, e)
+
+
+def _loop_scale(a, s):
+    s = a.field.of(s)
+    return Matrix(a.rows, a.cols, a.field, {k: a.field.mul(v, s) for k, v in a.entries.items()})
+
+
+def _loop_sub(a, b):
+    return _loop_add(a, _loop_scale(b, a.field.neg(a.field.one())))
+
+
+def _loop_mat_mul(a, b):
+    f = a.field
+    b_rows = {}
+    for (r, c), v in b.entries.items():
+        b_rows.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, k), va in a.entries.items():
+        for c, vb in b_rows.get(k, ()):
+            key = (r, c)
+            s = f.add(out.get(key, f.zero()), f.mul(va, vb))
+            if s == f.zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return Matrix._trusted(a.rows, b.cols, f, out)
+
+
+def _loop_matvec(a, vec):
+    f = a.field
+    out = [f.zero()] * a.rows
+    for (r, c), v in a.entries.items():
+        if vec[c] != f.zero():
+            out[r] = f.add(out[r], f.mul(v, f.of(vec[c])))
+    return out
+
+
+def _typed(m):
+    """Shape, field and entries with their Python types, so an int and an
+    equal whole Fraction do not compare equal."""
+    return (m.rows, m.cols, m.field, sorted((k, type(v).__name__, v) for k, v in m.entries.items()))
+
+
+def _arith_case(rng, field, fractions, rows, cols):
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            if rng.random() < 0.4:
+                v = Fraction(rng.randint(-6, 6))
+                if fractions and rng.random() < 0.5:
+                    v /= rng.randint(2, 9)
+                entries[(r, c)] = v
+    return Matrix(rows, cols, field, entries)
+
+
+ARITH_FIELDS = [(QQ, False), (QQ, True), (Field(101), True)]
+
+
+@pytest.mark.parametrize("field, fractions", ARITH_FIELDS,
+                         ids=["Q-ints", "Q-fractions", "F(101)"])
+def test_matrix_arithmetic_agrees_with_the_entry_loops(field, fractions):
+    rng = random.Random(60 + (field.p or 0) + fractions)
+    scalars = [0, 1, -1, 2, -7, Fraction(3, 7) if fractions else 5]
+    for _ in range(200):
+        rows, inner, cols = (rng.randint(0, 5) for _ in range(3))
+        a = _arith_case(rng, field, fractions, rows, inner)
+        b = _arith_case(rng, field, fractions, rows, inner)
+        # about half of a's entries cancel exactly against b
+        b = Matrix(rows, inner, field, b.entries | {
+            k: field.neg(v) for k, v in a.entries.items() if rng.random() < 0.5})
+        c = _arith_case(rng, field, fractions, inner, cols)
+        for got, want in ((a + b, _loop_add(a, b)), (a - b, _loop_sub(a, b)),
+                          (b - a, _loop_sub(b, a)), (a - a, _loop_sub(a, a)),
+                          (a + a.scale(-1), _loop_add(a, _loop_scale(a, -1))),
+                          (a * c, _loop_mat_mul(a, c)), (mat_mul(b, c), _loop_mat_mul(b, c))):
+            assert _typed(got) == _typed(want)
+        assert (a - a).is_zero() and (a + a.scale(-1)).is_zero()
+        for s in scalars:
+            assert _typed(a.scale(s)) == _typed(_loop_scale(a, s))
+        assert a.scale(0).is_zero()
+        vec = [rng.choice(scalars) for _ in range(inner)]
+        got, want = a.matvec(vec), _loop_matvec(a, vec)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+def test_matrix_arithmetic_on_empty_matrices():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 2)):
+        z = Matrix.zero(rows, cols)
+        for m in (z + z, z - z, z.scale(5), z.scale(0)):
+            assert _typed(m) == _typed(z)
+        assert _typed(z * Matrix.zero(cols, 4)) == _typed(Matrix.zero(rows, 4))
+        assert z.matvec([1] * cols) == [0] * rows
+    assert _typed(Matrix.zero(2, 0) * Matrix.zero(0, 3)) == _typed(Matrix.zero(2, 3))
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 2) + Matrix.zero(2, 3)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 2) - Matrix.zero(2, 2, Field(7))

@@ -1,12 +1,14 @@
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from hochord.algebras import (commutator_span_dim, center, custom_algebra,
                               cyclic_group_algebra, multiply, trunc_poly, upper_tri)
-from hochord.exact import Field, Matrix, QQ, nullspace
+from hochord.exact import Field, Matrix, QQ, nullspace, rank
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
-                                OrderingRefusal, _Assembler, _resolve,
+                                OrderingRefusal, _Assembler, _moved, _resolve,
+                                _unit_first_spec,
                                 build_complex, classical_complex,
                                 cosimplicial_check, is_subsimplicial, make_spec,
                                 pair_constraints)
@@ -387,22 +389,116 @@ def test_differentials_are_canonical_over_q(case):
     assert (fractions > 0) == (alg.name == "half basis")
 
 
+def _accumulated_differential(asm, n):
+    """The differential summed entry by entry with ``Field.add``/``Field.sub``,
+    each face's entries moved to kept positions first: the assembler's loop
+    before the signed face sum went through ``exact.combine``."""
+    f = asm.spec.algebra.field
+    chain = asm.spec.variant == CHAIN
+    level = n if chain else n + 1
+    row_deg, col_deg = (n - 1, n) if chain else (n + 1, n)
+    entries = {}
+    for i in range(level + 1):
+        combine = f.sub if i % 2 else f.add
+        items = asm.face_matrix(level, i).entries.items()
+        if asm.kept:
+            items = _moved(items, asm.kept[row_deg][1], asm.kept[col_deg][1])
+        for k, v in items:
+            s = combine(entries.get(k, 0), v)
+            if s:
+                entries[k] = s
+            else:
+                del entries[k]
+    return Matrix._trusted(asm.degree_dim(row_deg), asm.degree_dim(col_deg), f, entries)
+
+
+def _assembler(spec):
+    """The assembler ``build_complex`` uses for ``spec``."""
+    classes, amap = _resolve(spec)
+    if spec.normalized:
+        spec = _unit_first_spec(spec)
+    return _Assembler(spec, classes, amap, spec.normalized)
+
+
 @pytest.mark.parametrize("case", [0, 5, 8, 10, 11, 13])
 @pytest.mark.parametrize("p", [None, 7])
-def test_one_pass_differential_is_the_signed_sum_of_faces(case, p):
+@pytest.mark.parametrize("normalized", [False, True])
+def test_one_pass_differential_is_the_signed_sum_of_faces(case, p, normalized):
     builder, alg, module, degree = CANONICAL_CASES[case]
     alg = custom_algebra(alg.name, Field(p), alg.basis_names, alg.unit, alg.table)
     X = builder()
     for variant in (CHAIN, COCHAIN):
-        spec = make_spec(X, alg, module(alg), variant, degree)
-        asm = _Assembler(spec, *_resolve(spec))
+        asm = _assembler(make_spec(X, alg, module(alg), variant, degree, normalized=normalized))
         for n in range(1, degree + 1) if variant == CHAIN else range(degree):
-            level = n if variant == CHAIN else n + 1
-            faces = [asm.face_matrix(level, i).scale((-1) ** i) for i in range(level + 1)]
-            total = faces[0]
-            for m in faces[1:]:
-                total = total + m
-            assert asm.differential(n) == total, (variant, n)
+            got = asm.differential(n)
+            want = _accumulated_differential(asm, n)
+            assert got == want and all(type(got.entries[k]) is type(v)
+                                       for k, v in want.entries.items()), (variant, n)
+            if not normalized:
+                level = n if variant == CHAIN else n + 1
+                faces = [asm.face_matrix(level, i).scale((-1) ** i) for i in range(level + 1)]
+                total = faces[0]
+                for m in faces[1:]:
+                    total = total + m
+                assert got == total, (variant, n)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_differential_builds_each_face_after_the_last_is_consumed(monkeypatch, normalized):
+    """At most one face matrix's entries are alive while ``differential``
+    sums, and each face is built only once the previous one's entries have
+    all been read."""
+    class Entries(dict):
+        consumed = False
+
+        def items(self):
+            yield from super().items()
+            self.consumed = True
+
+    alg = trunc_poly(2)
+    spec = make_spec(sphere2(), alg, symmetric_module(alg), CHAIN, 4, normalized=normalized)
+    asm = _assembler(spec)
+    built = []  # a weak reference to the entries of each face matrix handed out
+    original = asm.face_matrix
+
+    def tracked(level, i):
+        alive = [ref() for ref in built if ref() is not None]
+        assert len(alive) <= 1 and all(e.consumed for e in alive), (level, i)
+        m = original(level, i)
+        entries = Entries(m.entries)
+        built.append(weakref.ref(entries))
+        return Matrix._trusted(m.rows, m.cols, m.field, entries)
+
+    monkeypatch.setattr(asm, "face_matrix", tracked)
+    for n in range(1, 5):
+        before = len(built)
+        d = asm.differential(n)
+        assert len(built) - before == n + 1
+        assert not any(ref() for ref in built)
+        assert d == _accumulated_differential(_assembler(spec), n)
+
+
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_caveat_is_the_top_degree_and_ranks_nothing(monkeypatch, variant, degree):
+    alg = upper_tri(2)
+    c = build_complex(make_spec(circle(), alg, regular_bimodule(alg), variant, degree))
+    calls = []
+    original = hochschild.rank
+    monkeypatch.setattr(hochschild, "rank", lambda m: calls.append(m) or original(m))
+    assert c.caveat_degrees == (degree,)
+    assert calls == []
+    # dims[n] - rank_n - rank_{n+1} (chain) or - rank_{n-1} (cochain); the
+    # top degree lacks the next differential
+    ranks = {n: rank(m) for n, m in c.differentials.items()}
+    step = 1 if variant == CHAIN else -1
+    assert c.betti == tuple(c.dims[n] - ranks.get(n, 0) - ranks.get(n + step, 0)
+                            for n in range(degree + 1))
+    assert len(calls) == degree
+    # the circle computes HH of upper-tri(2): HH^0 is the one-dimensional
+    # center, HH_0 = A/[A, A] has dimension 2, and both vanish above degree 0
+    assert c.betti[:degree] == ((2 if variant == CHAIN else 1),) + (0,) * (degree - 1)
+    assert c.caveat_degrees == (degree,)
 
 
 def test_normalized_build_constructs_no_fraction(fraction_count):

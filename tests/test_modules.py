@@ -179,6 +179,14 @@ def test_operators_over_another_field_are_a_validation_problem():
         custom_module("foreign", a, a.dim, {"left": Action("left", ops)})
 
 
+def test_negative_dimension_is_a_validation_problem():
+    a = trunc_poly(2)
+    assert validate(Multimodule("neg", a, -3, {})) == ["module dimension -3 is negative"]
+    with pytest.raises(ModuleError, match="module dimension -3 is negative"):
+        custom_module("neg", a, -3, {})
+    assert validate(Multimodule("zero", a, 0, {})) == []
+
+
 def test_operator_of_a_basis_element_is_the_stored_operator():
     a = upper_tri(2)
     act = regular_bimodule(a).actions["left"]
