@@ -64,6 +64,16 @@ def _parse_field(text: str, where: str) -> Field:
         raise CliInputError(f"{where}: {e}") from None
 
 
+def _take_field(toks: list[str], field: Field, where: str) -> tuple[list[str], Field]:
+    """The tokens without their ``field=`` token, and the field it names
+    (``field`` when there is none); a second ``field=`` is refused."""
+    given = [t[len("field="):] for t in toks if t.startswith("field=")]
+    if len(given) > 1:
+        raise CliInputError(f"{where}: field= given more than once")
+    rest = [t for t in toks if not t.startswith("field=")]
+    return rest, _parse_field(given[0], where) if given else field
+
+
 def _parse_rational(tok: str, where: str) -> Fraction:
     try:
         return Fraction(tok)
@@ -102,7 +112,8 @@ def _parse_combo(src: str, basis: dict[str, int], where: str) -> list[Fraction]:
 
 
 def parse_algebra(text: str, field: Field) -> Algebra:
-    """Inline algebra spec: '<builder> <args>' with optional 'field=...' token.
+    """Inline algebra spec: '<builder> <args>' with an optional 'field=...'
+    token, which overrides ``field``.
 
     Builders: trunc-poly N | upper-tri N | matrix N | group-cyclic N |
     group-s3 | custom ... (custom is file-only, see parse_algebra_file).
@@ -110,11 +121,7 @@ def parse_algebra(text: str, field: Field) -> Algebra:
     toks = text.split()
     if toks and toks[0] == "algebra":
         toks = toks[1:]
-    toks = [t for t in toks if not t.startswith("field=")] \
-        + [t for t in toks if t.startswith("field=")]
-    while toks and toks[-1].startswith("field="):
-        field = _parse_field(toks[-1][len("field="):], f"algebra {text.strip()!r}")
-        toks = toks[:-1]
+    toks, field = _take_field(toks, field, f"algebra {text.strip()!r}")
     if not toks:
         raise CliInputError("empty algebra specification")
     kind, args = toks[0], toks[1:]
@@ -162,7 +169,8 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
         return parse_algebra(head, field)
     basis = None
     unit_src = None
-    for t in toks[2:]:
+    toks, field = _take_field(toks[2:], field, f"{path}:{no0}")
+    for t in toks:
         if t.startswith("basis=["):
             if not t.endswith("]"):
                 raise CliInputError(f"{path}:{no0}: unterminated basis=[...]")
@@ -171,8 +179,6 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
             if not t.endswith("]"):
                 raise CliInputError(f"{path}:{no0}: unterminated unit=[...]")
             unit_src = t[len("unit=["):-1]
-        elif t.startswith("field="):
-            field = _parse_field(t[len("field="):], f"{path}:{no0}")
         else:
             raise CliInputError(f"{path}:{no0}: unexpected token {t!r} "
                                 "(expected basis=[...], unit=[...], field=...)")
@@ -463,8 +469,7 @@ def cmd_complex(args, out, variant: str) -> int:
     if args.max_degree < 1:
         raise CliInputError("--max-degree must be at least 1")
     X = load_simplicial_set(args.set)
-    field = _parse_field(args.field, "--field")
-    alg = resolve_algebra(args.algebra, field)
+    alg = resolve_algebra(args.algebra, _parse_field(args.field, "--field"))
     module = resolve_module(args.module, alg)
     try:
         spec = make_spec(X, alg, module, variant, args.max_degree,
@@ -493,7 +498,7 @@ def cmd_complex(args, out, variant: str) -> int:
         "set": X.name,
         "algebra": alg.describe(),
         "module": module.describe(),
-        "field": field.describe(),
+        "field": alg.field.describe(),
         "normalized": args.normalized,
         "max_degree": args.max_degree,
         "dims": list(complex_.dims),

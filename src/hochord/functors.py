@@ -34,12 +34,12 @@ the kept tensors of a level the same way.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .algebras import Algebra
 from .exact import Matrix
 from .modules import Multimodule
+from .simplicial import fibers
 
 
 class FunctorError(ValueError):
@@ -66,16 +66,14 @@ class PointedMap:
             raise FunctorError("images must list phi(0..m) with phi(0)=0")
         if any(not (0 <= v <= self.n) for v in self.images):
             raise FunctorError("image out of range")
-        for i in range(1, self.n + 1):
-            fiber = tuple(j for j in range(1, self.m + 1) if self.images[j] == i)
-            if fiber:
-                order = self.orders.get(i)
-                if order is None:
-                    raise FunctorError(f"missing fiber order over {i}")
-                if sorted(order) != sorted(fiber):
-                    raise FunctorError(f"order over {i} is not a permutation of the fiber")
-            elif i in self.orders:
+        fibs = fibers(self.images)
+        for i in sorted(fibs.keys() | self.orders.keys()):
+            if i not in fibs:
                 raise FunctorError(f"order given for empty fiber over {i}")
+            if i not in self.orders:
+                raise FunctorError(f"missing fiber order over {i}")
+            if sorted(self.orders[i]) != fibs[i]:
+                raise FunctorError(f"order over {i} is not a permutation of the fiber")
 
     def basepoint_fiber(self) -> tuple[int, ...]:
         return tuple(j for j in range(1, self.m + 1) if self.images[j] == 0)
@@ -88,11 +86,7 @@ def pointed_map(m: int, n: int, images, orders=None) -> PointedMap:
     """Build a pointed map; fibers default to ascending numeric order."""
     images = tuple(images)
     if orders is None:
-        orders = {}
-        for i in range(1, n + 1):
-            fiber = tuple(j for j in range(1, m + 1) if images[j] == i)
-            if fiber:
-                orders[i] = fiber
+        orders = {i: tuple(members) for i, members in fibers(images).items()}
     return PointedMap(m, n, images, dict(orders))
 
 
@@ -105,45 +99,26 @@ def compose(psi: PointedMap, phi: PointedMap,
             phi_actions: dict[int, str] | None = None):
     """Composite psi o phi with composition-induced fiber orders.
 
-    Two members of a composite fiber compare inside phi's order when their
-    phi-images agree and by psi's order of the images otherwise.  When action
-    names are supplied, the composite's basepoint fiber inherits phi's action
-    for members killed by phi and psi's action (of the image) for the rest.
-    Returns (map, actions) if actions were given, else just the map.
+    A member of a composite fiber sorts by the psi-position of its
+    phi-image, then by its own phi-position: members compare inside phi's
+    order when their phi-images agree and by psi's order of the images
+    otherwise.  When action names are supplied, the composite's basepoint
+    fiber inherits phi's action for members killed by phi and psi's action
+    (of the image) for the rest.  Returns (map, actions) if actions were
+    given, else just the map.
     """
     if phi.n != psi.m:
         raise FunctorError("maps are not composable")
     images = tuple(psi.images[phi.images[j]] for j in range(phi.m + 1))
-
-    def cmp(a, b):
-        fa, fb = phi.images[a], phi.images[b]
-        if fa == fb:
-            order = phi.orders[fa]
-            return -1 if order.index(a) < order.index(b) else 1
-        order = psi.orders[psi_key(fa, fb)]
-        return -1 if order.index(fa) < order.index(fb) else 1
-
-    def psi_key(fa, fb):
-        i = psi.images[fa]
-        assert psi.images[fb] == i and i != 0
-        return i
-
-    orders = {}
-    for i in range(1, psi.n + 1):
-        fiber = [j for j in range(1, phi.m + 1) if images[j] == i]
-        if fiber:
-            orders[i] = tuple(sorted(fiber, key=functools.cmp_to_key(cmp)))
+    phi_pos = {j: p for order in phi.orders.values() for p, j in enumerate(order)}
+    psi_pos = {k: p for order in psi.orders.values() for p, k in enumerate(order)}
+    orders = {i: tuple(sorted(members, key=lambda j: (psi_pos[phi.images[j]], phi_pos[j])))
+              for i, members in fibers(images).items()}
     comp = PointedMap(phi.m, psi.n, images, orders)
     if psi_actions is None and phi_actions is None:
         return comp
-    actions = {}
-    for j in range(1, phi.m + 1):
-        if images[j] != 0:
-            continue
-        if phi.images[j] == 0:
-            actions[j] = (phi_actions or {})[j]
-        else:
-            actions[j] = (psi_actions or {})[phi.images[j]]
+    actions = {j: (psi_actions or {})[phi.images[j]] if phi.images[j] else (phi_actions or {})[j]
+               for j in comp.basepoint_fiber()}
     return comp, actions
 
 

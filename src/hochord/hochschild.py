@@ -42,12 +42,12 @@ from .algebras import Algebra, is_commutative, unit_first
 # ``rank`` and the two functor entry points) by name to time these layers.
 from .exact import Field, Matrix, combine, nullspace, rank, solve  # noqa: F401
 from .functors import (PointedMap, hom_functor_on_morphism, loday_on_morphism,
-                       nondegenerate_tensors)
+                       nondegenerate_tensors, pointed_map)
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
                        classify_actions, classify_nncmo)
-from .simplicial import SimplicialSet
+from .simplicial import SimplicialSet, fibers
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -139,36 +139,27 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
     through the class assignment."""
     # pointed-map index j is level index j: the basepoint is 0 on both sides
     images = X.face_table(level)[i]
-    fibers: dict[int, list[int]] = {}
-    for j in range(1, len(images)):
-        if images[j] != 0:
-            fibers.setdefault(images[j], []).append(j)
-    if assignment is not None:
-        rank = assignment.ranks(level, i)
-        for members in fibers.values():
-            members.sort(key=rank.__getitem__)
-    orders = {tgt: tuple(members) for tgt, members in fibers.items()}
+    rank = None if assignment is None else assignment.ranks(level, i).__getitem__
+    orders = {t: tuple(sorted(members, key=rank)) for t, members in fibers(images).items()}
     phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
     actions = None
     if action_map is not None and classes is not None:
         refs = X.level(level)
         actions = {}
-        for j in range(1, len(images)):
-            if images[j] == 0:
-                cls = classes.class_of_site((level, refs[j], i))
-                if cls is None:
-                    raise ComplexError(
-                        f"no action class covers the site d_{i} of "
-                        f"{X.monotone_name(refs[j])} at level {level}")
-                actions[j] = action_map[cls.class_id]
+        for j in phi.basepoint_fiber():
+            cls = classes.class_of_site((level, refs[j], i))
+            if cls is None:
+                raise ComplexError(
+                    f"no action class covers the site d_{i} of "
+                    f"{X.monotone_name(refs[j])} at level {level}")
+            actions[j] = action_map[cls.class_id]
     return phi, actions
 
 
 def degeneracy_pointed_map(X: SimplicialSet, level: int, i: int) -> PointedMap:
     """s_i : X_level -> X_{level+1}; injective, so fibers are singletons."""
     images = X.degeneracy_table(level)[i]
-    orders = {images[j]: (j,) for j in range(1, len(images))}
-    return PointedMap(len(images) - 1, len(X.level(level + 1)) - 1, images, orders)
+    return pointed_map(len(images) - 1, len(X.level(level + 1)) - 1, images)
 
 
 class _Assembler:
@@ -474,11 +465,10 @@ def _orders_agree(below, rank_low, rank, degen) -> bool:
     """Whether each fiber of the face table ``below``, sorted by ``rank_low``,
     is sorted by ``rank`` once mapped through the degeneracy images
     ``degen``."""
-    fibers: dict[int, list[int]] = {}
-    for x in sorted(range(1, len(below)), key=rank_low.__getitem__):
-        if below[x]:
-            fibers.setdefault(below[x], []).append(rank[degen[x]])
-    return all(seen == sorted(seen) for seen in fibers.values())
+    def seen(members):
+        return [rank[degen[x]] for x in sorted(members, key=rank_low.__getitem__)]
+
+    return all(s == sorted(s) for s in map(seen, fibers(below).values()))
 
 
 def _betti_table(variant, dims, diffs) -> tuple[int, ...]:

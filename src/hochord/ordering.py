@@ -11,6 +11,11 @@ factorizations of a longer composition are connected by such adjacent swaps,
 so the quadratic adjacent check suffices; a full-factorization oracle check
 is available behind a flag to validate the reduction on concrete inputs.
 
+Everything works on level indices: fibers come from ``simplicial.fibers``
+on a face-table column or a composite of columns (``_images``), an induced
+order is a sort by rank keys (``_induced_order``), and both checks are one
+loop (``_first_violation``).
+
 Fibers over the basepoint never carry an order: their factors act on the
 coefficient module instead, through the action classes computed here.
 """
@@ -24,7 +29,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-from .simplicial import SimplexRef, SimplicialSet
+from .simplicial import SimplexRef, SimplicialSet, fibers
 
 
 class OrderingError(ValueError):
@@ -47,22 +52,22 @@ def _require_cutoff(cutoff: int) -> None:
 # ---------------------------------------------------------------------------
 # fibers and assignments
 
-def _fibers(X: SimplicialSet, n: int, i: int) -> dict[int, list[int]]:
-    """Fibers of d_i : X_n -> X_{n-1} over non-basepoint targets, on level
-    indices: target -> members in level order."""
-    out: dict[int, list[int]] = {}
-    for k, t in enumerate(X.face_table(n)[i]):
-        if t:
-            out.setdefault(t, []).append(k)
-    return out
+def _images(X: SimplicialSet, n: int, steps) -> list[int]:
+    """The images of level n's members (by level index) under the faces in
+    ``steps``, applied first to last: face-table columns composed."""
+    images = range(len(X.level(n)))
+    for s, i in enumerate(steps):
+        col = X.face_table(n - s)[i]
+        images = [col[k] for k in images]
+    return images
 
 
 def fibers_of_face(X: SimplicialSet, level: int, i: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
     """Fibers of d_i : X_level -> X_{level-1} over non-basepoint targets,
     each listed in level-enumeration order."""
-    fibers = _fibers(X, level, i)
     refs, below = X.level(level), X.level(level - 1)
-    return {below[t]: tuple(refs[k] for k in members) for t, members in fibers.items()}
+    return {below[t]: tuple(refs[k] for k in members)
+            for t, members in fibers(X.face_table(level)[i]).items()}
 
 
 class OrderingAssignment:
@@ -85,7 +90,7 @@ class OrderingAssignment:
             index, below = X.index(n), X.level(n - 1)
             for i in range(n + 1):
                 rank = [-1] * len(index)
-                for t, members in _fibers(X, n, i).items():
+                for t, members in fibers(X.face_table(n)[i]).items():
                     key = (n, i, below[t])
                     if key not in self.orders:
                         raise OrderingError(
@@ -136,7 +141,7 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
         refs, below = X.level(n), X.level(n - 1)
         pos = {ref: k for k, ref in enumerate(level_orders[n])}
         for i in range(n + 1):
-            for t, members in _fibers(X, n, i).items():
+            for t, members in fibers(X.face_table(n)[i]).items():
                 orders[(n, i, below[t])] = tuple(sorted((refs[k] for k in members),
                                                         key=pos.__getitem__))
     return OrderingAssignment(X, cutoff, orders)
@@ -145,38 +150,39 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
 # ---------------------------------------------------------------------------
 # composition-induced orders
 
-def _induced_compare(X, assignment, steps, level, x: int, y: int) -> int:
-    """-1/0/+1 order of two fiber members (level indices) induced by the
-    composition applying the faces in ``steps``: they separate inside a
-    single-step fiber (its order decides) or earlier in their images."""
-    if x == y:
-        return 0
-    for i in steps:
-        col = X.face_table(level)[i]
-        fx, fy = col[x], col[y]
-        if fx == fy:
-            if fx == 0:
-                raise OrderingError("induced order requested through a basepoint image")
-            rank = assignment.ranks(level, i)
-            return -1 if rank[x] < rank[y] else 1
-        x, y, level = fx, fy, level - 1
-    raise OrderingError("members of a fiber cannot differ on the empty composition")
-
-
 def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
                               steps: tuple[int, ...], level: int,
                               fiber) -> tuple[SimplexRef, ...]:
-    """Sort a fiber of the composition (faces applied in ``steps`` order)."""
+    """Sort a fiber of the composition (faces applied in ``steps`` order);
+    ``OrderingError`` unless the members share one non-basepoint image."""
     index, refs = X.index(level), X.level(level)
     members = [index[ref] for ref in fiber]
+    images = _images(X, level, steps)
+    targets = {images[k] for k in members}
+    if len(targets) > 1 or 0 in targets:
+        raise OrderingError("induced order requested on members that are not one "
+                            "fiber over a non-basepoint target")
     return tuple(refs[k] for k in _induced_order(X, assignment, steps, level, members))
 
 
 def _induced_order(X, assignment, steps, level, members) -> tuple[int, ...]:
-    """``composition_induced_order`` on level indices."""
-    cmp = functools.cmp_to_key(
-        lambda a, b: _induced_compare(X, assignment, steps, level, a, b))
-    return tuple(sorted(members, key=cmp))
+    """Members (level indices) of one fiber of the composition applying the
+    faces in ``steps``, in its induced order: sorted by their rank at each
+    step, the last step most significant.  Two members first share an image
+    after one step, whose fiber order ranks them apart; from then on they
+    share every image and so every rank, and the steps before it are less
+    significant, so the sort is the lexicographic induced order."""
+    tables = [(assignment.ranks(level - s, i), X.face_table(level - s)[i])
+              for s, i in enumerate(steps)]
+
+    def key(x):
+        ranks = []
+        for rank, col in tables:
+            ranks.append(rank[x])
+            x = col[x]
+        return ranks[::-1]
+
+    return tuple(sorted(members, key=key))
 
 
 def _composition_word_string(steps: tuple[int, ...]) -> str:
@@ -269,24 +275,11 @@ def _joint_orders_exist(X: SimplicialSet, fiber, steps_a, steps_b) -> bool:
 # the NNCMO check (adjacent identities) and the full-factorization oracle
 
 def _adjacent_routes(n: int):
-    """All pairs (steps_a, steps_b) realizing d_i d_j = d_{j-1} d_i from level n."""
+    """Every d_i d_j = d_{j-1} d_i from level n, as ``((j, i), ((i, j - 1),))``:
+    a base word and the one word equal to it, faces applied first to last."""
     for j in range(1, n + 1):
         for i in range(j):
-            yield (j, i), (i, j - 1)
-
-
-def _two_step_fibers(X: SimplicialSet, n: int, steps) -> list[tuple[int, tuple[int, ...]]]:
-    """Fibers of the composition (faces applied in ``steps`` order) from level
-    n over non-basepoint targets, on level indices and sorted by target."""
-    images = range(len(X.level(n)))
-    for s, i in enumerate(steps):
-        col = X.face_table(n - s)[i]
-        images = [col[k] for k in images]
-    groups: dict[int, list[int]] = {}
-    for k, t in enumerate(images):
-        if t:
-            groups.setdefault(t, []).append(k)
-    return [(t, tuple(members)) for t, members in sorted(groups.items())]
+            yield (j, i), ((i, j - 1),)
 
 
 def _assignment_witness(X, n, target, fiber, steps_a, steps_b, order_a, order_b) -> Witness:
@@ -301,26 +294,35 @@ def _assignment_witness(X, n, target, fiber, steps_a, steps_b, order_a, order_b)
                    "induced orders disagree: " + chain(order_a) + "  versus  " + chain(order_b))
 
 
-def check_nncmo(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:
-    """Verify the multiplicative-ordering condition on all adjacent-identity
-    pairs up to the cutoff; returns the first violating witness, or None.
-
-    A cutoff of 1 has no two-step compositions and is trivially fine.
-    """
+def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int,
+                     routes) -> Witness | None:
+    """The witness of the first pair of equal face words whose induced orders
+    disagree on a fiber, or None.  ``routes(n)`` yields ``(base, others)``
+    from level n; the base word's fibers over non-basepoint targets and
+    their orders are computed once, then compared with each other word's.
+    A cutoff of 1 has no two-step compositions to check; one above the
+    assignment's raises ``OrderingError``."""
     _require_cutoff(cutoff)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
     for n in range(2, cutoff + 1):
-        for steps_a, steps_b in _adjacent_routes(n):
-            for target, fiber in _two_step_fibers(X, n, steps_a):
-                if len(fiber) < 2:
-                    continue
-                order_a = _induced_order(X, assignment, steps_a, n, fiber)
-                order_b = _induced_order(X, assignment, steps_b, n, fiber)
-                if order_a != order_b:
-                    return _assignment_witness(X, n, target, fiber, steps_a, steps_b,
-                                               order_a, order_b)
+        for base, others in routes(n):
+            ordered = [(t, fiber, _induced_order(X, assignment, base, n, fiber))
+                       for t, fiber in sorted(fibers(_images(X, n, base)).items())
+                       if len(fiber) > 1]
+            for other in others:
+                for t, fiber, order in ordered:
+                    other_order = _induced_order(X, assignment, other, n, fiber)
+                    if order != other_order:
+                        return _assignment_witness(X, n, t, fiber, base, other,
+                                                   order, other_order)
     return None
+
+
+def check_nncmo(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:
+    """Verify the multiplicative-ordering condition on all adjacent-identity
+    pairs up to the cutoff; returns the first violating witness, or None."""
+    return _first_violation(X, assignment, cutoff, _adjacent_routes)
 
 
 @functools.cache
@@ -343,29 +345,20 @@ def _face_words(n: int, length: int) -> Mapping[frozenset, tuple[tuple[int, ...]
     return MappingProxyType({k: tuple(words) for k, words in out.items()})
 
 
+def _equal_words(n: int):
+    """Every class of two or more equal face words from level n, by length
+    and then by deleted positions, as (smallest word, the others sorted)."""
+    for length in range(2, n + 1):
+        for _, words in sorted(_face_words(n, length).items(), key=lambda kv: sorted(kv[0])):
+            if len(words) > 1:
+                base, *others = sorted(words)
+                yield base, others
+
+
 def check_nncmo_full(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:
     """Brute-force variant: compare induced orders across *all* pairs of equal
     face-map factorizations up to the cutoff, not just adjacent swaps."""
-    _require_cutoff(cutoff)
-    for n in range(2, cutoff + 1):
-        for length in range(2, n + 1):
-            for _, words in sorted(_face_words(n, length).items(),
-                                   key=lambda kv: sorted(kv[0])):
-                if len(words) < 2:
-                    continue
-                words = sorted(words)
-                base = words[0]
-                base_fibers = _two_step_fibers(X, n, base)
-                for other in words[1:]:
-                    for target, fiber in base_fibers:
-                        if len(fiber) < 2:
-                            continue
-                        oa = _induced_order(X, assignment, base, n, fiber)
-                        ob = _induced_order(X, assignment, other, n, fiber)
-                        if oa != ob:
-                            return _assignment_witness(X, n, target, fiber, base, other,
-                                                       oa, ob)
-    return None
+    return _first_violation(X, assignment, cutoff, _equal_words)
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +425,15 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
     wrong answer.
     """
     _require_cutoff(cutoff)
-    if cutoff < 2:
-        orders = {}
-        for n in range(1, cutoff + 1):
-            for i in range(n + 1):
-                for target, fiber in fibers_of_face(X, n, i).items():
-                    orders[(n, i, target)] = fiber
-        return NncmoResult("admits", OrderingAssignment(X, cutoff, orders))
-
     # variables, fibers and literals all live on level indices:
     # a fiber key is (level, face index, target index)
     pv = _PairVars()
-    fiber_lists: dict[tuple, tuple] = {}
+    fiber_lists: dict[tuple, list[int]] = {}
     for n in range(1, cutoff + 1):
         for i in range(n + 1):
-            for target, fiber in sorted(_fibers(X, n, i).items()):
+            for target, fiber in sorted(fibers(X.face_table(n)[i]).items()):
                 key = (n, i, target)
-                fiber_lists[key] = tuple(fiber)
+                fiber_lists[key] = fiber
                 if len(fiber) >= 2:
                     pv.add_fiber(key, fiber)
 
@@ -462,8 +447,8 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
     direct_clash = None
     constraint_sources = []
     for n in range(2, cutoff + 1):
-        for steps_a, steps_b in _adjacent_routes(n):
-            for target, fiber in _two_step_fibers(X, n, steps_a):
+        for steps_a, (steps_b,) in _adjacent_routes(n):
+            for target, fiber in sorted(fibers(_images(X, n, steps_a)).items()):
                 if len(fiber) < 2:
                     continue
                 constraint_sources.append((n, target, fiber, steps_a, steps_b))
@@ -882,15 +867,11 @@ def _type_level(X, assignment, site_class, evidence, n, max_word_length):
     later makes the class a left action, dying first a right action.
     """
     for _, tables in _route_tables(X, assignment, site_class, n, min(n, max_word_length)):
-        # the word a merging pair comes from, or -1 if several words merge it
-        owner: dict[tuple[int, int, int], int] = {}
-        for w, (_, merges) in enumerate(tables):
-            for m in merges:
-                owner[m] = w if owner.get(m, w) == w else -1
-        for split_at, (deaths, _) in enumerate(tables):
-            for (g, small, large), merge_at in owner.items():
-                if split_at == merge_at:
-                    continue  # a merged pair dies at one step on its own word
+        # a word that merges a pair kills both members at one step, so the
+        # death-step test below skips it without tracking which word merged
+        merges = {m for _, word_merges in tables for m in word_merges}
+        for deaths, _ in tables:
+            for g, small, large in merges:
                 ds, dl = deaths[small], deaths[large]
                 if ds is None or dl is None or ds[1] != g or dl[1] != g \
                         or ds[0] == dl[0]:

@@ -18,7 +18,8 @@ level-n ref to its position k in ``level(n)``, and the integer face table
 ``d_i(level(n)[k])``.  Both are built once per set object and level, the
 table by calling ``face`` on every (simplex, face index) pair of the level,
 so ``face`` stays the one evaluator.  The basepoint is index 0 at every
-level, so "d_i hits the basepoint" reads ``face_table(n)[i][k] == 0``.
+level, so "d_i hits the basepoint" reads ``face_table(n)[i][k] == 0``, and a
+face-table column is a pointed map whose fibers ``fibers`` groups.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ def normalize_word(seq) -> tuple[int, ...]:
     out: tuple[int, ...] = ()
     for g in reversed(tuple(seq)):
         out = insert(g, out)
+    return out
+
+
+def fibers(images) -> dict[int, list[int]]:
+    """The fibers of the pointed map k -> ``images[k]`` (0 is the basepoint
+    on both sides), such as a face-table column: each non-basepoint target
+    maps to its members in ascending order, targets in order of their first
+    member.  The basepoint fiber is left out."""
+    out: dict[int, list[int]] = {}
+    for k, t in enumerate(images):
+        if t:
+            out.setdefault(t, []).append(k)
     return out
 
 

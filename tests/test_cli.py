@@ -181,6 +181,31 @@ def test_field_option():
     assert code == 0 and "F(5)" in out
 
 
+def test_report_names_the_field_the_complex_is_computed_over():
+    code, out, _ = run_cli(["homology", "circle", "--algebra", "trunc-poly 2 field=F(7)",
+                            "--json"])
+    report = json.loads(out)
+    assert code == 0 and report["algebra"].endswith("over F(7))")
+    assert report["field"] == "F(7)"
+
+
+def test_inline_algebra_refuses_a_second_field():
+    code, out, err = run_cli(["homology", "circle", "--algebra",
+                              "trunc-poly 2 field=F(3) field=F(5)"])
+    assert (code, out) == (1, "")
+    assert err == ("error: algebra 'trunc-poly 2 field=F(3) field=F(5)': "
+                   "field= given more than once\n")
+
+
+def test_algebra_file_header_refuses_a_second_field(tmp_path):
+    p = tmp_path / "dual_numbers.alg"
+    p.write_text("algebra custom basis=[one,x] unit=[1,0] field=F(3) field=F(5)\n"
+                 "table:\none*one = one; one*x = x\nx*one = x\nx*x = 0\n")
+    code, out, err = run_cli(["homology", "circle", "--algebra", str(p)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {p}:1: field= given more than once\n"
+
+
 @pytest.mark.parametrize("field, message", [
     ("Z", "unrecognized field 'Z' (expected Q or F(p))"), ("F(4)", "4 is not prime"),
     ("F(x)", "unrecognized field 'F(x)' (expected Q or F(p))"),

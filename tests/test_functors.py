@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 from fractions import Fraction
 from itertools import permutations
@@ -160,6 +161,53 @@ def test_action_application_order_does_not_matter():
             o2 = m.action("right2").operators[j]
             assert o1 * o2 == o2 * o1
     assert one_way.rows == other.rows
+
+
+def test_pointed_map_refuses_orders_over_targets_outside_the_codomain():
+    from hochord.functors import PointedMap
+    for stray in ({1: (1,), 5: ()}, {1: (1,), 0: (0,)}, {1: (1,), 2: (1,)}):
+        with pytest.raises(FunctorError, match="order given for empty fiber over"):
+            PointedMap(1, 1, (0, 1), stray)
+
+
+def all_ordered_maps(m, n):
+    """Every pointed map m_+ -> n_+ with every choice of fiber orders."""
+    for phi in all_pointed_maps(m, n):
+        targets = sorted(phi.orders)
+        for choice in iter_product(*(permutations(phi.orders[t]) for t in targets)):
+            yield pointed_map(m, n, phi.images, dict(zip(targets, choice)))
+
+
+def _oracle_compose_orders(psi, phi):
+    """The pairwise comparator the rank keys of ``compose`` replaced."""
+    images = tuple(psi.images[phi.images[j]] for j in range(phi.m + 1))
+
+    def cmp(a, b):
+        fa, fb = phi.images[a], phi.images[b]
+        if fa == fb:
+            order = phi.orders[fa]
+            return -1 if order.index(a) < order.index(b) else 1
+        i = psi.images[fa]
+        assert psi.images[fb] == i and i != 0
+        order = psi.orders[i]
+        return -1 if order.index(fa) < order.index(fb) else 1
+
+    orders = {}
+    for i in range(1, psi.n + 1):
+        fiber = [j for j in range(1, phi.m + 1) if images[j] == i]
+        if fiber:
+            orders[i] = tuple(sorted(fiber, key=functools.cmp_to_key(cmp)))
+    return orders
+
+
+def test_composed_orders_match_the_comparator_oracle():
+    compared = 0
+    for m, mid, n in ((3, 2, 1), (3, 3, 2), (2, 3, 2), (3, 2, 2)):
+        for phi in all_ordered_maps(m, mid):
+            for psi in all_ordered_maps(mid, n):
+                assert compose(psi, phi).orders == _oracle_compose_orders(psi, phi)
+                compared += 1
+    assert compared > 5_000
 
 
 def test_composed_fiber_orders_are_lexicographic():

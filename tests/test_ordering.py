@@ -1,15 +1,16 @@
+import functools
 from itertools import combinations
 
 import pytest
 
 from hochord import ordering
-from hochord.ordering import (CyclicOrderingUnavailable, OrderingAssignment,
-                              OrderingError, _face_words,
+from hochord.ordering import (CyclicOrderingUnavailable, InconclusiveSearch,
+                              OrderingAssignment, OrderingError, _face_words,
                               assignment_from_level_orders, check_nncmo,
                               check_nncmo_full, classify_actions, classify_nncmo,
                               composition_induced_order, cyclic_ordering,
                               fibers_of_face, search_nncmo)
-from hochord.simplicial import (SimplexRef, SimplicialSet, circle, from_file,
+from hochord.simplicial import (SimplexRef, SimplicialSet, circle, fibers, from_file,
                                 interval, point, sphere2, wedge_of_circles)
 
 BUNDLED = [point, interval, circle, lambda: wedge_of_circles(2),
@@ -631,3 +632,179 @@ def test_face_words_are_cached_and_read_only():
     assert sum(len(ws) for ws in words.values()) == 5 * 4 * 3
     assert all(len(key) == 3 for key in words)
     assert len(words) == 10  # C(5, 3) deleted-position sets
+
+
+# ---------------------------------------------------------------------------
+# fibers, rank keys and the shared check loop against the code they replaced
+
+EDGE_PLUS_LOOP = """
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex a dim=1 faces=[p, v0]
+simplex b dim=1 faces=[p, p]
+"""
+
+ORACLE_SETS = BUNDLED + [lambda: from_file(BIGON, "bigon"), lambda: from_file(THETA, "theta"),
+                         lambda: from_file(EDGE_PLUS_LOOP, "edge-plus-loop")]
+ORACLE_IDS = ["point", "interval", "circle", "wedge2", "wedge3", "sphere2", "bigon",
+              "theta", "edge-plus-loop"]
+ORACLE_CUTOFF = 5
+
+
+def _oracle_induced_compare(X, assignment, steps, level, x, y):
+    """The pairwise comparator ``_induced_order`` replaced."""
+    if x == y:
+        return 0
+    for i in steps:
+        col = X.face_table(level)[i]
+        fx, fy = col[x], col[y]
+        if fx == fy:
+            if fx == 0:
+                raise OrderingError("induced order requested through a basepoint image")
+            rank = assignment.ranks(level, i)
+            return -1 if rank[x] < rank[y] else 1
+        x, y, level = fx, fy, level - 1
+    raise OrderingError("members of a fiber cannot differ on the empty composition")
+
+
+def _oracle_induced_order(X, assignment, steps, level, members):
+    cmp = functools.cmp_to_key(
+        lambda a, b: _oracle_induced_compare(X, assignment, steps, level, a, b))
+    return tuple(sorted(members, key=cmp))
+
+
+def _oracle_two_step_fibers(X, n, steps):
+    """The composite-fiber grouping ``simplicial.fibers`` replaced."""
+    images = range(len(X.level(n)))
+    for s, i in enumerate(steps):
+        col = X.face_table(n - s)[i]
+        images = [col[k] for k in images]
+    groups = {}
+    for k, t in enumerate(images):
+        if t:
+            groups.setdefault(t, []).append(k)
+    return [(t, tuple(members)) for t, members in sorted(groups.items())]
+
+
+def _oracle_check_nncmo(X, assignment, cutoff):
+    """The adjacent-pair check loop ``_first_violation`` replaced."""
+    for n in range(2, cutoff + 1):
+        for j in range(1, n + 1):
+            for i in range(j):
+                steps_a, steps_b = (j, i), (i, j - 1)
+                for target, fiber in _oracle_two_step_fibers(X, n, steps_a):
+                    if len(fiber) < 2:
+                        continue
+                    order_a = _oracle_induced_order(X, assignment, steps_a, n, fiber)
+                    order_b = _oracle_induced_order(X, assignment, steps_b, n, fiber)
+                    if order_a != order_b:
+                        return ordering._assignment_witness(X, n, target, fiber, steps_a,
+                                                            steps_b, order_a, order_b)
+    return None
+
+
+def _oracle_check_nncmo_full(X, assignment, cutoff):
+    """The all-pairs check loop ``_first_violation`` replaced."""
+    for n in range(2, cutoff + 1):
+        for length in range(2, n + 1):
+            for _, words in sorted(_face_words(n, length).items(),
+                                   key=lambda kv: sorted(kv[0])):
+                if len(words) < 2:
+                    continue
+                words = sorted(words)
+                base = words[0]
+                base_fibers = _oracle_two_step_fibers(X, n, base)
+                for other in words[1:]:
+                    for target, fiber in base_fibers:
+                        if len(fiber) < 2:
+                            continue
+                        oa = _oracle_induced_order(X, assignment, base, n, fiber)
+                        ob = _oracle_induced_order(X, assignment, other, n, fiber)
+                        if oa != ob:
+                            return ordering._assignment_witness(X, n, target, fiber, base,
+                                                                other, oa, ob)
+    return None
+
+
+def _oracle_certificates(X, cutoff):
+    """The level-order certificate, and the canonical one where it exists."""
+    certificates = [_level_order_assignment(X, cutoff)]
+    try:
+        res = classify_nncmo(X, cutoff)
+    except InconclusiveSearch:  # the edge plus a loop at p
+        return certificates
+    if res.admits:
+        certificates.append(res.assignment)
+    return certificates
+
+
+def _words_up_to(n, longest):
+    return [w for length in range(1, min(n, longest) + 1)
+            for words in _face_words(n, length).values() for w in words]
+
+
+@pytest.mark.parametrize("builder", ORACLE_SETS, ids=ORACLE_IDS)
+def test_fibers_and_rank_keys_match_the_comparator_oracle(builder):
+    X = builder()
+    for assignment in _oracle_certificates(X, ORACLE_CUTOFF):
+        for n in range(2, ORACLE_CUTOFF + 1):
+            for steps in _words_up_to(n, 4):
+                want = _oracle_two_step_fibers(X, n, steps)
+                got = sorted(fibers(ordering._images(X, n, steps)).items())
+                assert [(t, tuple(m)) for t, m in got] == want
+                for _, members in want:
+                    assert (ordering._induced_order(X, assignment, steps, n, members)
+                            == _oracle_induced_order(X, assignment, steps, n, members))
+
+
+@pytest.mark.parametrize("builder", ORACLE_SETS, ids=ORACLE_IDS)
+def test_check_loop_matches_both_oracle_loops(builder):
+    X = builder()
+    for assignment in _oracle_certificates(X, ORACLE_CUTOFF):
+        for cutoff in range(2, ORACLE_CUTOFF + 1):
+            assert check_nncmo(X, assignment, cutoff) == _oracle_check_nncmo(X, assignment,
+                                                                             cutoff)
+            assert (check_nncmo_full(X, assignment, cutoff)
+                    == _oracle_check_nncmo_full(X, assignment, cutoff))
+
+
+def test_the_oracles_see_violations():
+    # the level-order certificate of the sphere breaks both checks, so the
+    # comparisons above are not all between two Nones
+    X = sphere2()
+    asg = _level_order_assignment(X, 4)
+    assert _oracle_check_nncmo(X, asg, 4) is not None
+    assert _oracle_check_nncmo_full(X, asg, 4) is not None
+
+
+def test_full_check_above_the_certificate_cutoff_is_an_ordering_error():
+    X = circle()
+    asg = search_nncmo(X, 2).assignment
+    for check in (check_nncmo, check_nncmo_full):
+        with pytest.raises(OrderingError, match="assignment cutoff too small"):
+            check(X, asg, 4)
+
+
+def test_induced_order_refuses_members_outside_one_fiber():
+    X = wedge_of_circles(2)
+    asg = _level_order_assignment(X, 3)
+    e1, e2 = ([r for r in X.level_nonbase(3)
+               if X.face_word(r, (1, 1)) == SimplexRef(X.id_of(name))] for name in ("e1", "e2"))
+    killed = [r for r in X.level_nonbase(3) if X.is_basepoint(X.face_word(r, (0, 0)))]
+    assert len(e1) > 1 and len(killed) > 1
+    for steps, members in (((1, 1), e1 + e2[:1]), ((0, 0), killed[:2]), ((0, 0), killed[:1])):
+        with pytest.raises(OrderingError, match="not one fiber"):
+            composition_induced_order(X, asg, steps, 3, members)
+    with pytest.raises(OrderingError, match="not one fiber"):
+        composition_induced_order(X, asg, (), 3, e1)
+    assert sorted(composition_induced_order(X, asg, (1, 1), 3, e1)) == sorted(e1)
+
+
+def test_search_at_cutoff_one_is_the_level_order_assignment():
+    # theta's three edges share both endpoints: a level-1 fiber has four members
+    X = from_file(THETA, "theta")
+    res = search_nncmo(X, 1)
+    assert res.admits
+    assert res.assignment.orders == _level_order_assignment(X, 1).orders
+    assert any(len(order) > 2 for order in res.assignment.orders.values())
