@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
-from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -718,7 +717,14 @@ _TYPING_NOTE = (
 
 def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
     """Classes of basepoint-hitting sites on level indices, sorted within
-    and across classes."""
+    and across classes.  Each rule joins the two death sites of one case of
+    d_i d_j = d_{j-1} d_i (i < j) on a simplex sigma that both words kill,
+    the word d_j then d_i against d_i then d_{j-1}: (i) both kill sigma at
+    once, (sigma, j) ~ (sigma, i); (ii) one at once, the other one level
+    down, (sigma, j) ~ (d_i sigma, j - 1); (iii) both one level down,
+    (d_j sigma, i) ~ (d_i sigma, j - 1); (iv) the other at once,
+    (d_j sigma, i) ~ (sigma, i).  (ii) and (iv) also run with the
+    non-basepoint face on the other side of the basepoint one."""
     parent: dict[_IndexSite, _IndexSite] = {}
 
     def find(s):
@@ -770,7 +776,7 @@ def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
                     omega, mu = faces[j], faces[i]
                     if star[j] or star[i]:
                         continue
-                    if i <= n - 1 and below[i][omega] == 0 and below[j - 1][mu] == 0:
+                    if below[i][omega] == 0 and below[j - 1][mu] == 0:
                         union((n - 1, omega, i), (n - 1, mu, j - 1))
             # (iv): same face index one level down
             for i in range(n + 1):
@@ -800,11 +806,13 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4
 
     Sets of dimension >= 2 carry no multiplicative ordering, so their classes
     are reported untyped (only commutative coefficients apply there and any
-    action of a commutative algebra obeys both laws).
+    action of a commutative algebra obeys both laws), as are those of a set
+    whose ordering search is inconclusive, with a note naming the cutoff.
 
-    Typing walks each level's trie of face words once (``_route_tables``):
-    254 prefix steps at cutoff 4 with words up to length 4, where simulating
-    each word alone takes 808, plus merging pairs x word pairs of evidence.
+    Typing reads each level's lattice of deleted-position subsets
+    (``_type_level``): 112 lattice edges and 12 maximal maps at cutoff 4
+    with words up to length 4, where walking every face word took 254
+    prefix steps over 38 maps.
     """
     _require_cutoff(cutoff)
     if max_word_length < 2:
@@ -820,11 +828,13 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4
         notes.append("set is not one-dimensional: no multiplicative ordering exists, "
                      "classes left untyped")
     elif assignment is None:
-        res = classify_nncmo(X, cutoff)
-        if res.admits:
-            assignment = res.assignment
-        else:
-            notes.append("no multiplicative ordering found; classes left untyped")
+        try:
+            assignment = classify_nncmo(X, cutoff).assignment  # None when it fails
+            if assignment is None:
+                notes.append("no multiplicative ordering found; classes left untyped")
+        except InconclusiveSearch:
+            notes.append(f"ordering search inconclusive at cutoff {cutoff}; "
+                         "classes left untyped")
 
     # site_class[n][i][k]: the class of the site (n, level(n)[k], i), or None
     site_class = {n: [[None] * len(X.level(n)) for _ in range(n + 1)]
@@ -865,71 +875,60 @@ def _type_level(X, assignment, site_class, evidence, n, max_word_length):
     and all three death sites lie in one class.  The fiber order at the
     meeting step names the smaller member; the smaller member dying strictly
     later makes the class a left action, dying first a right action.
+
+    A composite of faces from level n is fixed by the set of positions it
+    deletes, so the words of one map are the orders of that set and their
+    prefixes are its subsets.  Member images (one face-table column composed
+    onto one predecessor) and the dead members are computed once per subset,
+    and the meetings once per lattice edge A -> A | {p}, from the
+    multi-member fibers of that face.  A member's death class is the same on
+    every word of a map: the rules of ``_union_sites`` merge the death sites
+    on both sides of every adjacent swap d_i d_j = d_{j-1} d_i, and any two
+    words of a map are joined by such swaps.  So a merge (g, s, l) of a map
+    P, met on an edge inside P and killed by P, is left evidence exactly
+    when some subset S of P kills l but not s (every word through S), and
+    right evidence when S kills s but not l.  The evidence of P lies in that
+    of every larger map, so only the C(n + 1, depth) maps deleting
+    depth = min(n, max_word_length) positions are read.
     """
-    for _, tables in _route_tables(X, assignment, site_class, n, min(n, max_word_length)):
-        # a word that merges a pair kills both members at one step, so the
-        # death-step test below skips it without tracking which word merged
-        merges = {m for _, word_merges in tables for m in word_merges}
-        for deaths, _ in tables:
-            for g, small, large in merges:
-                ds, dl = deaths[small], deaths[large]
-                if ds is None or dl is None or ds[1] != g or dl[1] != g \
-                        or ds[0] == dl[0]:
-                    continue
-                evidence[g].add("left" if dl[0] < ds[0] else "right")
-
-
-def _route_tables(X, assignment, site_class, n, depth):
-    """Yield ``(kept, tables)`` for each map made by face words of length
-    2..depth from level n, faces applied first to last: ``kept`` is the
-    map's surviving vertex positions, ``tables`` one ``(deaths, merges)``
-    per word, in word order.  ``deaths[x]`` is member x's death step and
-    death-site class, or None if x survives or is the basepoint; ``merges``
-    lists ``(class, smaller, larger)`` for every member pair whose images
-    first meet at a non-basepoint simplex that later dies in a classified
-    site, in the fiber order at that meeting.  One depth-first walk over the
-    word trie applies each prefix step once, undoing its deaths and meetings
-    on backtracking, and yields a map of t faces once its t! words are done.
-    """
-    deaths = [None] * len(X.level(n))
-    meetings = []  # per meeting: a member and its (smaller, larger) member pairs
-    groups: dict[tuple[int, ...], list] = {}
-
-    def walk(t, holders, positions):  # holders: alive image -> its members
-        m = n - t + 1
-        table, classes = X.face_table(m), site_class[m]
-        for i in range(m + 1):
-            col, parts, dead = table[i], {}, []
-            for p, xs in holders.items():
-                q = col[p]
-                if q:
-                    parts.setdefault(q, []).append(p)
-                else:
-                    death = (t, classes[i][p])
-                    for x in xs:
-                        deaths[x] = death
-                    dead += xs
-            mark, rank = len(meetings), assignment.ranks(m, i)
-            for ps in parts.values():
-                if len(ps) > 1:
-                    ranked = [holders[p] for p in sorted(ps, key=rank.__getitem__)]
-                    meetings.append((ranked[0][0], [(x, y) for a, b in combinations(ranked, 2)
-                                                    for x in a for y in b]))
-            below = positions[:i] + positions[i + 1:]
-            if t >= 2:
-                merges = []
-                for rep, pairs in meetings:
-                    g = deaths[rep] and deaths[rep][1]
-                    if g is not None:
-                        merges += [(g, x, y) for x, y in pairs]
-                groups.setdefault(below, []).append((deaths.copy(), merges))
-                if len(groups[below]) == factorial(t):
-                    yield below, groups.pop(below)
-            if t < depth:
-                yield from walk(t + 1, {q: [x for p in ps for x in holders[p]]
-                                        for q, ps in parts.items()}, below)
-            for x in dead:
-                deaths[x] = None
-            del meetings[mark:]
-
-    yield from walk(1, {x: [x] for x in range(1, len(deaths))}, tuple(range(n + 1)))
+    depth, size = min(n, max_word_length), len(X.level(n))
+    # per subset of deleted positions (a bitmask): the members' images and
+    # death classes (None while alive), and the pairs meeting on edges into it
+    images, deaths, pairs = {0: list(range(size))}, {0: [None] * size}, {}
+    layer = [0]
+    for t in range(depth):
+        table, classes, grown = X.face_table(n - t), site_class[n - t], []
+        for A in layer:
+            img, dead = images[A], deaths[A]
+            for i, p in enumerate(v for v in range(n + 1) if not A >> v & 1):
+                B, col, rank = A | 1 << p, table[i], assignment.ranks(n - t, i)
+                if B not in images:
+                    grown.append(B)
+                    images[B] = [col[q] for q in img]
+                    deaths[B] = [d if d is not None or col[q] else classes[i][q]
+                                 for d, q in zip(dead, img)]
+                # image after B -> image after A -> members; two A-images meet
+                meets: dict[int, dict[int, list[int]]] = {}
+                for x in range(1, size):
+                    if col[img[x]]:
+                        meets.setdefault(col[img[x]], {}).setdefault(img[x], []).append(x)
+                for parts in meets.values():
+                    if len(parts) > 1:
+                        ranked = [parts[q] for q in sorted(parts, key=rank.__getitem__)]
+                        pairs.setdefault(B, []).extend(
+                            (x, y) for a, b in combinations(ranked, 2) for x in a for y in b)
+        layer = grown
+    for P in layer:
+        subsets = [S for S in images if S & P == S]
+        killed = [0] * size  # member -> bitmask of the subsets of P that kill it
+        for j, S in enumerate(subsets):
+            for x, q in enumerate(images[S]):
+                if not q:
+                    killed[x] |= 1 << j
+        merges = {(deaths[P][x], x, y) for B in subsets for x, y in pairs.get(B, ())
+                  if not images[P][x]}
+        for g, s, l in merges:
+            if killed[l] & ~killed[s]:
+                evidence[g].add("left")
+            if killed[s] & ~killed[l]:
+                evidence[g].add("right")

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import pytest
 
 from hochord import functors
 from hochord.algebras import (cyclic_group_algebra, matrix_algebra, symmetric_group_algebra_s3,
                               trunc_poly, unit_first, upper_tri)
+from hochord.ordering import InconclusiveSearch, NncmoResult, classify_nncmo, search_nncmo
+from hochord.simplicial import SimplicialSet, from_file
 
 
 @pytest.fixture
@@ -53,3 +57,43 @@ def oracle_algebras():
                  symmetric_group_algebra_s3(field)]
         return plain + [b for b in (unit_first(a)[0] for a in plain) if b not in plain]
     return build
+
+
+FAMILY_CUTOFF = 3
+
+
+class FamilySet(NamedTuple):
+    X: SimplicialSet
+    cutoff: int  # FAMILY_CUTOFF, the cutoff of both verdicts
+    canonical: NncmoResult | InconclusiveSearch  # classify_nncmo
+    searched: NncmoResult | InconclusiveSearch  # search_nncmo
+
+
+def _family_outcome(decide, X):
+    try:
+        return decide(X, FAMILY_CUTOFF)
+    except InconclusiveSearch as e:
+        return e
+
+
+@pytest.fixture(scope="session")
+def one_dimensional_family():
+    """Every pointed one-dimensional set on the vertices v0 (the basepoint),
+    v0 and p, or v0, p and q, with 1-4, 1-4 or 1-3 edges: each edge a -> b
+    is an ordered pair of vertices (d_1 = a, d_0 = b), and the edges a
+    multiset of them, named by their pairs.  That is
+    4 + 69 + 219 = 292 sets, each with its canonical and its searched
+    verdict at ``FAMILY_CUTOFF``, or the ``InconclusiveSearch`` raised
+    instead.  Built once per session: the searches take a few seconds."""
+    family = []
+    for vertices, most in ((("v0",), 4), (("v0", "p"), 4), (("v0", "p", "q"), 3)):
+        ends = [(a, b) for a in vertices for b in vertices]
+        for k in range(1, most + 1):
+            for edges in combinations_with_replacement(ends, k):
+                text = "\n".join(["basepoint v0"] + [f"simplex {v} dim=0" for v in vertices]
+                                 + [f"simplex e{j} dim=1 faces=[{b}, {a}]"
+                                    for j, (a, b) in enumerate(edges, 1)])
+                X = from_file(text, " ".join(f"{a}->{b}" for a, b in edges))
+                family.append(FamilySet(X, FAMILY_CUTOFF, _family_outcome(classify_nncmo, X),
+                                        _family_outcome(search_nncmo, X)))
+    return family

@@ -97,6 +97,32 @@ def test_homology_sphere_commutative_succeeds():
     assert "square_zero: True" in out
 
 
+EDGE_PLUS_LOOP = """basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex a dim=1 faces=[p, v0]
+simplex b dim=1 faces=[p, p]
+"""
+
+
+def test_inconclusive_search_refuses_only_noncommutative_coefficients(tmp_path):
+    # the ordering search on an edge plus a loop at p proves no ordering
+    # exists but finds no single-fiber witness, so it is inconclusive
+    p = tmp_path / "edge-plus-loop.sset"
+    p.write_text(EDGE_PLUS_LOOP)
+    code, out, _ = run_cli(["actions", str(p), "--cutoff", "3", "--json"])
+    report = json.loads(out)
+    assert code == 0 and {c["type"] for c in report["classes"]} == {"untyped"}
+    assert "ordering search inconclusive at cutoff 3; classes left untyped" in report["notes"]
+    for command in ("homology", "cohomology"):
+        code, out, _ = run_cli([command, str(p), "--algebra", "trunc-poly 2",
+                                "--module", "regular", "--json"])
+        assert code == 0 and json.loads(out)["square_zero"] is True
+        code, out, err = run_cli([command, str(p), "--algebra", "upper-tri 2",
+                                  "--module", "regular", "--json"])
+        assert code == 1 and out == "" and err.startswith("inconclusive:")
+
+
 def test_json_round_trip_and_determinism():
     args = ["nncmo", "sphere2", "--cutoff", "4", "--json"]
     code1, out1, _ = run_cli(args)

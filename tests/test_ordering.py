@@ -1,11 +1,12 @@
 import functools
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from hochord import ordering
 from hochord.ordering import (CyclicOrderingUnavailable, InconclusiveSearch,
-                              OrderingAssignment, OrderingError, _face_words,
+                              NncmoResult, OrderingAssignment, OrderingError, _face_words,
                               assignment_from_level_orders, check_nncmo,
                               check_nncmo_full, classify_actions, classify_nncmo,
                               composition_induced_order, cyclic_ordering,
@@ -364,7 +365,7 @@ def test_interval_single_right_class():
 
 
 # ---------------------------------------------------------------------------
-# pair-by-pair typing: the reference the per-level route tables must match
+# pair-by-pair typing: the reference the per-level typing must match
 
 def _simulate_route(X, ref, steps):
     """Images of ref along the steps; returns (images list incl. start,
@@ -470,7 +471,88 @@ def test_route_tables_match_pairwise_typing(builder, max_word_length, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the trie walk against the word-by-word route simulation
+# the word-trie typing (the oracle) against the word-by-word route
+# simulation, and the lattice typing against the trie
+
+def _route_tables(X, assignment, site_class, n, depth):
+    """Yield ``(kept, tables)`` for each map made by face words of length
+    2..depth from level n, faces applied first to last: ``kept`` is the
+    map's surviving vertex positions, ``tables`` one ``(deaths, merges)``
+    per word, in word order.  ``deaths[x]`` is member x's death step and
+    death-site class, or None if x survives or is the basepoint; ``merges``
+    lists ``(class, smaller, larger)`` for every member pair whose images
+    first meet at a non-basepoint simplex that later dies in a classified
+    site, in the fiber order at that meeting.  One depth-first walk over the
+    word trie applies each prefix step once, undoing its deaths and meetings
+    on backtracking, and yields a map of t faces once its t! words are done.
+    """
+    deaths = [None] * len(X.level(n))
+    meetings = []  # per meeting: a member and its (smaller, larger) member pairs
+    groups: dict[tuple[int, ...], list] = {}
+
+    def walk(t, holders, positions):  # holders: alive image -> its members
+        m = n - t + 1
+        table, classes = X.face_table(m), site_class[m]
+        for i in range(m + 1):
+            col, parts, dead = table[i], {}, []
+            for p, xs in holders.items():
+                q = col[p]
+                if q:
+                    parts.setdefault(q, []).append(p)
+                else:
+                    death = (t, classes[i][p])
+                    for x in xs:
+                        deaths[x] = death
+                    dead += xs
+            mark, rank = len(meetings), assignment.ranks(m, i)
+            for ps in parts.values():
+                if len(ps) > 1:
+                    ranked = [holders[p] for p in sorted(ps, key=rank.__getitem__)]
+                    meetings.append((ranked[0][0], [(x, y) for a, b in combinations(ranked, 2)
+                                                    for x in a for y in b]))
+            below = positions[:i] + positions[i + 1:]
+            if t >= 2:
+                merges = []
+                for rep, pairs in meetings:
+                    g = deaths[rep] and deaths[rep][1]
+                    if g is not None:
+                        merges += [(g, x, y) for x, y in pairs]
+                groups.setdefault(below, []).append((deaths.copy(), merges))
+                if len(groups[below]) == factorial(t):
+                    yield below, groups.pop(below)
+            if t < depth:
+                yield from walk(t + 1, {q: [x for p in ps for x in holders[p]]
+                                        for q, ps in parts.items()}, below)
+            for x in dead:
+                deaths[x] = None
+            del meetings[mark:]
+
+    yield from walk(1, {x: [x] for x in range(1, len(deaths))}, tuple(range(n + 1)))
+
+
+def _trie_type_level(X, assignment, site_class, evidence, n, max_word_length):
+    """The typing loop ``ordering._type_level`` replaced: every map of word
+    length 2..depth, every word of it, read from the trie walk.
+
+    One evidence item is a pair of members and two equal factorizations: on
+    the merge word the pair's images meet at a non-basepoint simplex that
+    later dies, on the split word the two members die at different steps,
+    and all three death sites lie in one class.  The fiber order at the
+    meeting step names the smaller member; the smaller member dying strictly
+    later makes the class a left action, dying first a right action.
+    """
+    for _, tables in _route_tables(X, assignment, site_class, n, min(n, max_word_length)):
+        # a word that merges a pair kills both members at one step, so the
+        # death-step test below skips it without tracking which word merged
+        merges = {m for _, word_merges in tables for m in word_merges}
+        for deaths, _ in tables:
+            for g, small, large in merges:
+                ds, dl = deaths[small], deaths[large]
+                if ds is None or dl is None or ds[1] != g or dl[1] != g \
+                        or ds[0] == dl[0]:
+                    continue
+                evidence[g].add("left" if dl[0] < ds[0] else "right")
+
 
 def _route_table(X, assignment, site_class, n, word):
     """Simulate every member along ``word`` (faces applied first to last).
@@ -535,12 +617,12 @@ simplex b dim=1 faces=[p, v0]
 simplex c dim=1 faces=[p, v0]
 """
 
+NAMED_SETS = BUNDLED + [lambda: from_file(BIGON, "bigon"), lambda: from_file(THETA, "theta")]
+NAMED_IDS = ["point", "interval", "circle", "wedge2", "wedge3", "sphere2", "bigon", "theta"]
+
 
 @pytest.mark.parametrize("cutoff", [4, 5])
-@pytest.mark.parametrize("builder", BUNDLED + [lambda: from_file(BIGON, "bigon"),
-                                               lambda: from_file(THETA, "theta")],
-                         ids=["point", "interval", "circle", "wedge2", "wedge3",
-                              "sphere2", "bigon", "theta"])
+@pytest.mark.parametrize("builder", NAMED_SETS, ids=NAMED_IDS)
 def test_trie_walk_matches_route_table_oracle(builder, cutoff):
     X = builder()
     site_class = _site_class_table(X, cutoff)
@@ -559,9 +641,73 @@ def test_trie_walk_matches_route_table_oracle(builder, cutoff):
                         kept = tuple(v for v in range(n + 1) if v not in deleted)
                         want[kept] = [_route_table(X, assignment, site_class, n, w)
                                       for w in words]
-                got = list(ordering._route_tables(X, assignment, site_class, n, depth))
+                got = list(_route_tables(X, assignment, site_class, n, depth))
                 # every map once, every word's table, words of one map in order
                 assert len(got) == len(want) and dict(got) == want
+
+
+def _family_certificates(member):
+    """The level-order certificate, and the canonical and searched ones of a
+    family set where they exist."""
+    return [_level_order_assignment(member.X, member.cutoff)] + [
+        res.assignment for res in (member.canonical, member.searched)
+        if isinstance(res, NncmoResult) and res.admits]
+
+
+def _evidence_mismatches(X, assignments, cutoff, word_lengths):
+    """The (level, word length) cases where the lattice typing and the trie
+    typing collect different evidence, over every given certificate."""
+    site_class = _site_class_table(X, cutoff)
+    classes = range(len(ordering._union_sites(X, cutoff)))
+    bad = []
+    for assignment in assignments:
+        for max_word_length in word_lengths:
+            for n in range(2, cutoff + 1):
+                got, want = ({g: set() for g in classes} for _ in range(2))
+                ordering._type_level(X, assignment, site_class, got, n, max_word_length)
+                _trie_type_level(X, assignment, site_class, want, n, max_word_length)
+                if got != want:
+                    bad.append((n, max_word_length))
+    return bad
+
+
+def test_lattice_typing_matches_the_trie_on_the_family(one_dimensional_family):
+    bad = {member.X.name: cases for member in one_dimensional_family
+           if (cases := _evidence_mismatches(member.X, _family_certificates(member),
+                                             member.cutoff, (2, 3)))}
+    assert bad == {}
+    # the 134 sets that admit an ordering carry all three kinds of certificate
+    assert sum(len(_family_certificates(m)) == 3 for m in one_dimensional_family) == 134
+
+
+@pytest.mark.parametrize("cutoff", [4, 5])
+@pytest.mark.parametrize("builder", NAMED_SETS, ids=NAMED_IDS)
+def test_lattice_typing_matches_the_trie_on_named_sets(builder, cutoff):
+    X = builder()
+    assert _evidence_mismatches(X, _oracle_certificates(X, cutoff), cutoff, (2, 3, 4, 5)) == []
+
+
+def _word_dependent_deaths(X, cutoff):
+    """The maps (level, kept positions) on which two words give some member
+    different death classes, read from the trie walk over every word."""
+    site_class = _site_class_table(X, cutoff)
+    assignment = _level_order_assignment(X, cutoff)
+    bad = []
+    for n in range(2, cutoff + 1):
+        for kept, tables in _route_tables(X, assignment, site_class, n, n):
+            classes = {tuple(d and d[1] for d in deaths) for deaths, _ in tables}
+            if len(classes) > 1:
+                bad.append((n, kept))
+    return bad
+
+
+def test_death_class_does_not_depend_on_the_word(one_dimensional_family):
+    # the lemma the lattice typing rests on: the coface rules of
+    # _union_sites make every member's death class a function of the map
+    cases = [(m.X, m.cutoff) for m in one_dimensional_family]
+    cases += [(builder(), 4) for builder in BUNDLED]
+    bad = {X.name: maps for X, cutoff in cases if (maps := _word_dependent_deaths(X, cutoff))}
+    assert bad == {}
 
 
 def test_typing_walk_shares_word_prefixes(monkeypatch):
