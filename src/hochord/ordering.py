@@ -61,14 +61,6 @@ def _images(X: SimplicialSet, n: int, steps) -> list[int]:
     return images
 
 
-def fibers_of_face(X: SimplicialSet, level: int, i: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
-    """Fibers of d_i : X_level -> X_{level-1} over non-basepoint targets,
-    each listed in level-enumeration order."""
-    refs, below = X.level(level), X.level(level - 1)
-    return {below[t]: tuple(refs[k] for k in members)
-            for t, members in fibers(X.face_table(level)[i]).items()}
-
-
 class OrderingAssignment:
     """Per (level <= cutoff, face index): a total order for every fiber of
     d_i over a non-basepoint target, and for nothing else.
@@ -144,6 +136,15 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
                 orders[(n, i, below[t])] = tuple(sorted((refs[k] for k in members),
                                                         key=pos.__getitem__))
     return OrderingAssignment(X, cutoff, orders)
+
+
+def _require_own_set(X: SimplicialSet, assignment: OrderingAssignment) -> None:
+    """``OrderingError`` unless the assignment was built for X: the same
+    simplices and basepoint, so a copy of X built apart passes."""
+    Y = assignment.X
+    if Y is not X and (Y.simplices != X.simplices or Y.basepoint != X.basepoint):
+        raise OrderingError(f"assignment was built for the set {Y.name!r}, "
+                            f"not for {X.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,7 @@ def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
     A cutoff of 1 has no two-step compositions to check; one above the
     assignment's raises ``OrderingError``."""
     _require_cutoff(cutoff)
+    _require_own_set(X, assignment)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
     for n in range(2, cutoff + 1):
@@ -795,31 +797,27 @@ def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
     return [tuple(sorted(v)) for _, v in sorted(groups.items())]
 
 
-def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4,
+def classify_actions(X: SimplicialSet, cutoff: int = 4,
                      assignment: OrderingAssignment | None = None) -> ActionClassReport:
     """Partition the basepoint-hitting sites (simplex, face index) into
-    classes under the coface compatibility rules, then type each class by a
-    factorization search against ``assignment``, the certificate whose fiber
-    orders the caller multiplies with (trusted as multiplicative; reaching
-    level ``cutoff``, else ``OrderingError``), or when it is None against the
+    classes under the coface compatibility rules, then type each class from
+    the adjacent identities of every level (``_type_level``) against
+    ``assignment``, the certificate whose fiber orders the caller multiplies
+    with (trusted as multiplicative; built for X and reaching level
+    ``cutoff``, else ``OrderingError``), or when it is None against the
     canonical certificate ``classify_nncmo`` derives.
 
     Sets of dimension >= 2 carry no multiplicative ordering, so their classes
     are reported untyped (only commutative coefficients apply there and any
     action of a commutative algebra obeys both laws), as are those of a set
     whose ordering search is inconclusive, with a note naming the cutoff.
-
-    Typing reads each level's lattice of deleted-position subsets
-    (``_type_level``): 112 lattice edges and 12 maximal maps at cutoff 4
-    with words up to length 4, where walking every face word took 254
-    prefix steps over 38 maps.
     """
     _require_cutoff(cutoff)
-    if max_word_length < 2:
-        raise OrderingError(f"max_word_length must be at least 2, got {max_word_length}")
-    if assignment is not None and assignment.cutoff < cutoff:
-        raise OrderingError(f"assignment cutoff {assignment.cutoff} is below the "
-                            f"typing cutoff {cutoff}")
+    if assignment is not None:
+        _require_own_set(X, assignment)
+        if assignment.cutoff < cutoff:
+            raise OrderingError(f"assignment cutoff {assignment.cutoff} is below the "
+                                f"typing cutoff {cutoff}")
     notes = [_TYPING_NOTE]
     site_groups = _union_sites(X, cutoff)
 
@@ -846,7 +844,7 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4
 
     if assignment is not None:
         for n in range(2, cutoff + 1):
-            _type_level(X, assignment, site_class, evidence, n, max_word_length)
+            _type_level(X, assignment, site_class, evidence, n)
 
     classes = []
     for gi, group in enumerate(site_groups):
@@ -866,69 +864,45 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4, max_word_length: int = 4
     return ActionClassReport(cutoff, tuple(classes), tuple(notes))
 
 
-def _type_level(X, assignment, site_class, evidence, n, max_word_length):
-    """Collect the typing evidence of the level-n members.
+def _type_level(X, assignment, site_class, evidence, n):
+    """Collect the typing evidence of the adjacent identities
+    d_i d_j = d_{j-1} d_i (i < j) from level n.
 
-    One evidence item is a pair of members and two equal factorizations: on
-    the merge word the pair's images meet at a non-basepoint simplex that
-    later dies, on the split word the two members die at different steps,
-    and all three death sites lie in one class.  The fiber order at the
-    meeting step names the smaller member; the smaller member dying strictly
-    later makes the class a left action, dying first a right action.
+    Each identity is two words of two faces.  On one, d_first then
+    d_second, a fiber of d_first whose target d_second kills merges its
+    members and kills them one step later, in the class of that death site;
+    the other word's first face d_other may split them.  For members s < l
+    in the fiber order, d_other killing l but not s (the larger member dies
+    strictly first) is left evidence, killing s but not l right evidence.
+    A member d_other kills makes d_second kill the target, so the death
+    test only skips fibers that give no evidence.
 
-    A composite of faces from level n is fixed by the set of positions it
-    deletes, so the words of one map are the orders of that set and their
-    prefixes are its subsets.  Member images (one face-table column composed
-    onto one predecessor) and the dead members are computed once per subset,
-    and the meetings once per lattice edge A -> A | {p}, from the
-    multi-member fibers of that face.  A member's death class is the same on
-    every word of a map: the rules of ``_union_sites`` merge the death sites
-    on both sides of every adjacent swap d_i d_j = d_{j-1} d_i, and any two
-    words of a map are joined by such swaps.  So a merge (g, s, l) of a map
-    P, met on an edge inside P and killed by P, is left evidence exactly
-    when some subset S of P kills l but not s (every word through S), and
-    right evidence when S kills s but not l.  The evidence of P lies in that
-    of every larger map, so only the C(n + 1, depth) maps deleting
-    depth = min(n, max_word_length) positions are read.
+    Why these pairs of words find all the evidence longer equal words find:
+    only one-dimensional sets are typed.  There a non-basepoint simplex is
+    a degenerate vertex, which never dies, or a degeneracy 0^a 1^(n+1-a) of
+    one edge e.  Two members meet at a simplex that later dies only if both
+    lie on one edge e with an end at v0: they meet once the positions
+    between their split points are deleted, and die once all their 1s are
+    deleted (source at v0) or all their 0s (target at v0).  So within one
+    death class, which member dies first depends only on which split point
+    is larger.  A multiplicative certificate gives every factorization of
+    a composite that keeps the merged image alive the same meeting order.
+    Take the composite whose merged image dies one step later, factored to
+    delete every other position first and merge last: the merge and the
+    death are one adjacent identity, at a level no higher than n.
     """
-    depth, size = min(n, max_word_length), len(X.level(n))
-    # per subset of deleted positions (a bitmask): the members' images and
-    # death classes (None while alive), and the pairs meeting on edges into it
-    images, deaths, pairs = {0: list(range(size))}, {0: [None] * size}, {}
-    layer = [0]
-    for t in range(depth):
-        table, classes, grown = X.face_table(n - t), site_class[n - t], []
-        for A in layer:
-            img, dead = images[A], deaths[A]
-            for i, p in enumerate(v for v in range(n + 1) if not A >> v & 1):
-                B, col, rank = A | 1 << p, table[i], assignment.ranks(n - t, i)
-                if B not in images:
-                    grown.append(B)
-                    images[B] = [col[q] for q in img]
-                    deaths[B] = [d if d is not None or col[q] else classes[i][q]
-                                 for d, q in zip(dead, img)]
-                # image after B -> image after A -> members; two A-images meet
-                meets: dict[int, dict[int, list[int]]] = {}
-                for x in range(1, size):
-                    if col[img[x]]:
-                        meets.setdefault(col[img[x]], {}).setdefault(img[x], []).append(x)
-                for parts in meets.values():
-                    if len(parts) > 1:
-                        ranked = [parts[q] for q in sorted(parts, key=rank.__getitem__)]
-                        pairs.setdefault(B, []).extend(
-                            (x, y) for a, b in combinations(ranked, 2) for x in a for y in b)
-        layer = grown
-    for P in layer:
-        subsets = [S for S in images if S & P == S]
-        killed = [0] * size  # member -> bitmask of the subsets of P that kill it
-        for j, S in enumerate(subsets):
-            for x, q in enumerate(images[S]):
-                if not q:
-                    killed[x] |= 1 << j
-        merges = {(deaths[P][x], x, y) for B in subsets for x, y in pairs.get(B, ())
-                  if not images[P][x]}
-        for g, s, l in merges:
-            if killed[l] & ~killed[s]:
-                evidence[g].add("left")
-            if killed[s] & ~killed[l]:
-                evidence[g].add("right")
+    table, below = X.face_table(n), X.face_table(n - 1)
+    fibs = [fibers(col) for col in table]
+    for j in range(1, n + 1):
+        for i in range(j):
+            for first, second, other in ((j, i, i), (i, j - 1, j)):
+                rank, kill, split = assignment.ranks(n, first), below[second], table[other]
+                for target, members in fibs[first].items():
+                    if len(members) < 2 or kill[target]:
+                        continue
+                    g = site_class[n - 1][second][target]
+                    for s, l in combinations(sorted(members, key=rank.__getitem__), 2):
+                        if not split[l] and split[s]:
+                            evidence[g].add("left")
+                        elif not split[s] and split[l]:
+                            evidence[g].add("right")

@@ -169,6 +169,17 @@ def test_refusal_with_inconsistent_assignment():
     assert err.value.witness is not None and err.value.witness.kind == "assignment"
 
 
+@pytest.mark.parametrize("alg", [upper_tri(2), trunc_poly(2)], ids=["upper-tri", "trunc-poly"])
+def test_certificate_for_another_set_is_refused(alg):
+    for X, Y in ((circle(), wedge_of_circles(2)), (circle(), interval()),
+                 (wedge_of_circles(2), circle())):
+        spec = ComplexSpec(X, alg, regular_bimodule(alg), CHAIN, 3,
+                           assignment=ordering.classify_nncmo(Y, 3).assignment)
+        with pytest.raises(ordering.OrderingError,
+                           match=f"built for the set '{Y.name}', not for '{X.name}'"):
+            build_complex(spec)
+
+
 def test_refusal_without_assignment_names_no_dimension_cause():
     # the theta graph is one-dimensional yet has no multiplicative ordering
     X = from_file("""

@@ -9,8 +9,7 @@ from hochord.ordering import (CyclicOrderingUnavailable, InconclusiveSearch,
                               NncmoResult, OrderingAssignment, OrderingError, _face_words,
                               assignment_from_level_orders, check_nncmo,
                               check_nncmo_full, classify_actions, classify_nncmo,
-                              composition_induced_order, cyclic_ordering,
-                              fibers_of_face, search_nncmo)
+                              composition_induced_order, cyclic_ordering, search_nncmo)
 from hochord.simplicial import (SimplexRef, SimplicialSet, circle, fibers, from_file,
                                 interval, point, sphere2, wedge_of_circles)
 
@@ -27,12 +26,8 @@ simplex e2 dim=1 faces=[v0, p]
 
 
 def _level_order_assignment(X, cutoff):
-    orders = {}
-    for n in range(1, cutoff + 1):
-        for i in range(n + 1):
-            for target, fiber in fibers_of_face(X, n, i).items():
-                orders[(n, i, target)] = fiber
-    return OrderingAssignment(X, cutoff, orders)
+    return assignment_from_level_orders(
+        X, {n: X.level_nonbase(n) for n in range(1, cutoff + 1)}, cutoff)
 
 
 def _names(X, refs):
@@ -350,12 +345,24 @@ def test_classify_actions_types_against_a_supplied_certificate():
         classify_actions(X, 4, assignment=classify_nncmo(X, 3).assignment)
 
 
-@pytest.mark.parametrize("max_word_length", [1, 0, -2])
-def test_classify_actions_refuses_word_length_below_two(max_word_length):
-    # a word of one face carries no factorization, so nothing could be typed
-    with pytest.raises(OrderingError,
-                       match=f"max_word_length must be at least 2, got {max_word_length}"):
-        classify_actions(circle(), 4, max_word_length)
+def test_a_certificate_for_another_set_is_refused():
+    circle_cert = classify_nncmo(circle(), 3).assignment
+    W = wedge_of_circles(2)
+    for check in (lambda Y, cert: classify_actions(Y, 3, assignment=cert),
+                  lambda Y, cert: check_nncmo(Y, cert, 3),
+                  lambda Y, cert: check_nncmo_full(Y, cert, 3)):
+        with pytest.raises(OrderingError,
+                           match="assignment was built for the set 'wedge2', not for 'circle'"):
+            check(circle(), classify_nncmo(W, 3).assignment)
+        with pytest.raises(OrderingError,
+                           match="assignment was built for the set 'interval', not for 'circle'"):
+            check(circle(), classify_nncmo(interval(), 3).assignment)
+        with pytest.raises(OrderingError,
+                           match="assignment was built for the set 'circle', not for 'wedge2'"):
+            check(W, circle_cert)
+    # an equal set built apart is the same set
+    assert check_nncmo(circle(), circle_cert, 3) is None
+    assert classify_actions(circle(), 3, assignment=circle_cert) == classify_actions(circle(), 3)
 
 
 def test_interval_single_right_class():
@@ -456,23 +463,24 @@ def _pairwise_on_site_table(X, assignment, site_class, evidence, n, max_word_len
     _pairwise_type_level(X, assignment, site_to_group, evidence, n, max_word_length)
 
 
-@pytest.mark.parametrize("builder, max_word_length", [
-    (point, 4), (interval, 4), (circle, 4), (lambda: wedge_of_circles(2), 4),
-    (sphere2, 4), (lambda: from_file(BIGON, "bigon"), 4),
-    (lambda: wedge_of_circles(2), 2), (lambda: wedge_of_circles(2), 3),
-], ids=["point", "interval", "circle", "wedge2", "sphere2", "bigon",
-        "wedge2-words2", "wedge2-words3"])
+@pytest.mark.parametrize("max_word_length", [2, 3, 4])
+@pytest.mark.parametrize("builder", [
+    point, interval, circle, lambda: wedge_of_circles(2), sphere2,
+    lambda: from_file(BIGON, "bigon"),
+], ids=["point", "interval", "circle", "wedge2", "sphere2", "bigon"])
 def test_route_tables_match_pairwise_typing(builder, max_word_length, monkeypatch):
-    got = classify_actions(builder(), 4, max_word_length)
-    monkeypatch.setattr(ordering, "_type_level", _pairwise_on_site_table)
-    want = classify_actions(builder(), 4, max_word_length)
+    got = classify_actions(builder(), 4)
+    monkeypatch.setattr(ordering, "_type_level", functools.partial(
+        _pairwise_on_site_table, max_word_length=max_word_length))
+    want = classify_actions(builder(), 4)
     # ids, types, sites and notes
     assert got == want
 
 
 # ---------------------------------------------------------------------------
-# the word-trie typing (the oracle) against the word-by-word route
-# simulation, and the lattice typing against the trie
+# the word-trie typing against the word-by-word route simulation, the
+# subset-lattice typing against the trie, and the adjacent-identity typing
+# against the lattice
 
 def _route_tables(X, assignment, site_class, n, depth):
     """Yield ``(kept, tables)`` for each map made by face words of length
@@ -531,7 +539,7 @@ def _route_tables(X, assignment, site_class, n, depth):
 
 
 def _trie_type_level(X, assignment, site_class, evidence, n, max_word_length):
-    """The typing loop ``ordering._type_level`` replaced: every map of word
+    """The typing loop ``_lattice_type_level`` replaced: every map of word
     length 2..depth, every word of it, read from the trie walk.
 
     One evidence item is a pair of members and two equal factorizations: on
@@ -552,6 +560,67 @@ def _trie_type_level(X, assignment, site_class, evidence, n, max_word_length):
                         or ds[0] == dl[0]:
                     continue
                 evidence[g].add("left" if dl[0] < ds[0] else "right")
+
+
+def _lattice_type_level(X, assignment, site_class, evidence, n, max_word_length):
+    """The typing loop ``ordering._type_level`` replaced: every map of word
+    length 2..depth, read from the lattice of deleted-position subsets.
+
+    A composite of faces from level n is fixed by the set of positions it
+    deletes, so the words of one map are the orders of that set and their
+    prefixes are its subsets.  Member images (one face-table column composed
+    onto one predecessor) and the dead members are computed once per subset,
+    and the meetings once per lattice edge A -> A | {p}, from the
+    multi-member fibers of that face.  A member's death class is the same on
+    every word of a map (``test_death_class_does_not_depend_on_the_word``).
+    So a merge (g, s, l) of a map P, met on an edge inside P and killed by
+    P, is left evidence exactly when some subset S of P kills l but not s
+    (every word through S), and right evidence when S kills s but not l.
+    The evidence of P lies in that of every larger map, so only the
+    C(n + 1, depth) maps deleting depth = min(n, max_word_length) positions
+    are read.
+    """
+    depth, size = min(n, max_word_length), len(X.level(n))
+    # per subset of deleted positions (a bitmask): the members' images and
+    # death classes (None while alive), and the pairs meeting on edges into it
+    images, deaths, pairs = {0: list(range(size))}, {0: [None] * size}, {}
+    layer = [0]
+    for t in range(depth):
+        table, classes, grown = X.face_table(n - t), site_class[n - t], []
+        for A in layer:
+            img, dead = images[A], deaths[A]
+            for i, p in enumerate(v for v in range(n + 1) if not A >> v & 1):
+                B, col, rank = A | 1 << p, table[i], assignment.ranks(n - t, i)
+                if B not in images:
+                    grown.append(B)
+                    images[B] = [col[q] for q in img]
+                    deaths[B] = [d if d is not None or col[q] else classes[i][q]
+                                 for d, q in zip(dead, img)]
+                # image after B -> image after A -> members; two A-images meet
+                meets: dict[int, dict[int, list[int]]] = {}
+                for x in range(1, size):
+                    if col[img[x]]:
+                        meets.setdefault(col[img[x]], {}).setdefault(img[x], []).append(x)
+                for parts in meets.values():
+                    if len(parts) > 1:
+                        ranked = [parts[q] for q in sorted(parts, key=rank.__getitem__)]
+                        pairs.setdefault(B, []).extend(
+                            (x, y) for a, b in combinations(ranked, 2) for x in a for y in b)
+        layer = grown
+    for P in layer:
+        subsets = [S for S in images if S & P == S]
+        killed = [0] * size  # member -> bitmask of the subsets of P that kill it
+        for j, S in enumerate(subsets):
+            for x, q in enumerate(images[S]):
+                if not q:
+                    killed[x] |= 1 << j
+        merges = {(deaths[P][x], x, y) for B in subsets for x, y in pairs.get(B, ())
+                  if not images[P][x]}
+        for g, s, l in merges:
+            if killed[l] & ~killed[s]:
+                evidence[g].add("left")
+            if killed[s] & ~killed[l]:
+                evidence[g].add("right")
 
 
 def _route_table(X, assignment, site_class, n, word):
@@ -620,6 +689,19 @@ simplex c dim=1 faces=[p, v0]
 NAMED_SETS = BUNDLED + [lambda: from_file(BIGON, "bigon"), lambda: from_file(THETA, "theta")]
 NAMED_IDS = ["point", "interval", "circle", "wedge2", "wedge3", "sphere2", "bigon", "theta"]
 
+EDGE_PLUS_LOOP = """
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex a dim=1 faces=[p, v0]
+simplex b dim=1 faces=[p, p]
+"""
+
+ORACLE_SETS = BUNDLED + [lambda: from_file(BIGON, "bigon"), lambda: from_file(THETA, "theta"),
+                         lambda: from_file(EDGE_PLUS_LOOP, "edge-plus-loop")]
+ORACLE_IDS = ["point", "interval", "circle", "wedge2", "wedge3", "sphere2", "bigon",
+              "theta", "edge-plus-loop"]
+
 
 @pytest.mark.parametrize("cutoff", [4, 5])
 @pytest.mark.parametrize("builder", NAMED_SETS, ids=NAMED_IDS)
@@ -664,7 +746,7 @@ def _evidence_mismatches(X, assignments, cutoff, word_lengths):
         for max_word_length in word_lengths:
             for n in range(2, cutoff + 1):
                 got, want = ({g: set() for g in classes} for _ in range(2))
-                ordering._type_level(X, assignment, site_class, got, n, max_word_length)
+                _lattice_type_level(X, assignment, site_class, got, n, max_word_length)
                 _trie_type_level(X, assignment, site_class, want, n, max_word_length)
                 if got != want:
                     bad.append((n, max_word_length))
@@ -685,6 +767,36 @@ def test_lattice_typing_matches_the_trie_on_the_family(one_dimensional_family):
 def test_lattice_typing_matches_the_trie_on_named_sets(builder, cutoff):
     X = builder()
     assert _evidence_mismatches(X, _oracle_certificates(X, cutoff), cutoff, (2, 3, 4, 5)) == []
+
+
+def _lattice_mismatches(X, assignments, cutoff):
+    """The (certificate, lattice depth) cases where ``classify_actions``
+    against a certificate differs from the same call typed level by level
+    by the lattice oracle, at full depth and at depth 2."""
+    bad = []
+    for c, assignment in enumerate(assignments):
+        got = classify_actions(X, cutoff, assignment=assignment)
+        for depth in (cutoff, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ordering, "_type_level", functools.partial(
+                    _lattice_type_level, max_word_length=depth))
+                if classify_actions(X, cutoff, assignment=assignment) != got:
+                    bad.append((c, depth))
+    return bad
+
+
+def test_adjacent_typing_matches_the_lattice_on_the_family(one_dimensional_family):
+    bad = {member.X.name: cases for member in one_dimensional_family
+           if (cases := _lattice_mismatches(member.X, _family_certificates(member),
+                                            member.cutoff))}
+    assert bad == {}
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 6])
+@pytest.mark.parametrize("builder", ORACLE_SETS, ids=ORACLE_IDS)
+def test_adjacent_typing_matches_the_lattice_on_named_sets(builder, cutoff):
+    X = builder()
+    assert _lattice_mismatches(X, _oracle_certificates(X, cutoff), cutoff) == []
 
 
 def _word_dependent_deaths(X, cutoff):
@@ -730,9 +842,10 @@ def test_typing_walk_shares_word_prefixes(monkeypatch):
     monkeypatch.setattr(X, "face_table", counted_table)
     monkeypatch.setattr(ordering, "_type_level", counted_level)
     classify_actions(X, 4, assignment=assignment)
-    # one lookup per trie node (9 + 40 + 205 over levels 2-4) at most; a
-    # simulation per word takes one per word step, 12 + 96 + 700 = 808
-    assert 0 < calls[0] <= 254
+    # two lookups per level (levels 2-4), for the adjacent identities of
+    # each; the trie walk over every word took one per trie node, 254, and
+    # a simulation per word one per word step, 808
+    assert calls[0] == 6
 
 
 def test_typing_simulates_each_route_once(monkeypatch):
@@ -783,18 +896,6 @@ def test_face_words_are_cached_and_read_only():
 # ---------------------------------------------------------------------------
 # fibers, rank keys and the shared check loop against the code they replaced
 
-EDGE_PLUS_LOOP = """
-basepoint v0
-simplex v0 dim=0
-simplex p dim=0
-simplex a dim=1 faces=[p, v0]
-simplex b dim=1 faces=[p, p]
-"""
-
-ORACLE_SETS = BUNDLED + [lambda: from_file(BIGON, "bigon"), lambda: from_file(THETA, "theta"),
-                         lambda: from_file(EDGE_PLUS_LOOP, "edge-plus-loop")]
-ORACLE_IDS = ["point", "interval", "circle", "wedge2", "wedge3", "sphere2", "bigon",
-              "theta", "edge-plus-loop"]
 ORACLE_CUTOFF = 5
 
 
