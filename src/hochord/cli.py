@@ -18,7 +18,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import data_path
 from .algebras import (Algebra, AlgebraError, custom_algebra, cyclic_group_algebra,
                        matrix_algebra, symmetric_group_algebra_s3, trunc_poly, upper_tri)
 from .exact import Field, Matrix
@@ -48,10 +47,6 @@ def load_simplicial_set(ref: str) -> SimplicialSet:
             raise CliInputError(f"{ref}: {e}") from None
     if ref in BUILTIN_SETS:
         return BUILTIN_SETS[ref]()
-    bundled = data_path(f"{ref}.sset")
-    if bundled is not None and os.path.exists(bundled):
-        with open(bundled, "r", encoding="utf-8") as fh:
-            return from_file(fh.read(), ref)
     raise CliInputError(
         f"unknown simplicial set {ref!r}: not a file, and not one of "
         f"{sorted(BUILTIN_SETS)}")

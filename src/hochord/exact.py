@@ -12,6 +12,9 @@ Every sparse sum outside elimination is one sparse linear combination,
 matrix-vector products, the signed face-map sum of a differential, algebra
 products and module operators and their checks.
 
+Entries are grouped into rows in one place, ``by_row``, in the entry dict's
+order and without sorting; products and elimination both read its rows.
+
 Rank, kernel and solving share one sparse elimination kernel, ``_echelon``.
 Rows are ``{col: int}`` dicts: residues over F_p, and over Q integer
 multiples of the input rows, divided by their content after every
@@ -27,7 +30,7 @@ space, so the pivot columns are the leading columns of the row space: the
 leftmost possible ones, those of the reduced row echelon form, whichever row
 of a bucket is chosen.  Back-substitution (``_reduced``) then yields exactly
 that unique form, so ``nullspace`` and ``solve`` do not depend on the pivot
-choice.
+choice, nor on the order the rows and their entries arrive in.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -280,16 +283,18 @@ def combine(f: Field, terms) -> dict:
 
 
 def by_row(entries: dict) -> dict:
-    """``{row: [(col, value), ...]}`` for a matrix entry dict."""
+    """``{row: {col: value}}`` for a matrix entry dict, rows and columns in
+    the dict's order: the one grouping of entries into rows, read by products
+    and by elimination alike, neither of which depends on that order."""
     out: dict = {}
     for (r, c), v in entries.items():
-        out.setdefault(r, []).append((c, v))
+        out.setdefault(r, {})[c] = v
     return out
 
 
 def product_entries(f: Field, a: dict, b_rows: dict) -> dict:
     """Entries of the product of an entry dict and a ``by_row`` table."""
-    return combine(f, ((va, [((r, c), vb) for c, vb in b_rows.get(k, ())])
+    return combine(f, ((va, [((r, c), vb) for c, vb in b_rows.get(k, {}).items()])
                        for (r, k), va in a.items()))
 
 
@@ -324,20 +329,19 @@ def _combine(row: dict, piv: dict, c: int, p: int | None) -> dict:
 
 
 def _sparse_rows(m: Matrix) -> list[dict]:
-    """Nonzero rows of ``m`` as ``{col: int}``: residues over F_p, primitive
-    integer multiples over Q."""
-    rows: dict[int, dict] = {}
-    for (r, c), v in sorted(m.entries.items()):
-        rows.setdefault(r, {})[c] = v
+    """Nonzero rows of ``m`` as ``{col: int}``, as ``by_row`` groups them:
+    residues over F_p, passed on unchanged (elimination never mutates a row);
+    over Q, primitive integer multiples, whose denominators are cleared only
+    in a row holding a ``Fraction``."""
+    rows = by_row(m.entries).values()
     if m.field.p is not None:
-        return list(rows.values())
+        return list(rows)
     out = []
-    for row in rows.values():
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append(_primitive({c: v.numerator * (den // v.denominator)
-                               for c, v in row.items()}))
+    for row in rows:
+        if not all(type(v) is int for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        out.append(_primitive(row))
     return out
 
 

@@ -46,7 +46,7 @@ from .functors import (PointedMap, hom_functor_on_morphism, loday_on_morphism,
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
-                       classify_actions, classify_nncmo)
+                       classify_actions, classify_nncmo, require_own_set)
 from .simplicial import SimplicialSet, fibers
 
 CHAIN = "chain"
@@ -267,18 +267,18 @@ def _missed_slots(X: SimplicialSet, n: int) -> tuple[int, ...]:
 def _resolve(spec: ComplexSpec):
     """Validate the spec against the ordering theorem and the action typing;
     returns (classes, action_map) or raises ``OrderingRefusal``."""
-    X, D = spec.X, spec.max_degree
+    X, D, cert = spec.X, spec.max_degree, spec.assignment
     commutative = is_commutative(spec.algebra)
-    if not commutative:
-        if spec.assignment is None:
-            _canonical_certificate(X, max(D, 2))  # refuses with a witness if none
-            raise OrderingRefusal(
-                "the algebra is noncommutative: an ordering certificate is required "
-                "(the set admits one; classify_nncmo constructs it)")
-        if spec.assignment.cutoff < D:
-            raise OrderingRefusal(
-                f"assignment cutoff {spec.assignment.cutoff} is below max_degree {D}")
-        bad = check_nncmo(X, spec.assignment, D)
+    if cert is None and not commutative:
+        _canonical_certificate(X, max(D, 2))  # refuses with a witness if none
+        raise OrderingRefusal(
+            "the algebra is noncommutative: an ordering certificate is required "
+            "(the set admits one; classify_nncmo constructs it)")
+    if cert is not None:  # the face maps read a supplied one whatever the algebra
+        if cert.cutoff < D:
+            raise OrderingRefusal(f"assignment cutoff {cert.cutoff} is below max_degree {D}")
+        require_own_set(X, cert)
+        bad = None if commutative else check_nncmo(X, cert, D)
         if bad is not None:
             raise OrderingRefusal(
                 "the supplied ordering assignment is not multiplicative; witness: "

@@ -138,7 +138,7 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
     return OrderingAssignment(X, cutoff, orders)
 
 
-def _require_own_set(X: SimplicialSet, assignment: OrderingAssignment) -> None:
+def require_own_set(X: SimplicialSet, assignment: OrderingAssignment) -> None:
     """``OrderingError`` unless the assignment was built for X: the same
     simplices and basepoint, so a copy of X built apart passes."""
     Y = assignment.X
@@ -303,7 +303,7 @@ def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
     A cutoff of 1 has no two-step compositions to check; one above the
     assignment's raises ``OrderingError``."""
     _require_cutoff(cutoff)
-    _require_own_set(X, assignment)
+    require_own_set(X, assignment)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
     for n in range(2, cutoff + 1):
@@ -814,7 +814,7 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
     """
     _require_cutoff(cutoff)
     if assignment is not None:
-        _require_own_set(X, assignment)
+        require_own_set(X, assignment)
         if assignment.cutoff < cutoff:
             raise OrderingError(f"assignment cutoff {assignment.cutoff} is below the "
                                 f"typing cutoff {cutoff}")

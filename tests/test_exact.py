@@ -10,14 +10,17 @@ kernels and solutions exactly, not just up to a change of basis.
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hochord.algebras import custom_algebra, upper_tri
+from hochord import exact
+from hochord.algebras import custom_algebra, trunc_poly, upper_tri
 from hochord.exact import Field, Matrix, QQ, mat_mul, nullspace, rank, solve
-from hochord.hochschild import CHAIN, build_complex, make_spec
-from hochord.modules import tensor_square_bimodule
-from hochord.simplicial import wedge_of_circles
+from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, OrderingRefusal, build_complex,
+                                make_spec)
+from hochord.modules import regular_bimodule, tensor_square_bimodule
+from hochord.simplicial import circle, interval, point, sphere2, wedge_of_circles
 
 
 def test_field_parse_and_primality():
@@ -482,3 +485,133 @@ def test_matrix_arithmetic_on_empty_matrices():
         Matrix.zero(2, 2) + Matrix.zero(2, 3)
     with pytest.raises(ValueError):
         Matrix.zero(2, 2) - Matrix.zero(2, 2, Field(7))
+
+
+# ---------------------------------------------------------------------------
+# elimination reads ``by_row``'s rows in entry order, against the sorted rows
+
+def _sorted_sparse_rows(m):
+    """The row conversion elimination read before ``by_row`` was its only
+    row grouping: every entry sorted and grouped again, and every row over Q
+    scaled by the lcm of its denominators."""
+    rows = {}
+    for (r, c), v in sorted(m.entries.items()):
+        rows.setdefault(r, {})[c] = v
+    if m.field.p is not None:
+        return list(rows.values())
+    out = []
+    for row in rows.values():
+        den = 1
+        for v in row.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        out.append(exact._primitive({c: v.numerator * (den // v.denominator)
+                                     for c, v in row.items()}))
+    return out
+
+
+def _half_basis(field):
+    """k[x]/(x^2) on the basis 1/2, x: its differentials hold fractions."""
+    h = Fraction(1, 2)
+    return custom_algebra("half basis", field, ["u", "x"], [2, 0],
+                          [[[h, 0], [0, h]], [[0, h], [0, 0]]])
+
+
+def _normalization_corpus():
+    """Every differential of the normalized complexes at D=3 with the regular
+    bimodule, over the bundled sets of dimension <= 2, in both variants, over
+    Q and over F(101); upper-tri(2) is refused on sphere2 and on wedge2."""
+    for X in (point(), interval(), circle(), wedge_of_circles(2), sphere2()):
+        for alg in (trunc_poly, upper_tri, _half_basis):
+            for variant in (CHAIN, COCHAIN):
+                for field in (QQ, Field(101)):
+                    a = alg(2, field) if alg is not _half_basis else alg(field)
+                    try:
+                        cx = build_complex(make_spec(X, a, regular_bimodule(a), variant,
+                                                     3, normalized=True))
+                    except (ComplexError, OrderingRefusal):
+                        continue
+                    yield from cx.differentials.values()
+
+
+def _sparse_case(rng, field, fractions):
+    """A random sparse matrix of up to 40 x 40, with fractional entries over Q
+    if ``fractions``, and a right-hand side (consistent half the time)."""
+    rows, cols = rng.randint(0, 40), rng.randint(0, 40)
+    density = rng.choice([0.03, 0.1, 0.3])
+
+    def entries(n, m):
+        out = {}
+        for r in range(n):
+            for c in range(m):
+                if rng.random() < density:
+                    v = Fraction(rng.randint(-6, 6))
+                    if fractions and rng.random() < 0.5:
+                        v /= rng.randint(2, 9)
+                    out[(r, c)] = v
+        return out
+
+    a = Matrix(rows, cols, field, entries(rows, cols))
+    if rng.random() < 0.5:
+        return a, mat_mul(a, Matrix(cols, 2, field, entries(cols, 2)))
+    return a, Matrix(rows, 2, field, entries(rows, 2))
+
+
+def _kernel_results(a, b):
+    """Rank, nullspace and the solution of ``a X = b`` (with its entry types)
+    or the refusal of an inconsistent system."""
+    try:
+        x = _typed(solve(a, b))
+    except ValueError:
+        x = ValueError
+    return rank(a), nullspace(a), x
+
+
+def _corpus_cases():
+    rng = random.Random(80)
+    for a in _normalization_corpus():
+        x = Matrix(a.cols, 2, a.field, {(r, c): rng.randint(-3, 3)
+                                        for r in range(a.cols) for c in range(2)
+                                        if rng.random() < 0.1})
+        yield a, mat_mul(a, x)
+
+
+SPARSE_FIELDS = [(QQ, False), (QQ, True), (Field(101), False)]
+SPARSE_IDS = ["Q-ints", "Q-fractions", "F(101)"]
+
+
+def _sparse_cases(field, fractions):
+    rng = random.Random(90 + (field.p or 0) + fractions)
+    return [_sparse_case(rng, field, fractions) for _ in range(150)]
+
+
+def test_elimination_matches_sorted_rows_on_the_normalization_corpus(monkeypatch):
+    cases = list(_corpus_cases())
+    assert len(cases) == 156
+    assert sum(any(type(v) is Fraction for v in a.entries.values()) for a, _ in cases) == 10
+    got = [_kernel_results(a, b) for a, b in cases]
+    monkeypatch.setattr(exact, "_sparse_rows", _sorted_sparse_rows)
+    assert got == [_kernel_results(a, b) for a, b in cases]
+
+
+@pytest.mark.parametrize("field, fractions", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_elimination_matches_sorted_rows_on_random_sparse_matrices(monkeypatch, field,
+                                                                    fractions):
+    cases = _sparse_cases(field, fractions)
+    got = [_kernel_results(a, b) for a, b in cases]
+    assert any(x is ValueError for _, _, x in got) and any(x is not ValueError
+                                                          for _, _, x in got)
+    monkeypatch.setattr(exact, "_sparse_rows", _sorted_sparse_rows)
+    assert got == [_kernel_results(a, b) for a, b in cases]
+
+
+@pytest.mark.parametrize("field, fractions", SPARSE_FIELDS, ids=SPARSE_IDS)
+def test_kernel_results_do_not_depend_on_entry_order(field, fractions):
+    rng = random.Random(100 + (field.p or 0) + fractions)
+    corpus = [(a, b) for a, b in _corpus_cases() if a.field == field]
+    for a, b in _sparse_cases(field, fractions) + corpus:
+        items = list(a.entries.items())
+        rng.shuffle(items)
+        if items == list(a.entries.items()):
+            items.reverse()
+        shuffled = Matrix(a.rows, a.cols, field, dict(items))
+        assert _kernel_results(shuffled, b) == _kernel_results(a, b)

@@ -180,6 +180,23 @@ def test_certificate_for_another_set_is_refused(alg):
             build_complex(spec)
 
 
+@pytest.mark.parametrize("alg", [upper_tri(2), trunc_poly(2)], ids=["upper-tri", "trunc-poly"])
+def test_supplied_certificate_is_checked_whatever_the_algebra(alg):
+    # the face maps read a supplied certificate even over a commutative
+    # algebra, so its cutoff and its set are checked before any is built
+    short = ordering.classify_nncmo(circle(), 3).assignment
+    for X in (circle(), wedge_of_circles(2)):
+        spec = ComplexSpec(X, alg, regular_bimodule(alg), CHAIN, 4, assignment=short)
+        with pytest.raises(OrderingRefusal, match="assignment cutoff 3 is below max_degree 4"):
+            build_complex(spec)
+    for D in (4, 1):  # at D=1 a cutoff-1 certificate is not gated by typing
+        spec = ComplexSpec(wedge_of_circles(2), alg, regular_bimodule(alg), CHAIN, D,
+                           assignment=ordering.classify_nncmo(circle(), D).assignment)
+        with pytest.raises(ordering.OrderingError,
+                           match="built for the set 'circle', not for 'wedge2'"):
+            build_complex(spec)
+
+
 def test_refusal_without_assignment_names_no_dimension_cause():
     # the theta graph is one-dimensional yet has no multiplicative ordering
     X = from_file("""

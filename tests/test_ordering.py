@@ -322,6 +322,32 @@ def test_sphere_classes_untyped():
     assert any("not one-dimensional" in n for n in rep.notes)
 
 
+TWO_LOOPS_AND_A_TRIANGLE = """
+basepoint v0
+simplex v0 dim=0
+simplex e dim=1 faces=[v0, v0]
+simplex f dim=1 faces=[v0, v0]
+simplex sigma dim=2 faces=[f, s0 v0, e]
+"""
+
+
+def test_other_side_halves_of_union_rules_join_two_dimensional_classes():
+    # rules (ii) and (iv) of _union_sites restricted to the non-basepoint face
+    # on one side of the basepoint one split these 15 sites 6 + 9, and move
+    # the trunc-poly(2)/tensor-square chain Betti numbers at D=3 from
+    # (4, 2, 2, 1936) to (2, 0, 0, 1934): the other-side halves are not
+    # implied by the other rules in dimension 2
+    X = from_file(TWO_LOOPS_AND_A_TRIANGLE, "two-loops-and-a-triangle")
+    rep = classify_actions(X, 3)
+    assert [(c.action_type, [(n, X.monotone_name(r), i) for n, r, i in c.sites])
+            for c in rep.classes] == [("untyped", [
+                (1, "[01]_e", 0), (1, "[01]_e", 1), (1, "[01]_f", 0), (1, "[01]_f", 1),
+                (2, "[001]_e", 2), (2, "[011]_e", 0), (2, "[001]_f", 2), (2, "[011]_f", 0),
+                (2, "[012]_sigma", 1), (3, "[0001]_e", 3), (3, "[0111]_e", 0),
+                (3, "[0001]_f", 3), (3, "[0111]_f", 0), (3, "[0012]_sigma", 2),
+                (3, "[0122]_sigma", 1)])]
+
+
 @pytest.mark.parametrize("cutoff", [0, -1])
 def test_classify_actions_refuses_cutoffs_below_one(cutoff):
     with pytest.raises(OrderingError, match=f"got cutoff {cutoff}"):
