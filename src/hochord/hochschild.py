@@ -47,7 +47,7 @@ from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
                        classify_actions, classify_nncmo, require_own_set)
-from .simplicial import SimplicialSet, fibers
+from .simplicial import SimplicialSet
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -140,7 +140,7 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
     # pointed-map index j is level index j: the basepoint is 0 on both sides
     images = X.face_table(level)[i]
     rank = None if assignment is None else assignment.ranks(level, i).__getitem__
-    orders = {t: tuple(sorted(members, key=rank)) for t, members in fibers(images).items()}
+    orders = {t: tuple(sorted(members, key=rank)) for t, members in X.face_fibers(level)[i]}
     phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
     actions = None
     if action_map is not None and classes is not None:
@@ -450,7 +450,8 @@ def _check_degenerate_closure(spec: ComplexSpec, classes: ActionClassReport,
                 if not all(same_operators(action(n - 1, x, low), action(n, degen[x], i))
                            for x in range(1, len(below)) if below[x] == 0):
                     what = "basepoint actions"
-                elif ordered and not _orders_agree(below, spec.assignment.ranks(n - 1, low),
+                elif ordered and not _orders_agree(X.face_fibers(n - 1)[low],
+                                                   spec.assignment.ranks(n - 1, low),
                                                    spec.assignment.ranks(n, i), degen):
                     what = "fiber orders"
                 else:
@@ -461,14 +462,13 @@ def _check_degenerate_closure(spec: ComplexSpec, classes: ActionClassReport,
                     f"level {n}, d_{i} s_{j} and {right} differ in their {what}")
 
 
-def _orders_agree(below, rank_low, rank, degen) -> bool:
-    """Whether each fiber of the face table ``below``, sorted by ``rank_low``,
-    is sorted by ``rank`` once mapped through the degeneracy images
-    ``degen``."""
+def _orders_agree(fibs, rank_low, rank, degen) -> bool:
+    """Whether each of the face fibers ``fibs``, sorted by ``rank_low``, is
+    sorted by ``rank`` once mapped through the degeneracy images ``degen``."""
     def seen(members):
         return [rank[degen[x]] for x in sorted(members, key=rank_low.__getitem__)]
 
-    return all(s == sorted(s) for s in map(seen, fibers(below).values()))
+    return all(s == sorted(s) for s in (seen(members) for _, members in fibs))
 
 
 def _betti_table(variant, dims, diffs) -> tuple[int, ...]:

@@ -11,10 +11,11 @@ factorizations of a longer composition are connected by such adjacent swaps,
 so the quadratic adjacent check suffices; a full-factorization oracle check
 is available behind a flag to validate the reduction on concrete inputs.
 
-Everything works on level indices: fibers come from ``simplicial.fibers``
-on a face-table column or a composite of columns (``_images``), an induced
+Everything works on level indices: fibers are read from the set's tables
+(``face_fibers`` for one face, ``route_fibers`` for a composite), an induced
 order is a sort by rank keys (``_induced_order``), and both checks are one
-loop (``_first_violation``).
+loop (``_first_violation``).  Certificates built here are written as ranks
+and derive their ref-keyed ``orders`` when those are first read.
 
 Fibers over the basepoint never carry an order: their factors act on the
 coefficient module instead, through the action classes computed here.
@@ -28,7 +29,7 @@ from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Mapping
 
-from .simplicial import SimplexRef, SimplicialSet, fibers
+from .simplicial import SimplexRef, SimplicialSet
 
 
 class OrderingError(ValueError):
@@ -51,56 +52,70 @@ def _require_cutoff(cutoff: int) -> None:
 # ---------------------------------------------------------------------------
 # fibers and assignments
 
-def _images(X: SimplicialSet, n: int, steps) -> list[int]:
-    """The images of level n's members (by level index) under the faces in
-    ``steps``, applied first to last: face-table columns composed."""
-    images = range(len(X.level(n)))
-    for s, i in enumerate(steps):
-        col = X.face_table(n - s)[i]
-        images = [col[k] for k in images]
-    return images
-
-
 class OrderingAssignment:
     """Per (level <= cutoff, face index): a total order for every fiber of
     d_i over a non-basepoint target, and for nothing else.
 
-    ``ranks(n, i)`` is the integer view the checks read, built once: the
-    position of each level-n simplex, by level index, in the order of its
-    d_i fiber (-1 where d_i hits the basepoint)."""
+    ``ranks(n, i)`` is the integer view the checks read: the position of
+    each level-n simplex, by level index, in the order of its d_i fiber (-1
+    where d_i hits the basepoint).  The constructor validates the ``orders``
+    a caller supplies; certificates built by ``_trusted`` hold ranks only
+    and derive ``orders`` on first read."""
 
     def __init__(self, X: SimplicialSet, cutoff: int,
                  orders: dict[tuple[int, int, SimplexRef], tuple[SimplexRef, ...]]):
         _require_cutoff(cutoff)
-        self.X = X
-        self.cutoff = cutoff
-        self.orders = dict(orders)
-        self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.X, self.cutoff, self.orders = X, cutoff, dict(orders)
         covered = set()
-        for n in range(1, cutoff + 1):
-            index, below = X.index(n), X.level(n - 1)
-            for i in range(n + 1):
-                rank = [-1] * len(index)
-                for t, members in fibers(X.face_table(n)[i]).items():
-                    key = (n, i, below[t])
-                    if key not in self.orders:
-                        raise OrderingError(
-                            f"assignment misses the fiber of d_{i} over "
-                            f"{X.monotone_name(below[t])} at level {n}")
-                    order = [index.get(ref, -1) for ref in self.orders[key]]
-                    if sorted(order) != members:
-                        raise OrderingError(
-                            f"order at level {n}, d_{i}, target "
-                            f"{X.monotone_name(below[t])} is not a permutation of the fiber")
-                    for p, k in enumerate(order):
-                        rank[k] = p
-                    covered.add(key)
-                self._ranks[(n, i)] = tuple(rank)
+
+        def given(n, i, t, members):
+            key = (n, i, X.level(n - 1)[t])
+            if key not in self.orders:
+                raise OrderingError(f"assignment misses the fiber of d_{i} over "
+                                    f"{X.monotone_name(key[2])} at level {n}")
+            order = [X.index(n).get(ref, -1) for ref in self.orders[key]]
+            if tuple(sorted(order)) != members:
+                raise OrderingError(f"order at level {n}, d_{i}, target {X.monotone_name(key[2])}"
+                                    " is not a permutation of the fiber")
+            covered.add(key)
+            return order
+
+        self._write_ranks(given)
         if len(covered) != len(self.orders):
             stray = next(key for key in self.orders if key not in covered)
             raise OrderingError(
                 f"assignment orders {stray!r}, which is not the fiber of a face map "
                 f"over a non-basepoint target at a level up to the cutoff {cutoff}")
+
+    @classmethod
+    def _trusted(cls, X: SimplicialSet, cutoff: int, ordered) -> OrderingAssignment:
+        """The certificate whose fiber of d_i over t at level n, ``members``
+        ascending, is ``ordered(n, i, t, members)``; nothing is validated."""
+        self = cls.__new__(cls)
+        self.X, self.cutoff = X, cutoff
+        self._write_ranks(ordered)
+        return self
+
+    def _write_ranks(self, ordered) -> None:
+        self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
+        for n in range(1, self.cutoff + 1):
+            for i, fibs in enumerate(self.X.face_fibers(n)):
+                rank = [-1] * len(self.X.level(n))
+                for t, members in fibs:
+                    for p, k in enumerate(ordered(n, i, t, members)):
+                        rank[k] = p
+                self._ranks[(n, i)] = tuple(rank)
+
+    @functools.cached_property
+    def orders(self) -> dict[tuple[int, int, SimplexRef], tuple[SimplexRef, ...]]:
+        """``(level, i, target)`` -> the fiber of d_i over the target, in order."""
+        orders = {}
+        for (n, i), rank in self._ranks.items():
+            refs, below = self.X.level(n), self.X.level(n - 1)
+            for t, members in self.X.face_fibers(n)[i]:
+                orders[(n, i, below[t])] = tuple(
+                    refs[k] for k in sorted(members, key=rank.__getitem__))
+        return orders
 
     def order_of(self, level: int, i: int, target: SimplexRef) -> tuple[SimplexRef, ...]:
         return self.orders[(level, i, target)]
@@ -112,8 +127,9 @@ class OrderingAssignment:
         return self._ranks[(level, i)]
 
     def describe(self) -> list[str]:
-        lines = []
-        for (level, i, target), order in sorted(self.orders.items()):
+        lines, index = [], self.X.index  # sort targets by level index, not by ref
+        for (level, i, target), order in sorted(
+                self.orders.items(), key=lambda kv: (*kv[0][:2], index(kv[0][0] - 1)[kv[0][2]])):
             if len(order) < 2:
                 continue
             chain = " < ".join(self.X.monotone_name(r) for r in order)
@@ -123,19 +139,21 @@ class OrderingAssignment:
 
 def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple[SimplexRef, ...]],
                                  cutoff: int) -> OrderingAssignment:
-    """Restrict per-level total orders on X_n \\ {*} to every fiber."""
+    """Restrict per-level total orders on X_n \\ {*} to every fiber;
+    ``OrderingError`` names a level whose order is missing or not one."""
     _require_cutoff(cutoff)
-    orders = {}
+    positions = {}
     for n in range(1, cutoff + 1):
         if n not in level_orders:
             raise OrderingError(f"level orders missing level {n}")
-        refs, below = X.level(n), X.level(n - 1)
-        pos = {ref: k for k, ref in enumerate(level_orders[n])}
-        for i in range(n + 1):
-            for t, members in fibers(X.face_table(n)[i]).items():
-                orders[(n, i, below[t])] = tuple(sorted((refs[k] for k in members),
-                                                        key=pos.__getitem__))
-    return OrderingAssignment(X, cutoff, orders)
+        index = X.index(n)
+        order = [index.get(ref, 0) for ref in level_orders[n]]
+        if sorted(order) != list(range(1, len(index))):
+            raise OrderingError(f"level order at level {n} is not a permutation "
+                                "of the level's non-basepoint simplices")
+        positions[n] = {k: p for p, k in enumerate(order)}
+    return OrderingAssignment._trusted(
+        X, cutoff, lambda n, i, t, members: sorted(members, key=positions[n].__getitem__))
 
 
 def require_own_set(X: SimplicialSet, assignment: OrderingAssignment) -> None:
@@ -157,8 +175,10 @@ def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
     ``OrderingError`` unless the members share one non-basepoint image."""
     index, refs = X.index(level), X.level(level)
     members = [index[ref] for ref in fiber]
-    images = _images(X, level, steps)
-    targets = {images[k] for k in members}
+    targets = set(members)
+    for s, i in enumerate(steps):
+        col = X.face_table(level - s)[i]
+        targets = {col[k] for k in targets}
     if len(targets) > 1 or 0 in targets:
         raise OrderingError("induced order requested on members that are not one "
                             "fiber over a non-basepoint target")
@@ -309,8 +329,7 @@ def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
     for n in range(2, cutoff + 1):
         for base, others in routes(n):
             ordered = [(t, fiber, _induced_order(X, assignment, base, n, fiber))
-                       for t, fiber in sorted(fibers(_images(X, n, base)).items())
-                       if len(fiber) > 1]
+                       for t, fiber in X.route_fibers(n, base)]
             for other in others:
                 for t, fiber, order in ordered:
                     other_order = _induced_order(X, assignment, other, n, fiber)
@@ -429,14 +448,11 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
     # variables, fibers and literals all live on level indices:
     # a fiber key is (level, face index, target index)
     pv = _PairVars()
-    fiber_lists: dict[tuple, list[int]] = {}
     for n in range(1, cutoff + 1):
-        for i in range(n + 1):
-            for target, fiber in sorted(fibers(X.face_table(n)[i]).items()):
-                key = (n, i, target)
-                fiber_lists[key] = fiber
+        for i, fibs in enumerate(X.face_fibers(n)):
+            for target, fiber in fibs:
                 if len(fiber) >= 2:
-                    pv.add_fiber(key, fiber)
+                    pv.add_fiber((n, i, target), fiber)
 
     def step_literal(n, steps, target, x, y):
         col = X.face_table(n)[steps[0]]
@@ -449,9 +465,7 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
     constraint_sources = []
     for n in range(2, cutoff + 1):
         for steps_a, (steps_b,) in _adjacent_routes(n):
-            for target, fiber in sorted(fibers(_images(X, n, steps_a)).items()):
-                if len(fiber) < 2:
-                    continue
+            for target, fiber in X.route_fibers(n, steps_a):
                 constraint_sources.append((n, target, fiber, steps_a, steps_b))
                 for x, y in combinations(fiber, 2):
                     lit_a = step_literal(n, steps_a, target, x, y)
@@ -549,20 +563,15 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
                 break
 
     if satisfiable:
-        orders = {}
-        for key, fiber in fiber_lists.items():
-            if len(fiber) >= 2:
 
-                def cmp(a, b, key=key):
-                    v, s = pv.literal(key, a, b)
-                    val = values[v] if s > 0 else 1 - values[v]
-                    return -1 if val == 1 else 1
+        def by_precedence(n, i, target, fiber):
+            def cmp(a, b):
+                v, s = pv.literal((n, i, target), a, b)
+                val = values[v] if s > 0 else 1 - values[v]
+                return -1 if val == 1 else 1
+            return sorted(fiber, key=functools.cmp_to_key(cmp))
 
-                fiber = sorted(fiber, key=functools.cmp_to_key(cmp))
-            n, i, target = key
-            refs = X.level(n)
-            orders[(n, i, X.level(n - 1)[target])] = tuple(refs[k] for k in fiber)
-        assignment = OrderingAssignment(X, cutoff, orders)
+        assignment = OrderingAssignment._trusted(X, cutoff, by_precedence)
         bad = check_nncmo(X, assignment, cutoff)
         if bad is not None:
             raise OrderingError("internal error: search produced an assignment "
@@ -891,13 +900,12 @@ def _type_level(X, assignment, site_class, evidence, n):
     delete every other position first and merge last: the merge and the
     death are one adjacent identity, at a level no higher than n.
     """
-    table, below = X.face_table(n), X.face_table(n - 1)
-    fibs = [fibers(col) for col in table]
+    table, below, fibs = X.face_table(n), X.face_table(n - 1), X.face_fibers(n)
     for j in range(1, n + 1):
         for i in range(j):
             for first, second, other in ((j, i, i), (i, j - 1, j)):
                 rank, kill, split = assignment.ranks(n, first), below[second], table[other]
-                for target, members in fibs[first].items():
+                for target, members in fibs[first]:
                     if len(members) < 2 or kill[target]:
                         continue
                     g = site_class[n - 1][second][target]

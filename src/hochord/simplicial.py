@@ -19,7 +19,9 @@ level-n ref to its position k in ``level(n)``, and the integer face table
 table by calling ``face`` on every (simplex, face index) pair of the level,
 so ``face`` stays the one evaluator.  The basepoint is index 0 at every
 level, so "d_i hits the basepoint" reads ``face_table(n)[i][k] == 0``, and a
-face-table column is a pointed map whose fibers ``fibers`` groups.
+face-table column is a pointed map whose fibers ``fibers`` groups.  Those
+are tabulated per set object too, as ``(target, members)`` tuples sorted by
+target: ``face_fibers(n)[i]`` per column, ``route_fibers(n, steps)`` per composite.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ def fibers(images) -> dict[int, list[int]]:
     return out
 
 
+def _sorted_fibers(images, smallest: int) -> tuple:
+    """The fibers with ``smallest`` members or more, sorted by target."""
+    return tuple(sorted((t, tuple(m)) for t, m in fibers(images).items() if len(m) >= smallest))
+
+
 @dataclass(frozen=True)
 class NondegSimplex:
     name: str
@@ -89,9 +96,12 @@ class SimplicialSet:
         if self.simplices[self.basepoint].dim != 0:
             raise SimplicialError("basepoint must be a 0-simplex")
         self.dim_top = max(s.dim for s in self.simplices)
+        self._one_positive = sum(s.dim >= 1 for s in self.simplices) == 1
         self._levels: dict[int, tuple[SimplexRef, ...]] = {}
         self._index: dict[int, dict[SimplexRef, int]] = {}
         self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._face_fibers: dict[int, tuple] = {}
+        self._route_fibers: dict[tuple[int, tuple[int, ...]], tuple] = {}
         self._degeneracy_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._check_well_formed()
 
@@ -147,6 +157,10 @@ class SimplicialSet:
             raise SimplicialError("no face maps on level 0")
         if not (0 <= i <= level):
             raise SimplicialError(f"face index {i} out of range at level {level}")
+        # Commuting d_a through a strictly decreasing word keeps it so: the
+        # letters above a drop by one to at least a, those d_a passes from
+        # above are below a - 1, and the rest after the letter d_a cancels is
+        # smaller still.  Only a degenerate face of the base needs renormalizing.
         out: list[int] = []
         a = i
         word = ref.word
@@ -154,7 +168,7 @@ class SimplicialSet:
             if a < w:
                 out.append(w - 1)            # d_a s_w = s_{w-1} d_a
             elif a == w or a == w + 1:       # d_a s_w = id
-                return SimplexRef(ref.base, normalize_word(out + list(word[pos + 1:])))
+                return SimplexRef(ref.base, (*out, *word[pos + 1:]))
             else:
                 out.append(w)                # d_a s_w = s_w d_{a-1}
                 a -= 1
@@ -162,6 +176,8 @@ class SimplicialSet:
         if base.dim == 0:
             raise SimplicialError("internal error: face reached a 0-dimensional base")
         target = base.faces[a]
+        if not target.word:
+            return SimplexRef(target.base, tuple(out))
         return SimplexRef(target.base, normalize_word(out + list(target.word)))
 
     def degeneracy(self, ref: SimplexRef, i: int) -> SimplexRef:
@@ -217,6 +233,23 @@ class SimplicialSet:
                 tuple(below[self.face(ref, i)] for ref in refs) for i in range(n + 1))
         return self._face_tables[n]
 
+    def face_fibers(self, n: int) -> tuple:
+        """``face_fibers(n)[i]``: the fibers of ``face_table(n)[i]``."""
+        if n not in self._face_fibers:
+            self._face_fibers[n] = tuple(_sorted_fibers(col, 1) for col in self.face_table(n))
+        return self._face_fibers[n]
+
+    def route_fibers(self, n: int, steps: tuple[int, ...]) -> tuple:
+        """The fibers with two or more members of the composite applying the
+        faces in ``steps`` from level n, first to last."""
+        if (n, steps) not in self._route_fibers:
+            images = range(len(self.level(n)))
+            for s, i in enumerate(steps):
+                col = self.face_table(n - s)[i]
+                images = [col[k] for k in images]
+            self._route_fibers[n, steps] = _sorted_fibers(images, 2)
+        return self._route_fibers[n, steps]
+
     def degeneracy_table(self, n: int) -> tuple[tuple[int, ...], ...]:
         """``degeneracy_table(n)[j][k]`` is the index in ``level(n + 1)`` of
         ``s_j(level(n)[k])``; entry 0 of each row is the basepoint's image, 0."""
@@ -261,8 +294,7 @@ class SimplicialSet:
         for i in reversed(ref.word):
             digits.insert(i, digits[i])
         word = "".join(str(d) for d in digits)
-        positive = [s for s in self.simplices if s.dim >= 1]
-        if len(positive) == 1 and base.dim >= 1:
+        if self._one_positive and base.dim >= 1:
             return f"[{word}]"
         return f"[{word}]_{base.name}"
 

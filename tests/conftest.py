@@ -59,6 +59,22 @@ def oracle_algebras():
     return build
 
 
+TWO_LOOPS_AND_A_TRIANGLE = """
+basepoint v0
+simplex v0 dim=0
+simplex e dim=1 faces=[v0, v0]
+simplex f dim=1 faces=[v0, v0]
+simplex sigma dim=2 faces=[f, s0 v0, e]
+"""
+
+
+@pytest.fixture
+def two_loops_and_a_triangle():
+    """Two loops e, f at v0 and a 2-simplex on them whose d_1 is the
+    degenerate edge on v0."""
+    return from_file(TWO_LOOPS_AND_A_TRIANGLE, "two-loops-and-a-triangle")
+
+
 FAMILY_CUTOFF = 3
 
 

@@ -1,10 +1,12 @@
 import functools
+import io
+from contextlib import redirect_stdout
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from hochord import ordering
+from hochord import cli, ordering, simplicial
 from hochord.ordering import (CyclicOrderingUnavailable, InconclusiveSearch,
                               NncmoResult, OrderingAssignment, OrderingError, _face_words,
                               assignment_from_level_orders, check_nncmo,
@@ -322,22 +324,14 @@ def test_sphere_classes_untyped():
     assert any("not one-dimensional" in n for n in rep.notes)
 
 
-TWO_LOOPS_AND_A_TRIANGLE = """
-basepoint v0
-simplex v0 dim=0
-simplex e dim=1 faces=[v0, v0]
-simplex f dim=1 faces=[v0, v0]
-simplex sigma dim=2 faces=[f, s0 v0, e]
-"""
-
-
-def test_other_side_halves_of_union_rules_join_two_dimensional_classes():
+def test_other_side_halves_of_union_rules_join_two_dimensional_classes(
+        two_loops_and_a_triangle):
     # rules (ii) and (iv) of _union_sites restricted to the non-basepoint face
     # on one side of the basepoint one split these 15 sites 6 + 9, and move
     # the trunc-poly(2)/tensor-square chain Betti numbers at D=3 from
     # (4, 2, 2, 1936) to (2, 0, 0, 1934): the other-side halves are not
     # implied by the other rules in dimension 2
-    X = from_file(TWO_LOOPS_AND_A_TRIANGLE, "two-loops-and-a-triangle")
+    X = two_loops_and_a_triangle
     rep = classify_actions(X, 3)
     assert [(c.action_type, [(n, X.monotone_name(r), i) for n, r, i in c.sites])
             for c in rep.classes] == [("untyped", [
@@ -1024,8 +1018,7 @@ def test_fibers_and_rank_keys_match_the_comparator_oracle(builder):
         for n in range(2, ORACLE_CUTOFF + 1):
             for steps in _words_up_to(n, 4):
                 want = _oracle_two_step_fibers(X, n, steps)
-                got = sorted(fibers(ordering._images(X, n, steps)).items())
-                assert [(t, tuple(m)) for t, m in got] == want
+                assert X.route_fibers(n, steps) == tuple(f for f in want if len(f[1]) > 1)
                 for _, members in want:
                     assert (ordering._induced_order(X, assignment, steps, n, members)
                             == _oracle_induced_order(X, assignment, steps, n, members))
@@ -1081,3 +1074,137 @@ def test_search_at_cutoff_one_is_the_level_order_assignment():
     assert res.admits
     assert res.assignment.orders == _level_order_assignment(X, 1).orders
     assert any(len(order) > 2 for order in res.assignment.orders.values())
+
+
+# ---------------------------------------------------------------------------
+# the per-set fiber tables and ranks-first certificates
+
+def _oracle_images(X, n, steps):
+    """The face-table composite the ordering layer grouped into fibers before
+    the set tabulated them."""
+    images = range(len(X.level(n)))
+    for s, i in enumerate(steps):
+        col = X.face_table(n - s)[i]
+        images = [col[k] for k in images]
+    return images
+
+
+def _fresh_fibers(images, smallest):
+    return tuple((t, tuple(members)) for t, members in sorted(fibers(images).items())
+                 if len(members) >= smallest)
+
+
+def test_fiber_tables_match_fresh_fibers(one_dimensional_family):
+    sets = [builder() for builder in BUNDLED] + [member.X for member in one_dimensional_family]
+    mismatches, routes = [], 0
+    for X in sets:
+        for n in range(1, ORACLE_CUTOFF + 1):
+            table = X.face_fibers(n)
+            assert type(table) is tuple and all(type(fibs) is tuple for fibs in table)
+            if table != tuple(_fresh_fibers(col, 1) for col in X.face_table(n)):
+                mismatches.append((X.name, n))
+            # every composite the checks read: the base words of both loops
+            for base in {base for read in (ordering._adjacent_routes, ordering._equal_words)
+                         for base, _ in read(n) if n > 1}:
+                routes += 1
+                if X.route_fibers(n, base) != _fresh_fibers(_oracle_images(X, n, base), 2):
+                    mismatches.append((X.name, n, base))
+    assert routes == len(sets) * (6 + 16 + 35 + 71)
+    assert mismatches == []
+
+
+def _oracle_level_order_orders(X, level_orders, cutoff):
+    """The ref-keyed orders ``assignment_from_level_orders`` built and had
+    validated before it wrote ranks."""
+    orders = {}
+    for n in range(1, cutoff + 1):
+        refs, below = X.level(n), X.level(n - 1)
+        pos = {ref: k for k, ref in enumerate(level_orders[n])}
+        for i in range(n + 1):
+            for t, members in fibers(X.face_table(n)[i]).items():
+                orders[(n, i, below[t])] = tuple(sorted((refs[k] for k in members),
+                                                        key=pos.__getitem__))
+    return orders
+
+
+def _same_certificate(a, b):
+    return (a.cutoff == b.cutoff and a.orders == b.orders
+            and all(a.ranks(n, i) == b.ranks(n, i)
+                    for n in range(1, a.cutoff + 1) for i in range(n + 1)))
+
+
+def test_ranks_first_certificates_match_the_validating_constructor(one_dimensional_family):
+    # family members that fail or are inconclusive at the family cutoff are
+    # not searched: their verdicts carry no certificate, and the witness
+    # search of a failing set is most of the family's search time
+    sets = [(builder(), True) for builder in BUNDLED]
+    sets += [(m.X, isinstance(m.searched, NncmoResult) and m.searched.admits)
+             for m in one_dimensional_family]
+    mismatches, compared = [], {"level orders": 0, "searched": 0}
+    for X, search in sets:
+        for cutoff in (2, 3, 4):
+            level_orders = [{n: X.level_nonbase(n) for n in range(1, cutoff + 1)}]
+            try:
+                level_orders.append(cyclic_ordering(X, cutoff))
+            except OrderingError:  # sphere2, or no face-monotone order
+                pass
+            for orders in level_orders:
+                compared["level orders"] += 1
+                want = OrderingAssignment(X, cutoff,
+                                          _oracle_level_order_orders(X, orders, cutoff))
+                if not _same_certificate(assignment_from_level_orders(X, orders, cutoff), want):
+                    mismatches.append((X.name, cutoff, "level orders"))
+            res = search_nncmo(X, cutoff) if search else None
+            if res is not None and res.admits:
+                compared["searched"] += 1
+                want = OrderingAssignment(X, cutoff, res.assignment.orders)
+                if not _same_certificate(res.assignment, want):
+                    mismatches.append((X.name, cutoff, "searched"))
+    assert mismatches == []
+    assert compared == {"level orders": 963, "searched": 419}
+
+
+def test_level_orders_missing_a_simplex_are_refused():
+    # this used to escape as a bare KeyError: SimplexRef(base=1, word=(0,))
+    with pytest.raises(OrderingError, match="at level 1 is not a permutation"):
+        assignment_from_level_orders(circle(), {1: (), 2: (), 3: ()}, 3)
+
+
+@pytest.mark.parametrize("make", [lambda X, level: (X.basepoint_ref(2), *level),
+                                  lambda X, level: (*level, level[0])],
+                         ids=["basepoint", "duplicate"])
+def test_level_orders_that_are_not_permutations_are_refused(make):
+    # both were accepted silently before
+    X = circle()
+    orders = {n: X.level_nonbase(n) for n in (1, 2, 3)}
+    orders[2] = make(X, orders[2])
+    with pytest.raises(OrderingError, match="at level 2 is not a permutation"):
+        assignment_from_level_orders(X, orders, 3)
+
+
+def test_fibers_are_grouped_once_per_column_and_route(monkeypatch):
+    grouped = [0]
+    original = simplicial.fibers
+
+    def counted(images):
+        grouped[0] += 1
+        return original(images)
+
+    monkeypatch.setattr(simplicial, "fibers", counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["nncmo", "wedge3", "--cutoff", "4", "--oracle", "--json"]) == 0
+    # the cyclic certificate's check, the search's constraints and its own
+    # check, and the full oracle all read one table per set object
+    columns = sum(n + 1 for n in range(1, 5))
+    routes = {(n, base) for n in range(2, 5)
+              for read in (ordering._adjacent_routes, ordering._equal_words)
+              for base, _ in read(n)}
+    assert (columns, len(routes)) == (14, 57)
+    assert grouped[0] <= columns + len(routes)  # grouping in each consumer: 151
+    # the tables hang off the set: a fresh set starts from zero
+    for X in (wedge_of_circles(3), wedge_of_circles(3)):
+        grouped[0] = 0
+        tables = X.face_fibers(2), X.route_fibers(3, (1, 0))
+        assert tables == (X.face_fibers(2), X.route_fibers(3, (1, 0)))
+        assert X.face_fibers(2) is tables[0] and X.route_fibers(3, (1, 0)) is tables[1]
+        assert grouped[0] == 3 + 1

@@ -229,3 +229,31 @@ def test_face_tables_are_built_once_per_level(monkeypatch):
 def test_no_face_table_on_level_zero():
     with pytest.raises(SimplicialError):
         circle().face_table(0)
+
+
+def _always_normalized_face(X, ref, i):
+    """``face`` as it was before it skipped renormalizing words that are
+    already in normal form."""
+    out, a, word = [], i, ref.word
+    for pos, w in enumerate(word):
+        if a < w:
+            out.append(w - 1)
+        elif a == w or a == w + 1:
+            return SimplexRef(ref.base, normalize_word(out + list(word[pos + 1:])))
+        else:
+            out.append(w)
+            a -= 1
+    target = X.simplices[ref.base].faces[a]
+    return SimplexRef(target.base, normalize_word(out + list(target.word)))
+
+
+def test_face_matches_the_always_normalized_evaluation(one_dimensional_family,
+                                                       two_loops_and_a_triangle):
+    # sphere2 and the triangle have degenerate faces: the renormalized branch
+    sets = [builder() for builder in BUILTIN_SETS.values()]
+    sets += [member.X for member in one_dimensional_family] + [two_loops_and_a_triangle]
+    cases = [(X, ref, i) for X in sets for n in range(1, 6)
+             for ref in X.level(n) for i in range(n + 1)]
+    assert len(cases) > 70_000
+    assert [(X.name, ref, i) for X, ref, i in cases
+            if X.face(ref, i) != _always_normalized_face(X, ref, i)] == []
