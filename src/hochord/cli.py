@@ -165,6 +165,9 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
     basis = None
     unit_src = None
     toks, field = _take_field(toks[2:], field, f"{path}:{no0}")
+    for key in ("basis", "unit"):
+        if sum(t.startswith(key + "=") for t in toks) > 1:
+            raise CliInputError(f"{path}:{no0}: {key}= given more than once")
     for t in toks:
         if t.startswith("basis=["):
             if not t.endswith("]"):
@@ -180,6 +183,9 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
     if basis is None or unit_src is None:
         raise CliInputError(f"{path}:{no0}: custom algebra needs basis=[...] and unit=[...]")
     index = {b: k for k, b in enumerate(basis)}
+    if len(index) < len(basis):
+        twice = next(b for b in basis if basis.count(b) > 1)
+        raise CliInputError(f"{path}:{no0}: basis name {twice!r} given more than once")
     unit = _parse_vector(unit_src, f"{path}:{no0}")
     if len(unit) != len(basis):
         raise CliInputError(f"{path}:{no0}: unit length differs from basis length")
@@ -203,7 +209,11 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
             if len(facs) != 2 or facs[0] not in index or facs[1] not in index:
                 raise CliInputError(f"{path}:{no}: left side must be '<bi>*<bj>' "
                                     "with known basis names")
-            table[index[facs[0]]][index[facs[1]]] = _parse_combo(rhs, index, f"{path}:{no}")
+            i, j = index[facs[0]], index[facs[1]]
+            if table[i][j] is not None:
+                raise CliInputError(f"{path}:{no}: product {basis[i]}*{basis[j]} "
+                                    "given more than once")
+            table[i][j] = _parse_combo(rhs, index, f"{path}:{no}")
     for i in range(d):
         for j in range(d):
             if table[i][j] is None:
@@ -237,6 +247,8 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
     dim = None
     for t in toks[2:]:
         if t.startswith("dim="):
+            if dim is not None:
+                raise CliInputError(f"{path}:{no0}: dim= given more than once")
             try:
                 dim = int(t[len("dim="):])
             except ValueError:
@@ -256,6 +268,8 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
             tag = toks[2][len("tag="):]
             if tag not in ("left", "right", "lr"):
                 raise CliInputError(f"{path}:{no}: unknown tag {tag!r}")
+            if name in actions:
+                raise CliInputError(f"{path}:{no}: action {name!r} declared more than once")
             actions[name] = {"tag": tag, "ops": {}}
             current = name
         elif ln.startswith("op(") and current is not None:
@@ -271,6 +285,9 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
             rows = _parse_matrix_literal(body, f"{path}:{no}")
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise CliInputError(f"{path}:{no}: operator must be {dim}x{dim}")
+            if bidx in actions[current]["ops"]:
+                raise CliInputError(f"{path}:{no}: op({bname}) given more than once "
+                                    f"in action {current!r}")
             actions[current]["ops"][bidx] = rows
         else:
             raise CliInputError(f"{path}:{no}: expected 'action ...' or 'op(...) = ...'")

@@ -502,7 +502,15 @@ def _find_tagged_action(module: Multimodule, tag: str) -> str:
 def classical_complex(alg: Algebra, module: Multimodule, variant: str,
                       max_degree: int) -> Complex:
     """The textbook Hochschild (co)chain complex of a bimodule, built directly
-    from the three-case face formula (no simplicial sets involved).
+    from one face rule (no simplicial sets involved).
+
+    Face i of a k-slot tensor (a_1, ..., a_k) acts on the module factor
+    through the operator of a_1 (i = 0) or of a_k (i = k), and otherwise
+    multiplies a_i a_{i+1}, read from ``alg.table``.  The chain face maps the
+    k slots to the k - 1 it leaves, with the right action at i = 0 and the
+    left at i = k; the cochain coface maps k - 1 slots to k, with the left
+    action at i = 0 and the right at i = k.  Each differential is the
+    alternating sum of its k + 1 faces.
 
     Degree-n tensors are enumerated with the module factor most significant
     and then slots n, n-1, ..., 1, which matches the circle's level
@@ -510,134 +518,44 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     """
     if variant not in (CHAIN, COCHAIN):
         raise ComplexError(f"unknown variant {variant!r}")
-    left = module.action(_find_tagged_action(module, LEFT))
-    right = module.action(_find_tagged_action(module, RIGHT))
+    left = module.action(_find_tagged_action(module, LEFT)).operators
+    right = module.action(_find_tagged_action(module, RIGHT)).operators
+    chain = variant == CHAIN
+    first, last = (right, left) if chain else (left, right)
     f = alg.field
     da, dm = alg.dim, module.dim
+    identity = {(m, m): f.one() for m in range(dm)}
 
-    def tensor_index(mu, slots):
+    def index(mu, slots):
         # slots[j-1] holds slot j; significance order (mu, slot n, ..., slot 1)
-        idx = mu
-        for j in range(len(slots), 0, -1):
-            idx = idx * da + slots[j - 1]
-        return idx
+        for s in reversed(slots):
+            mu = mu * da + s
+        return mu
 
-    def face_chain(n, i) -> Matrix:
-        entries = {}
-        for mu in range(dm):
-            for slots in product(range(da), repeat=n):
-                col = tensor_index(mu, slots)
-                if i == 0:
-                    op = right.operators[slots[0]]
-                    mvec = [op.get(r, mu) for r in range(dm)]
-                    rest_support = [[(slots[j - 1], f.one())] for j in range(2, n + 1)]
-                elif i == n:
-                    op = left.operators[slots[n - 1]]
-                    mvec = [op.get(r, mu) for r in range(dm)]
-                    rest_support = [[(slots[j - 1], f.one())] for j in range(1, n)]
-                else:
-                    mvec = [f.one() if r == mu else f.zero() for r in range(dm)]
-                    prod = tuple(alg.table[slots[i - 1]][slots[i]])
-                    rest_support = []
-                    for j in range(1, n):
-                        if j == i:
-                            rest_support.append([(k, c) for k, c in enumerate(prod)
-                                                 if c != f.zero()])
-                        elif j < i:
-                            rest_support.append([(slots[j - 1], f.one())])
-                        else:
-                            rest_support.append([(slots[j], f.one())])
-                for mo in range(dm):
-                    if mvec[mo] == f.zero():
-                        continue
-                    for combo in product(*rest_support) if rest_support else [()]:
-                        coeff = mvec[mo]
-                        out_slots = []
-                        for k, c in combo:
-                            coeff = f.mul(coeff, c)
-                            out_slots.append(k)
-                        if coeff == f.zero():
-                            continue
-                        row = tensor_index(mo, out_slots)
-                        key = (row, col)
-                        s = f.add(entries.get(key, f.zero()), coeff)
-                        if s == f.zero():
-                            entries.pop(key, None)
-                        else:
-                            entries[key] = s
-        return Matrix(dm * da ** (n - 1), dm * da ** n, f, entries)
-
-    def coface(n, i) -> Matrix:
-        # C^n -> C^{n+1}: (d^i f)(a_1..a_{n+1})
-        entries = {}
-        for arg in product(range(da), repeat=n + 1):
+    def face(k, i):
+        """The ((row, col), value) terms of face i on k-slot tensors."""
+        for slots in product(range(da), repeat=k):
             if i == 0:
-                op = left.operators[arg[0]]
-                inner = [(j, arg[j - 1]) for j in range(2, n + 2)]  # slots shift down
-                inner_support = [[(t, f.one())] for (_, t) in inner]
-            elif i == n + 1:
-                op = right.operators[arg[n]]
-                inner_support = [[(arg[j - 1], f.one())] for j in range(1, n + 1)]
+                op, outs = first[slots[0]].entries, [(slots[1:], 1)]
+            elif i == k:
+                op, outs = last[slots[-1]].entries, [(slots[:-1], 1)]
             else:
-                op = None
-                prod = tuple(alg.table[arg[i - 1]][arg[i]])
-                inner_support = []
-                for j in range(1, n + 1):
-                    if j == i:
-                        inner_support.append([(k, c) for k, c in enumerate(prod)
-                                              if c != f.zero()])
-                    elif j < i:
-                        inner_support.append([(arg[j - 1], f.one())])
-                    else:
-                        inner_support.append([(arg[j], f.one())])
-            for mu in range(dm):
-                if op is None:
-                    opcol = [(mu, f.one())]
-                else:
-                    opcol = [(r, op.get(r, mu)) for r in range(dm)
-                             if op.get(r, mu) != f.zero()]
-                if not opcol:
-                    continue
-                for combo in product(*inner_support) if inner_support else [()]:
-                    coeff = f.one()
-                    in_slots = []
-                    for k, c in combo:
-                        coeff = f.mul(coeff, c)
-                        in_slots.append(k)
-                    if coeff == f.zero():
-                        continue
-                    col = tensor_index(mu, in_slots)
-                    for mo, oc in opcol:
-                        row = tensor_index(mo, list(arg))
-                        key = (row, col)
-                        s = f.add(entries.get(key, f.zero()), f.mul(coeff, oc))
-                        if s == f.zero():
-                            entries.pop(key, None)
-                        else:
-                            entries[key] = s
-        return Matrix(dm * da ** (n + 1), dm * da ** n, f, entries)
+                op = identity
+                outs = [(slots[:i - 1] + (l,) + slots[i + 1:], c)
+                        for l, c in enumerate(alg.table[slots[i - 1]][slots[i]]) if c]
+            for out, c in outs:
+                for (r, m), v in op.items():
+                    key = ((index(r, out), index(m, slots)) if chain
+                           else (index(r, slots), index(m, out)))
+                    yield key, v * c
 
-    D = max_degree
-    dims = [dm * da ** n for n in range(D + 1)]
+    dims = [dm * da ** n for n in range(max_degree + 1)]
     diffs: dict[int, Matrix] = {}
-    if variant == CHAIN:
-        for n in range(1, D + 1):
-            acc = None
-            for i in range(n + 1):
-                m = face_chain(n, i)
-                if i % 2:
-                    m = m.scale(f.neg(f.one()))
-                acc = m if acc is None else acc + m
-            diffs[n] = acc
-    else:
-        for n in range(D):
-            acc = None
-            for i in range(n + 2):
-                m = coface(n, i)
-                if i % 2:
-                    m = m.scale(f.neg(f.one()))
-                acc = m if acc is None else acc + m
-            diffs[n] = acc
+    for n in range(1, max_degree + 1) if chain else range(max_degree):
+        k = n if chain else n + 1
+        shape = (dims[k - 1], dims[k]) if chain else (dims[k], dims[k - 1])
+        diffs[n] = Matrix._trusted(*shape, f, combine(
+            f, (((-1) ** i, face(k, i)) for i in range(k + 1))))
     return Complex(variant, f, dims, diffs)
 
 

@@ -401,6 +401,8 @@ def from_file(text: str, name: str = "from-file") -> SimplicialSet:
         if parts[0] == "basepoint":
             if len(parts) != 2 or len(parts[1].split()) != 1:
                 raise SimplicialError(f"line {line_no}: expected 'basepoint <name>'")
+            if basepoint is not None:
+                raise SimplicialError(f"line {line_no}: basepoint given more than once")
             basepoint = parts[1].strip()
         elif parts[0] == "simplex":
             if len(parts) != 2:
@@ -415,6 +417,10 @@ def from_file(text: str, name: str = "from-file") -> SimplicialSet:
             faces_src = None
             while tail:
                 tail = tail.strip()
+                if (tail.startswith("dim=") and dim is not None
+                        or tail.startswith("faces=[") and faces_src is not None):
+                    raise SimplicialError(f"line {line_no}: {tail.split('=', 1)[0]}= "
+                                          f"given more than once for simplex {sname!r}")
                 if tail.startswith("dim="):
                     value = tail[4:].split(None, 1)
                     if not value or not value[0].isdecimal():

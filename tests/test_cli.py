@@ -279,10 +279,52 @@ def test_non_decimal_digits_in_a_set_file_are_one_error_line(tmp_path, line):
     assert err.startswith(f"error: {p}: line 3: ") and err.count("\n") == 1, err
 
 
+DUAL_TABLE = "table:\none*one = one; one*x = x\nx*one = x\nx*x = 0\n"
+SYMMETRIC_OPS = "op(1) = [[1,0],[0,1]]\nop(x) = [[0,0],[1,0]]\n"
+
+
+@pytest.mark.parametrize("kind, text, line, message", [
+    ("alg", "algebra custom basis=[x,x] unit=[1,0]\ntable:\nx*x = x\n", 1,
+     "basis name 'x' given more than once"),
+    ("alg", "algebra custom basis=[one,x] basis=[one,y] unit=[1,0]\n" + DUAL_TABLE, 1,
+     "basis= given more than once"),
+    ("alg", "algebra custom basis=[one,x] unit=[1,0] unit=[0,1]\n" + DUAL_TABLE, 1,
+     "unit= given more than once"),
+    ("alg", "algebra custom basis=[one,x] unit=[1,0]\n" + DUAL_TABLE + "x*x = x\n", 6,
+     "product x*x given more than once"),
+    ("mod", "module custom dim=2 dim=3\naction mult tag=lr\n" + SYMMETRIC_OPS, 1,
+     "dim= given more than once"),
+    ("mod", "module custom dim=2\naction mult tag=lr\n" + SYMMETRIC_OPS
+     + "op(x) = [[0,0],[0,0]]\n", 5, "op(x) given more than once in action 'mult'"),
+    ("mod", "module custom dim=2\naction mult tag=lr\n" + SYMMETRIC_OPS
+     + "action mult tag=left\n" + SYMMETRIC_OPS, 5, "action 'mult' declared more than once"),
+    ("sset", "basepoint v0\nbasepoint v1\nsimplex v0 dim=0\nsimplex v1 dim=0\n", 2,
+     "basepoint given more than once"),
+    ("sset", "basepoint v\nsimplex v dim=0 dim=1\n", 2,
+     "dim= given more than once for simplex 'v'"),
+    ("sset", "basepoint v\nsimplex v dim=0\nsimplex e dim=1 faces=[v, v] faces=[v, v]\n", 3,
+     "faces= given more than once for simplex 'e'"),
+], ids=["basis-name", "basis", "unit", "product", "module-dim", "op", "action",
+        "basepoint", "simplex-dim", "simplex-faces"])
+def test_a_duplicate_in_an_input_file_is_refused_at_its_line(tmp_path, kind, text, line,
+                                                             message):
+    """A value given twice is refused where it is given, never overwritten."""
+    p = tmp_path / f"dup.{kind}"
+    p.write_text(text)
+    where = f"{p}: line {line}" if kind == "sset" else f"{p}:{line}"
+    args = {"alg": ["homology", "circle", "--algebra", str(p)],
+            "mod": ["homology", "circle", "--algebra", "trunc-poly 2", "--module", str(p)],
+            "sset": ["validate", str(p)]}[kind]
+    assert run_cli(args) == (1, "", f"error: {where}: {message}\n")
+
+
 def test_console_script_entry_point():
+    src = os.path.dirname(os.path.dirname(hochord.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "hochord.cli", "validate", "circle"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_runs_as_a_module():

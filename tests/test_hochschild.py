@@ -123,15 +123,20 @@ def test_classical_cochain_hh0_is_center():
         assert c.betti[0] == len(center(alg))
 
 
-def test_circle_equals_classical_matrixwise():
-    for alg in (trunc_poly(2), upper_tri(2), cyclic_group_algebra(2)):
-        mod = regular_bimodule(alg)
-        for variant in (CHAIN, COCHAIN):
-            built = build_complex(make_spec(circle(), alg, mod, variant, 3))
-            classic = classical_complex(alg, mod, variant, 3)
-            assert built.dims == classic.dims
-            for n in built.differentials:
-                assert built.differentials[n] == classic.differentials[n]
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_circle_equals_classical_matrixwise(field, oracle_algebras):
+    """The circle's complex and the classical one, entry by entry, on the
+    oracle algebras with the regular bimodule and its dual."""
+    for alg in oracle_algebras(field):
+        D = 3 if alg.dim <= 3 else 2
+        for mod in (regular_bimodule(alg), dual_module(regular_bimodule(alg))):
+            for variant in (CHAIN, COCHAIN):
+                built = build_complex(make_spec(circle(), alg, mod, variant, D))
+                classic = classical_complex(alg, mod, variant, D)
+                assert built.dims == classic.dims
+                assert built.differentials.keys() == classic.differentials.keys()
+                for n, mat in built.differentials.items():
+                    assert mat == classic.differentials[n], (alg.name, mod.name, variant, n)
 
 
 def test_square_zero_for_sphere_with_commutative_algebra():
