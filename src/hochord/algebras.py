@@ -38,6 +38,9 @@ class Algebra:
         d = self.dim
         if d < 1:
             raise AlgebraError("algebra must have dimension >= 1")
+        if len(set(self.basis_names)) < d:
+            twice = next(b for b in self.basis_names if self.basis_names.count(b) > 1)
+            raise AlgebraError(f"basis name {twice!r} given more than once")
         if len(self.unit) != d:
             raise AlgebraError("unit/table shape mismatch")
         if len(self.table) != d or any(len(row) != d or any(len(cell) != d for cell in row)

@@ -7,6 +7,10 @@ input was fine but the verdict is negative (no multiplicative ordering, or a
 noncommutative construction was refused, with the witness in the report), and
 1 means the input itself was bad (parse errors name the file, line and the
 expected production).
+
+Inputs are resolved from tables: ``ALGEBRA_BUILDERS`` and ``MODULE_BUILDERS``
+name the inline builders, ``_fields`` reads every ``key=value`` header token
+and ``_read_lines`` the numbered lines of an algebra or module file.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +37,19 @@ from .simplicial import BUILTIN_SETS, SimplicialError, SimplicialSet, from_file
 
 class CliInputError(ValueError):
     pass
+
+
+# Inline builders by name.  An algebra builder takes its naturals (as many as
+# the count beside it) and then the field; a module builder takes the algebra.
+ALGEBRA_BUILDERS = {
+    "trunc-poly": (1, trunc_poly), "upper-tri": (1, upper_tri),
+    "matrix": (1, matrix_algebra), "group-cyclic": (1, cyclic_group_algebra),
+    "group-s3": (0, symmetric_group_algebra_s3)}
+MODULE_BUILDERS = {"regular": regular_bimodule, "symmetric": symmetric_module,
+                   "tensor-square": tensor_square_bimodule}
+
+# a header token runs to the next space outside brackets: 'basis=[one, x]'
+_TOKEN = re.compile(r"(?:\[[^\[\]]*\]|\S)+")
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +70,40 @@ def load_simplicial_set(ref: str) -> SimplicialSet:
         f"{sorted(BUILTIN_SETS)}")
 
 
+def _read_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """The numbered lines of ``path`` that hold text once '#' comments are
+    cut; a file with none is refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(no, text) for no, ln in enumerate(fh.read().splitlines(), start=1)
+                 if (text := ln.split("#", 1)[0].strip())]
+    if not lines:
+        raise CliInputError(f"{path}: empty {what} file")
+    return lines
+
+
+def _builder_line(path: str, lines: list[tuple[int, str]]) -> str:
+    """The line of a file that names an inline builder; it must be the only one."""
+    if len(lines) > 1:
+        raise CliInputError(f"{path}:{lines[1][0]}: expected nothing after the builder line")
+    return lines[0][1]
+
+
+def _fields(tokens: list[str], keys: dict[str, str], where: str) -> dict[str, str]:
+    """``key=value`` tokens as a dict.  ``keys`` maps each accepted key to the
+    placeholder its refusal shows; another token, or a key given twice, is
+    refused."""
+    out = {}
+    for t in tokens:
+        key, eq, value = t.partition("=")
+        if not eq or key not in keys:
+            expected = ", ".join(f"{k}={v}" for k, v in keys.items())
+            raise CliInputError(f"{where}: unexpected token {t!r} (expected {expected})")
+        if key in out:
+            raise CliInputError(f"{where}: {key}= given more than once")
+        out[key] = value
+    return out
+
+
 def _parse_field(text: str, where: str) -> Field:
     try:
         return Field.parse(text)
@@ -59,14 +111,10 @@ def _parse_field(text: str, where: str) -> Field:
         raise CliInputError(f"{where}: {e}") from None
 
 
-def _take_field(toks: list[str], field: Field, where: str) -> tuple[list[str], Field]:
-    """The tokens without their ``field=`` token, and the field it names
-    (``field`` when there is none); a second ``field=`` is refused."""
-    given = [t[len("field="):] for t in toks if t.startswith("field=")]
-    if len(given) > 1:
-        raise CliInputError(f"{where}: field= given more than once")
-    rest = [t for t in toks if not t.startswith("field=")]
-    return rest, _parse_field(given[0], where) if given else field
+def _naturals(args: list[str], count: int, message: str) -> list[int]:
+    if len(args) != count or not all(a.isdecimal() for a in args):
+        raise CliInputError(message)
+    return [int(a) for a in args]
 
 
 def _parse_rational(tok: str, where: str) -> Fraction:
@@ -82,6 +130,13 @@ def _parse_vector(src: str, where: str) -> list[Fraction]:
         body = body[1:-1]
     toks = [t for t in body.replace(",", " ").split() if t]
     return [_parse_rational(t, where) for t in toks]
+
+
+def _parse_matrix_literal(src: str, where: str) -> list[list[Fraction]]:
+    """'[[a, b], [c, d]]': bracketed rows, a comma and any spaces between them."""
+    if not re.fullmatch(r"\s*\[\s*\[[^\[\]]*\](\s*,\s*\[[^\[\]]*\])*\s*\]\s*", src):
+        raise CliInputError(f"{where}: expected [[...],[...]] matrix literal")
+    return [_parse_vector(row, where) for row in re.findall(r"\[([^\[\]]*)\]", src)]
 
 
 def _parse_combo(src: str, basis: dict[str, int], where: str) -> list[Fraction]:
@@ -107,88 +162,48 @@ def _parse_combo(src: str, basis: dict[str, int], where: str) -> list[Fraction]:
 
 
 def parse_algebra(text: str, field: Field) -> Algebra:
-    """Inline algebra spec: '<builder> <args>' with an optional 'field=...'
-    token, which overrides ``field``.
-
-    Builders: trunc-poly N | upper-tri N | matrix N | group-cyclic N |
-    group-s3 | custom ... (custom is file-only, see parse_algebra_file).
+    """Inline algebra spec: '[algebra] <builder> <naturals> [field=F]', where
+    the builders are the keys of ``ALGEBRA_BUILDERS`` (trunc-poly N,
+    upper-tri N, matrix N, group-cyclic N, group-s3).  A ``field=`` token
+    overrides ``field``.  Custom algebras are file-only (parse_algebra_file).
     """
+    where = f"algebra {text.strip()!r}"
     toks = text.split()
-    if toks and toks[0] == "algebra":
+    if toks[:1] == ["algebra"]:
         toks = toks[1:]
-    toks, field = _take_field(toks, field, f"algebra {text.strip()!r}")
-    if not toks:
+    words = [t for t in toks if "=" not in t]
+    if not words:
         raise CliInputError("empty algebra specification")
-    kind, args = toks[0], toks[1:]
-
-    def one_nat(name):
-        if len(args) != 1 or not args[0].isdecimal():
-            raise CliInputError(f"algebra {name} expects one natural argument")
-        return int(args[0])
-
-    try:
-        if kind in ("trunc-poly", "trunc_poly"):
-            return trunc_poly(one_nat(kind), field)
-        if kind in ("upper-tri", "upper_tri"):
-            return upper_tri(one_nat(kind), field)
-        if kind == "matrix":
-            return matrix_algebra(one_nat(kind), field)
-        if kind in ("group-cyclic", "group"):
-            if kind == "group" and args and args[0] in ("s3", "S3"):
-                return symmetric_group_algebra_s3(field)
-            if kind == "group" and args and args[0] in ("cyclic", "C"):
-                args = args[1:]
-            if len(args) != 1 or not args[0].isdecimal():
-                raise CliInputError("group-cyclic expects one natural argument")
-            return cyclic_group_algebra(int(args[0]), field)
-        if kind in ("group-s3", "s3"):
-            return symmetric_group_algebra_s3(field)
-    except AlgebraError as e:
-        raise CliInputError(str(e)) from None
-    raise CliInputError(
-        f"unknown algebra builder {kind!r} (expected trunc-poly, upper-tri, "
-        "matrix, group-cyclic, group-s3, or a file path)")
+    kind, args = words[0], words[1:]
+    if kind not in ALGEBRA_BUILDERS:
+        raise CliInputError(f"unknown algebra builder {kind!r} (expected "
+                            f"{', '.join(ALGEBRA_BUILDERS)}, or a file path)")
+    given = _fields([t for t in toks if "=" in t], {"field": "..."}, where)
+    field = _parse_field(given["field"], where) if "field" in given else field
+    count, build = ALGEBRA_BUILDERS[kind]
+    naturals = _naturals(args, count, f"algebra {kind} "
+                         + ("expects one natural argument" if count else "takes no argument"))
+    return build(*naturals, field)
 
 
 def parse_algebra_file(path: str, field: Field) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [(no, ln.split("#", 1)[0].strip())
-             for no, ln in enumerate(text.splitlines(), start=1)]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise CliInputError(f"{path}: empty algebra file")
-    no0, head = lines[0]
-    toks = head.split()
+    lines = _read_lines(path, "algebra")
+    where = f"{path}:{lines[0][0]}"
+    toks = _TOKEN.findall(lines[0][1])
     if toks[:2] != ["algebra", "custom"]:
-        return parse_algebra(head, field)
-    basis = None
-    unit_src = None
-    toks, field = _take_field(toks[2:], field, f"{path}:{no0}")
-    for key in ("basis", "unit"):
-        if sum(t.startswith(key + "=") for t in toks) > 1:
-            raise CliInputError(f"{path}:{no0}: {key}= given more than once")
-    for t in toks:
-        if t.startswith("basis=["):
-            if not t.endswith("]"):
-                raise CliInputError(f"{path}:{no0}: unterminated basis=[...]")
-            basis = [b.strip() for b in t[len("basis=["):-1].split(",") if b.strip()]
-        elif t.startswith("unit=["):
-            if not t.endswith("]"):
-                raise CliInputError(f"{path}:{no0}: unterminated unit=[...]")
-            unit_src = t[len("unit=["):-1]
-        else:
-            raise CliInputError(f"{path}:{no0}: unexpected token {t!r} "
-                                "(expected basis=[...], unit=[...], field=...)")
-    if basis is None or unit_src is None:
-        raise CliInputError(f"{path}:{no0}: custom algebra needs basis=[...] and unit=[...]")
+        return parse_algebra(_builder_line(path, lines), field)
+    given = _fields(toks[2:], {"basis": "[...]", "unit": "[...]", "field": "..."}, where)
+    field = _parse_field(given["field"], where) if "field" in given else field
+    if not all(re.fullmatch(r"\[.*\]", given.get(key, "")) for key in ("basis", "unit")):
+        raise CliInputError(f"{where}: custom algebra needs basis=[...] and unit=[...]")
+    basis = [b.strip() for b in given["basis"][1:-1].split(",") if b.strip()]
     index = {b: k for k, b in enumerate(basis)}
     if len(index) < len(basis):
         twice = next(b for b in basis if basis.count(b) > 1)
-        raise CliInputError(f"{path}:{no0}: basis name {twice!r} given more than once")
-    unit = _parse_vector(unit_src, f"{path}:{no0}")
+        raise CliInputError(f"{where}: basis name {twice!r} given more than once")
+    unit = _parse_vector(given["unit"], where)
     if len(unit) != len(basis):
-        raise CliInputError(f"{path}:{no0}: unit length differs from basis length")
+        raise CliInputError(f"{where}: unit length differs from basis length")
     d = len(basis)
     table = [[None] * d for _ in range(d)]
     in_table = False
@@ -198,10 +213,7 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
             continue
         if not in_table:
             raise CliInputError(f"{path}:{no}: expected 'table:' before products")
-        for stmt in ln.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
+        for stmt in filter(None, map(str.strip, ln.split(";"))):
             if "=" not in stmt:
                 raise CliInputError(f"{path}:{no}: expected '<bi>*<bj> = <combo>'")
             lhs, rhs = stmt.split("=", 1)
@@ -214,11 +226,10 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
                 raise CliInputError(f"{path}:{no}: product {basis[i]}*{basis[j]} "
                                     "given more than once")
             table[i][j] = _parse_combo(rhs, index, f"{path}:{no}")
-    for i in range(d):
-        for j in range(d):
-            if table[i][j] is None:
-                raise CliInputError(
-                    f"{path}: product {basis[i]}*{basis[j]} missing from the table")
+    missing = [(i, j) for i in range(d) for j in range(d) if table[i][j] is None]
+    if missing:
+        i, j = missing[0]
+        raise CliInputError(f"{path}: product {basis[i]}*{basis[j]} missing from the table")
     try:
         return custom_algebra(os.path.splitext(os.path.basename(path))[0],
                               field, basis, unit, table)
@@ -233,114 +244,81 @@ def resolve_algebra(ref: str, field: Field) -> Algebra:
 
 
 def parse_module_file(path: str, alg: Algebra) -> Multimodule:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [(no, ln.split("#", 1)[0].strip())
-             for no, ln in enumerate(text.splitlines(), start=1)]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise CliInputError(f"{path}: empty module file")
-    no0, head = lines[0]
-    toks = head.split()
+    lines = _read_lines(path, "module")
+    where = f"{path}:{lines[0][0]}"
+    toks = _TOKEN.findall(lines[0][1])
     if toks[:2] != ["module", "custom"]:
-        return resolve_module(" ".join(toks[1:] if toks and toks[0] == "module" else toks), alg)
-    dim = None
-    for t in toks[2:]:
-        if t.startswith("dim="):
-            if dim is not None:
-                raise CliInputError(f"{path}:{no0}: dim= given more than once")
-            try:
-                dim = int(t[len("dim="):])
-            except ValueError:
-                raise CliInputError(f"{path}:{no0}: expected an integer in {t!r}") from None
-        else:
-            raise CliInputError(f"{path}:{no0}: unexpected token {t!r} (expected dim=<d>)")
-    if dim is None:
-        raise CliInputError(f"{path}:{no0}: module custom needs dim=<d>")
-    actions: dict[str, dict] = {}
+        return resolve_module(_builder_line(path, lines), alg)
+    given = _fields(toks[2:], {"dim": "<d>"}, where)
+    if "dim" not in given:
+        raise CliInputError(f"{where}: module custom needs dim=<d>")
+    try:
+        dim = int(given["dim"])
+    except ValueError:
+        raise CliInputError(f"{where}: expected an integer in {'dim=' + given['dim']!r}") from None
+    actions: dict[str, tuple] = {}  # name -> (tag, {basis index: rows})
     current = None
     for no, ln in lines[1:]:
         if ln.startswith("action "):
             toks = ln.split()
             if len(toks) != 3 or not toks[2].startswith("tag="):
                 raise CliInputError(f"{path}:{no}: expected 'action <name> tag=<left|right|lr>'")
-            name = toks[1]
-            tag = toks[2][len("tag="):]
+            name, tag = toks[1], toks[2][len("tag="):]
             if tag not in ("left", "right", "lr"):
                 raise CliInputError(f"{path}:{no}: unknown tag {tag!r}")
             if name in actions:
                 raise CliInputError(f"{path}:{no}: action {name!r} declared more than once")
-            actions[name] = {"tag": tag, "ops": {}}
-            current = name
+            actions[name], current = (tag, {}), name
         elif ln.startswith("op(") and current is not None:
-            close = ln.find(")")
-            if close < 0 or "=" not in ln[close:]:
+            op = re.fullmatch(r"op\(([^)]*)\)\s*=(.*)", ln)
+            if op is None:
                 raise CliInputError(f"{path}:{no}: expected 'op(<basis>) = [[...],...]'")
-            bname = ln[3:close].strip()
+            bname, ops = op[1].strip(), actions[current][1]
             try:
                 bidx = alg.basis_index(bname)
             except AlgebraError as e:
                 raise CliInputError(f"{path}:{no}: {e}") from None
-            body = ln[close + 1:].split("=", 1)[1].strip()
-            rows = _parse_matrix_literal(body, f"{path}:{no}")
+            rows = _parse_matrix_literal(op[2], f"{path}:{no}")
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise CliInputError(f"{path}:{no}: operator must be {dim}x{dim}")
-            if bidx in actions[current]["ops"]:
+            if bidx in ops:
                 raise CliInputError(f"{path}:{no}: op({bname}) given more than once "
                                     f"in action {current!r}")
-            actions[current]["ops"][bidx] = rows
+            ops[bidx] = rows
         else:
             raise CliInputError(f"{path}:{no}: expected 'action ...' or 'op(...) = ...'")
     built = {}
-    for name, data in actions.items():
-        ops = []
-        for i in range(alg.dim):
-            if i not in data["ops"]:
-                raise CliInputError(
-                    f"{path}: action {name!r} misses op({alg.basis_names[i]})")
-            ops.append(Matrix.from_rows(data["ops"][i], alg.field))
-        built[name] = Action(data["tag"], tuple(ops))
+    for name, (tag, ops) in actions.items():
+        missing = [b for i, b in enumerate(alg.basis_names) if i not in ops]
+        if missing:
+            raise CliInputError(f"{path}: action {name!r} misses op({missing[0]})")
+        built[name] = Action(tag, tuple(Matrix.from_rows(ops[i], alg.field)
+                                        for i in range(alg.dim)))
     try:
         return custom_module(os.path.splitext(os.path.basename(path))[0], alg, dim, built)
     except ModuleError as e:
         raise CliInputError(f"{path}: {e}") from None
 
 
-def _parse_matrix_literal(src: str, where: str) -> list[list[Fraction]]:
-    src = src.strip()
-    if not (src.startswith("[[") and src.endswith("]]")):
-        raise CliInputError(f"{where}: expected [[...],[...]] matrix literal")
-    rows = []
-    for chunk in src[1:-1].replace("],[", "]|[").split("|"):
-        rows.append(_parse_vector(chunk, where))
-    return rows
-
-
 def resolve_module(ref: str, alg: Algebra) -> Multimodule:
+    """'[module] <builder>' with a key of ``MODULE_BUILDERS``, 'multi <l> <r>',
+    or a module file."""
     toks = ref.split()
-    if toks and toks[0] == "module":
+    if toks[:1] == ["module"]:
         toks = toks[1:]
     if not toks:
         raise CliInputError("empty module specification")
-    kind = toks[0]
-    try:
-        if kind == "regular":
-            return regular_bimodule(alg)
-        if kind == "symmetric":
-            return symmetric_module(alg)
-        if kind in ("tensor-square", "tensor_square"):
-            return tensor_square_bimodule(alg)
-        if kind == "multi":
-            if len(toks) != 3 or not toks[1].isdecimal() or not toks[2].isdecimal():
-                raise CliInputError("module multi expects two naturals: multi <l> <r>")
-            return multi_regular(alg, int(toks[1]), int(toks[2]))
-    except ModuleError as e:
-        raise CliInputError(str(e)) from None
+    kind, args = toks[0], toks[1:]
+    if kind in MODULE_BUILDERS:
+        _naturals(args, 0, f"module {kind} takes no argument")
+        return MODULE_BUILDERS[kind](alg)
+    if kind == "multi":
+        return multi_regular(alg, *_naturals(
+            args, 2, "module multi expects two naturals: multi <l> <r>"))
     if os.path.exists(ref):
         return parse_module_file(ref, alg)
-    raise CliInputError(
-        f"unknown module {ref!r} (expected regular, symmetric, tensor-square, "
-        "multi <l> <r>, or a file path)")
+    raise CliInputError(f"unknown module {ref!r} (expected {', '.join(MODULE_BUILDERS)}, "
+                        "multi <l> <r>, or a file path)")
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +461,8 @@ def cmd_complex(args, out, variant: str) -> int:
     X = load_simplicial_set(args.set)
     alg = resolve_algebra(args.algebra, _parse_field(args.field, "--field"))
     module = resolve_module(args.module, alg)
+    head = {"command": args.command, "set": X.name, "algebra": alg.describe(),
+            "module": module.describe()}
     try:
         spec = make_spec(X, alg, module, variant, args.max_degree,
                          normalized=args.normalized)
@@ -492,24 +472,14 @@ def cmd_complex(args, out, variant: str) -> int:
                 raise OrderingRefusal("full-factorization check failed", bad)
         complex_ = build_complex(spec)
     except OrderingRefusal as e:
-        report = {
-            "command": variant_command(variant),
-            "set": X.name,
-            "algebra": alg.describe(),
-            "module": module.describe(),
-            "refused": True,
-            "reason": str(e),
-        }
+        report = {**head, "refused": True, "reason": str(e)}
         if e.witness is not None:
             report["witness"] = _witness_report(X, e.witness)
         _emit(report, args.json, out)
         return 2
     symbol = "beta_" if variant == CHAIN else "beta^"
     report = {
-        "command": variant_command(variant),
-        "set": X.name,
-        "algebra": alg.describe(),
-        "module": module.describe(),
+        **head,
         "field": alg.field.describe(),
         "normalized": args.normalized,
         "max_degree": args.max_degree,
@@ -523,18 +493,10 @@ def cmd_complex(args, out, variant: str) -> int:
     return 0
 
 
-def variant_command(variant: str) -> str:
-    return "homology" if variant == CHAIN else "cohomology"
-
-
 def cmd_pair(args, out) -> int:
     X = load_simplicial_set(args.inner)
     Y = load_simplicial_set(args.ambient)
-    try:
-        report = dict(pair_constraints(X, Y))
-    except ComplexError as e:
-        raise CliInputError(str(e)) from None
-    report = {"command": "pair-constraints", **report}
+    report = {"command": "pair-constraints", **pair_constraints(X, Y)}
     _emit(report, args.json, out)
     return 0
 
@@ -555,31 +517,32 @@ def _build_parser() -> _Parser:
                             "certificates for noncommutative algebras.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, run):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("validate", help="check the simplicial identities")
     sp.add_argument("set")
-    common(sp)
+    common(sp, cmd_validate)
 
     sp = sub.add_parser("nncmo", help="decide the multiplicative-ordering question")
     sp.add_argument("set")
     sp.add_argument("--cutoff", type=int, default=4)
     sp.add_argument("--oracle", action="store_true",
                     help="also run the full-factorization consistency check")
-    common(sp)
+    common(sp, cmd_nncmo)
 
     sp = sub.add_parser("cyclic", help="print the cyclic ordering level tables")
     sp.add_argument("set")
     sp.add_argument("--cutoff", type=int, default=4)
-    common(sp)
+    common(sp, cmd_cyclic)
 
     sp = sub.add_parser("actions", help="action classes with left/right types")
     sp.add_argument("set")
     sp.add_argument("--cutoff", type=int, default=4)
-    common(sp)
+    common(sp, cmd_actions)
 
-    for name in ("homology", "cohomology"):
+    for name, variant in (("homology", CHAIN), ("cohomology", COCHAIN)):
         sp = sub.add_parser(name, help=f"compute {name} Betti numbers")
         sp.add_argument("set")
         sp.add_argument("--algebra", required=True,
@@ -591,35 +554,20 @@ def _build_parser() -> _Parser:
         sp.add_argument("--normalized", action="store_true")
         sp.add_argument("--oracle", action="store_true",
                         help="validate the ordering certificate against all factorizations")
-        common(sp)
+        common(sp, functools.partial(cmd_complex, variant=variant))
 
     sp = sub.add_parser("pair-constraints",
                         help="commutativity constraints for a pair X inside Y")
     sp.add_argument("inner")
     sp.add_argument("ambient")
-    common(sp)
+    common(sp, cmd_pair)
     return p
 
 
 def main(argv=None) -> int:
-    out = sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "validate":
-            return cmd_validate(args, out)
-        if args.command == "nncmo":
-            return cmd_nncmo(args, out)
-        if args.command == "cyclic":
-            return cmd_cyclic(args, out)
-        if args.command == "actions":
-            return cmd_actions(args, out)
-        if args.command == "homology":
-            return cmd_complex(args, out, CHAIN)
-        if args.command == "cohomology":
-            return cmd_complex(args, out, COCHAIN)
-        if args.command == "pair-constraints":
-            return cmd_pair(args, out)
-        raise CliInputError(f"unknown command {args.command!r}")
+        return args.run(args, sys.stdout)
     except (CliInputError, SimplicialError, OrderingError, ComplexError,
             AlgebraError, ModuleError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -192,6 +192,14 @@ def test_custom_algebra_refuses_a_short_table_or_row():
         custom_algebra("x", QQ, ["a"], [1], one)
 
 
+def test_custom_algebra_refuses_a_repeated_basis_name():
+    # the dual numbers' table, which passes every axiom, under the names x, x
+    table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    assert custom_algebra("d", QQ, ["one", "x"], [1, 0], table).basis_index("x") == 1
+    with pytest.raises(AlgebraError, match=r"^basis name 'x' given more than once$"):
+        custom_algebra("d", QQ, ["x", "x"], [1, 0], table)
+
+
 # ---------------------------------------------------------------------------
 # oracles: the dense implementations the sparse structure constants replaced
 

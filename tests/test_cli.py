@@ -7,7 +7,13 @@ import sys
 import pytest
 
 import hochord
+from hochord import cli
+from hochord.algebras import (cyclic_group_algebra, matrix_algebra,
+                              symmetric_group_algebra_s3, trunc_poly, upper_tri)
 from hochord.cli import main
+from hochord.exact import QQ, Field
+from hochord.modules import (multi_regular, regular_bimodule, symmetric_module,
+                             tensor_square_bimodule)
 
 
 def run_cli(args):
@@ -363,3 +369,110 @@ def test_repeated_main_calls_match_fresh_processes():
     for _ in range(2):
         with pytest.raises(CliInputError, match="invalid int value: 'x'"):
             _build_parser().parse_args(argvs[2])
+
+
+# the inline builders the README documents, with the direct calls they stand for
+DOCUMENTED_ALGEBRAS = {
+    "trunc-poly 3": lambda f: trunc_poly(3, f), "upper-tri 2": lambda f: upper_tri(2, f),
+    "matrix 2": lambda f: matrix_algebra(2, f),
+    "group-cyclic 3": lambda f: cyclic_group_algebra(3, f),
+    "group-s3": symmetric_group_algebra_s3}
+DOCUMENTED_MODULES = {
+    "regular": regular_bimodule, "symmetric": symmetric_module,
+    "tensor-square": tensor_square_bimodule, "multi 2 1": lambda a: multi_regular(a, 2, 1)}
+
+
+def test_the_builder_tables_are_the_documented_builders():
+    assert {spec.split()[0] for spec in DOCUMENTED_ALGEBRAS} == set(cli.ALGEBRA_BUILDERS)
+    assert {spec.split()[0] for spec in DOCUMENTED_MODULES} == {*cli.MODULE_BUILDERS, "multi"}
+
+
+@pytest.mark.parametrize("suffix, field", [("", QQ), (" field=F(7)", Field.parse("F(7)"))])
+@pytest.mark.parametrize("spec", sorted(DOCUMENTED_ALGEBRAS))
+def test_each_documented_algebra_builder_equals_the_direct_call(spec, suffix, field):
+    assert cli.parse_algebra(spec + suffix, QQ) == DOCUMENTED_ALGEBRAS[spec](field)
+    assert cli.parse_algebra("algebra " + spec + suffix, QQ) == DOCUMENTED_ALGEBRAS[spec](field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.parse("F(7)")])
+@pytest.mark.parametrize("spec", sorted(DOCUMENTED_MODULES))
+def test_each_documented_module_builder_equals_the_direct_call(spec, field):
+    alg = trunc_poly(3, field)
+    assert cli.resolve_module(spec, alg) == DOCUMENTED_MODULES[spec](alg)
+    assert cli.resolve_module("module " + spec, alg) == DOCUMENTED_MODULES[spec](alg)
+
+
+@pytest.mark.parametrize("algebra, module", [
+    ("trunc_poly 2", "regular"), ("upper_tri 2", "regular"), ("group 3", "regular"),
+    ("group cyclic 3", "regular"), ("group C 3", "regular"), ("group s3", "regular"),
+    ("group S3", "regular"), ("s3", "regular"), ("group-s3 x", "regular"),
+    ("group-s3 2", "regular"), ("trunc-poly 2", "tensor_square"),
+    ("trunc-poly 2", "regular x")])
+def test_undocumented_aliases_and_extra_arguments_are_refused(algebra, module):
+    code, out, err = run_cli(["homology", "point", "--algebra", algebra, "--module", module])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_group_s3_with_an_argument_names_the_builder():
+    assert run_cli(["homology", "point", "--algebra", "group-s3 x"]) == (
+        1, "", "error: algebra group-s3 takes no argument\n")
+
+
+def test_spaces_inside_brackets_of_an_algebra_header(tmp_path):
+    spaced = tmp_path / "spaced.alg"
+    spaced.write_text("algebra custom basis=[one, x] unit=[1, 0]\n" + DUAL_TABLE)
+    tight = tmp_path / "tight.alg"
+    tight.write_text("algebra custom basis=[one,x] unit=[1,0]\n" + DUAL_TABLE)
+    assert cli.parse_algebra_file(str(spaced), QQ).basis_names == ("one", "x")
+    assert (cli.parse_algebra_file(str(spaced), QQ).table
+            == cli.parse_algebra_file(str(tight), QQ).table)
+    code, out, _ = run_cli(["homology", "circle", "--algebra", str(spaced),
+                            "--module", "symmetric", "--max-degree", "2"])
+    assert code == 0 and "beta_0: 2" in out
+
+
+def test_spaces_inside_and_between_the_rows_of_a_module_matrix(tmp_path):
+    spaced = tmp_path / "spaced.mod"
+    spaced.write_text("module custom dim=2\naction mult tag=lr\n"
+                      "op(1) = [[1, 0], [0, 1]]\nop(x) = [ [0, 0] ,[1, 0] ]\n")
+    tight = tmp_path / "tight.mod"
+    tight.write_text("module custom dim=2\naction mult tag=lr\n" + SYMMETRIC_OPS)
+    alg = trunc_poly(2)
+    built = cli.parse_module_file(str(spaced), alg)
+    assert built.actions == cli.parse_module_file(str(tight), alg).actions
+    code, _, _ = run_cli(["cohomology", "circle", "--algebra", "trunc-poly 2",
+                          "--module", str(spaced), "--max-degree", "2"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("ops", ["op(1) = [[1, 0]; [0, 1]]", "op(1) = [[1, 0],, [0, 1]]",
+                                 "op(1) = [[1, 0] [0, 1]]", "op(1) = [[1, 0], [0, 1]] x"])
+def test_anything_but_one_comma_between_matrix_rows_is_refused(tmp_path, ops):
+    p = tmp_path / "rows.mod"
+    p.write_text(f"module custom dim=2\naction mult tag=lr\n{ops}\n")
+    assert run_cli(["homology", "circle", "--algebra", "trunc-poly 2", "--module", str(p)]) == (
+        1, "", f"error: {p}:3: expected [[...],[...]] matrix literal\n")
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("alg", "algebra trunc-poly 2\ntable:\nx*x = x\n", 2),
+    ("alg", "# a builder\n\nalgebra upper-tri 2 # comment\n\nmatrix 2\n", 5),
+    ("mod", "module symmetric\naction foo tag=left\n", 2),
+    ("mod", "module multi 1 1\n# fine\nmodule regular\n", 3)])
+def test_a_builder_file_holds_one_line(tmp_path, kind, text, line):
+    p = tmp_path / f"builder.{kind}"
+    p.write_text(text)
+    args = (["--algebra", str(p)] if kind == "alg"
+            else ["--algebra", "trunc-poly 2", "--module", str(p)])
+    assert run_cli(["homology", "circle", *args]) == (
+        1, "", f"error: {p}:{line}: expected nothing after the builder line\n")
+
+
+def test_a_one_line_builder_file_builds_its_builder(tmp_path):
+    alg, mod = tmp_path / "b.alg", tmp_path / "b.mod"
+    alg.write_text("# comment\nalgebra upper-tri 2 field=F(7)\n")
+    mod.write_text("module tensor-square\n")
+    built = cli.resolve_algebra(str(alg), QQ)
+    assert built == upper_tri(2, Field.parse("F(7)"))
+    assert cli.resolve_module(str(mod), built) == tensor_square_bimodule(built)

@@ -52,3 +52,25 @@ def test_circle_has_one_left_and_one_right_class(tour):
     value, comment = tour["classify_actions(circle(), 4).classes"]
     assert comment == "one left and one right class"
     assert sorted(c.action_type for c in value) == ["left", "right"]
+
+
+def _file_format_examples():
+    """The fenced examples of the README's "File formats" section, by first word."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("### File formats", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```\n")[1::2]
+    return {block.split()[0]: block for block in blocks}
+
+
+def test_the_file_format_examples_run(tmp_path):
+    from hochord.cli import main
+    examples = _file_format_examples()
+    assert sorted(examples) == ["algebra", "basepoint", "module"]
+    for name, block in (("ex.sset", "basepoint"), ("ex.alg", "algebra"), ("ex.mod", "module")):
+        (tmp_path / name).write_text(examples[block])
+    for argv in (["validate", str(tmp_path / "ex.sset")],
+                 ["homology", str(tmp_path / "ex.sset"), "--algebra", str(tmp_path / "ex.alg"),
+                  "--module", "symmetric", "--max-degree", "2"],
+                 ["cohomology", "circle", "--algebra", "trunc-poly 2",
+                  "--module", str(tmp_path / "ex.mod"), "--max-degree", "2"]):
+        assert main(argv) == 0, argv
