@@ -248,7 +248,12 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
     where = f"{path}:{lines[0][0]}"
     toks = _TOKEN.findall(lines[0][1])
     if toks[:2] != ["module", "custom"]:
-        return resolve_module(_builder_line(path, lines), alg)
+        line = _builder_line(path, lines)
+        module = _inline_module(line, alg)
+        if module is None and os.path.exists(line):
+            raise CliInputError(f"{where}: a module file names a builder or 'module custom', "
+                                f"not another file ({line!r})")
+        return resolve_module(line, alg) if module is None else module
     given = _fields(toks[2:], {"dim": "<d>"}, where)
     if "dim" not in given:
         raise CliInputError(f"{where}: module custom needs dim=<d>")
@@ -300,9 +305,9 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
         raise CliInputError(f"{path}: {e}") from None
 
 
-def resolve_module(ref: str, alg: Algebra) -> Multimodule:
-    """'[module] <builder>' with a key of ``MODULE_BUILDERS``, 'multi <l> <r>',
-    or a module file."""
+def _inline_module(ref: str, alg: Algebra) -> Multimodule | None:
+    """The module of '[module] <builder>' with a key of ``MODULE_BUILDERS``
+    or 'multi <l> <r>'; None when ``ref`` names no builder."""
     toks = ref.split()
     if toks[:1] == ["module"]:
         toks = toks[1:]
@@ -315,6 +320,14 @@ def resolve_module(ref: str, alg: Algebra) -> Multimodule:
     if kind == "multi":
         return multi_regular(alg, *_naturals(
             args, 2, "module multi expects two naturals: multi <l> <r>"))
+    return None
+
+
+def resolve_module(ref: str, alg: Algebra) -> Multimodule:
+    """An inline module builder (``_inline_module``) or a module file."""
+    module = _inline_module(ref, alg)
+    if module is not None:
+        return module
     if os.path.exists(ref):
         return parse_module_file(ref, alg)
     raise CliInputError(f"unknown module {ref!r} (expected {', '.join(MODULE_BUILDERS)}, "
@@ -477,6 +490,9 @@ def cmd_complex(args, out, variant: str) -> int:
             report["witness"] = _witness_report(X, e.witness)
         _emit(report, args.json, out)
         return 2
+    if not complex_.verify_square_zero():  # the last check before any Betti number
+        raise ComplexError("internal error: the differentials do not square to zero, "
+                           "so the Betti numbers would be meaningless")
     symbol = "beta_" if variant == CHAIN else "beta^"
     report = {
         **head,
@@ -487,7 +503,7 @@ def cmd_complex(args, out, variant: str) -> int:
         "betti": {f"{symbol}{n}": complex_.betti[n] for n in range(args.max_degree + 1)},
         "caveats": [f"degree {n} needs max_degree {n + 1}"
                     for n in complex_.caveat_degrees],
-        "square_zero": complex_.verify_square_zero(),
+        "square_zero": True,
     }
     _emit(report, args.json, out)
     return 0

@@ -12,10 +12,11 @@ so the quadratic adjacent check suffices; a full-factorization oracle check
 is available behind a flag to validate the reduction on concrete inputs.
 
 Everything works on level indices: fibers are read from the set's tables
-(``face_fibers`` for one face, ``route_fibers`` for a composite), an induced
-order is a sort by rank keys (``_induced_order``), and both checks are one
-loop (``_first_violation``).  Certificates built here are written as ranks
-and derive their ref-keyed ``orders`` when those are first read.
+(``face_fibers`` for one face, ``route_fibers`` for a composite) and a
+certificate is written as ranks.  A certificate keys each face word's
+induced order once, in a table extending its tail's (``induced_keys``),
+and both checks are one loop comparing one sort per word
+(``_first_violation``), so checks of one certificate share the tables.
 
 Fibers over the basepoint never carry an order: their factors act on the
 coefficient module instead, through the action classes computed here.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, permutations
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -65,22 +66,26 @@ class OrderingAssignment:
     def __init__(self, X: SimplicialSet, cutoff: int,
                  orders: dict[tuple[int, int, SimplexRef], tuple[SimplexRef, ...]]):
         _require_cutoff(cutoff)
-        self.X, self.cutoff, self.orders = X, cutoff, dict(orders)
-        covered = set()
-
-        def given(n, i, t, members):
-            key = (n, i, X.level(n - 1)[t])
-            if key not in self.orders:
-                raise OrderingError(f"assignment misses the fiber of d_{i} over "
-                                    f"{X.monotone_name(key[2])} at level {n}")
-            order = [X.index(n).get(ref, -1) for ref in self.orders[key]]
-            if tuple(sorted(order)) != members:
-                raise OrderingError(f"order at level {n}, d_{i}, target {X.monotone_name(key[2])}"
-                                    " is not a permutation of the fiber")
-            covered.add(key)
-            return order
-
-        self._write_ranks(given)
+        self.X, self.cutoff, self.orders, self._keys = X, cutoff, dict(orders), {}
+        self._ranks, covered = {}, set()
+        for n in range(1, cutoff + 1):
+            below, index = X.level(n - 1), X.index(n)
+            for i, fibs in enumerate(X.face_fibers(n)):
+                rank = [-1] * len(index)
+                for t, members in fibs:
+                    key = (n, i, below[t])
+                    if key not in self.orders:
+                        raise OrderingError(f"assignment misses the fiber of d_{i} over "
+                                            f"{X.monotone_name(key[2])} at level {n}")
+                    order = [index.get(ref, -1) for ref in self.orders[key]]
+                    if tuple(sorted(order)) != members:
+                        raise OrderingError(f"order at level {n}, d_{i}, target "
+                                            f"{X.monotone_name(key[2])} is not a permutation "
+                                            "of the fiber")
+                    for p, k in enumerate(order):
+                        rank[k] = p
+                    covered.add(key)
+                self._ranks[n, i] = tuple(rank)
         if len(covered) != len(self.orders):
             stray = next(key for key in self.orders if key not in covered)
             raise OrderingError(
@@ -88,23 +93,12 @@ class OrderingAssignment:
                 f"over a non-basepoint target at a level up to the cutoff {cutoff}")
 
     @classmethod
-    def _trusted(cls, X: SimplicialSet, cutoff: int, ordered) -> OrderingAssignment:
-        """The certificate whose fiber of d_i over t at level n, ``members``
-        ascending, is ``ordered(n, i, t, members)``; nothing is validated."""
+    def _trusted(cls, X: SimplicialSet, cutoff: int,
+                 ranks: dict[tuple[int, int], tuple[int, ...]]) -> OrderingAssignment:
+        """The certificate with these ranks per (level, face); unvalidated."""
         self = cls.__new__(cls)
-        self.X, self.cutoff = X, cutoff
-        self._write_ranks(ordered)
+        self.X, self.cutoff, self._ranks, self._keys = X, cutoff, ranks, {}
         return self
-
-    def _write_ranks(self, ordered) -> None:
-        self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
-        for n in range(1, self.cutoff + 1):
-            for i, fibs in enumerate(self.X.face_fibers(n)):
-                rank = [-1] * len(self.X.level(n))
-                for t, members in fibs:
-                    for p, k in enumerate(ordered(n, i, t, members)):
-                        rank[k] = p
-                self._ranks[(n, i)] = tuple(rank)
 
     @functools.cached_property
     def orders(self) -> dict[tuple[int, int, SimplexRef], tuple[SimplexRef, ...]]:
@@ -126,23 +120,47 @@ class OrderingAssignment:
     def ranks(self, level: int, i: int) -> tuple[int, ...]:
         return self._ranks[(level, i)]
 
+    def induced_keys(self, level: int, word: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        """The members of ``level`` (level indices) that the composite of
+        ``word`` (faces first to last) keeps off the basepoint, keyed by
+        (final image, rank at the last step, ..., rank at the first); built
+        once per certificate and word.  Sorting a fiber by these keys is its
+        induced order: two members first share an image after the step
+        whose rank tells them apart, and share every later rank."""
+        keys = self._keys.get((level, word))
+        if keys is None:
+            if word:  # the tail's table one level down, extended by one rank
+                tail, rank = self.induced_keys(level - 1, word[1:]), self._ranks[level, word[0]]
+                keys = {k: (*tail[t], rank[k])
+                        for t, members in self.X.face_fibers(level)[word[0]] if t in tail
+                        for k in members}
+            else:
+                keys = {k: (k,) for k in range(1, len(self.X.level(level)))}
+            self._keys[level, word] = keys
+        return keys
+
     def describe(self) -> list[str]:
-        lines, index = [], self.X.index  # sort targets by level index, not by ref
-        for (level, i, target), order in sorted(
-                self.orders.items(), key=lambda kv: (*kv[0][:2], index(kv[0][0] - 1)[kv[0][2]])):
-            if len(order) < 2:
-                continue
-            chain = " < ".join(self.X.monotone_name(r) for r in order)
-            lines.append(f"level {level}, d_{i} over {self.X.monotone_name(target)}: {chain}")
+        """One line per fiber of two or more members, in its order."""
+        lines, X = [], self.X
+        names = [X.monotone_name(r) for r in X.level(0)]
+        for n in range(1, self.cutoff + 1):
+            below, names = names, [X.monotone_name(r) for r in X.level(n)]
+            for i, fibs in enumerate(X.face_fibers(n)):
+                for t, members in fibs:
+                    if len(members) > 1:
+                        chain = sorted(members, key=self._ranks[n, i].__getitem__)
+                        lines.append(f"level {n}, d_{i} over {below[t]}: "
+                                     + " < ".join(names[k] for k in chain))
         return lines
 
 
 def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple[SimplexRef, ...]],
                                  cutoff: int) -> OrderingAssignment:
-    """Restrict per-level total orders on X_n \\ {*} to every fiber;
+    """Restrict per-level total orders on X_n \\ {*} to every fiber, ranking
+    a member by the members of its fiber before it in the level order;
     ``OrderingError`` names a level whose order is missing or not one."""
     _require_cutoff(cutoff)
-    positions = {}
+    ranks = {}
     for n in range(1, cutoff + 1):
         if n not in level_orders:
             raise OrderingError(f"level orders missing level {n}")
@@ -151,9 +169,14 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
         if sorted(order) != list(range(1, len(index))):
             raise OrderingError(f"level order at level {n} is not a permutation "
                                 "of the level's non-basepoint simplices")
-        positions[n] = {k: p for p, k in enumerate(order)}
-    return OrderingAssignment._trusted(
-        X, cutoff, lambda n, i, t, members: sorted(members, key=positions[n].__getitem__))
+        for i, col in enumerate(X.face_table(n)):
+            seen, rank = [0] * len(X.level(n - 1)), [-1] * len(index)
+            for k in order:
+                t = col[k]
+                if t:
+                    rank[k], seen[t] = seen[t], seen[t] + 1
+            ranks[(n, i)] = tuple(rank)
+    return OrderingAssignment._trusted(X, cutoff, ranks)
 
 
 def require_own_set(X: SimplicialSet, assignment: OrderingAssignment) -> None:
@@ -175,34 +198,11 @@ def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
     ``OrderingError`` unless the members share one non-basepoint image."""
     index, refs = X.index(level), X.level(level)
     members = [index[ref] for ref in fiber]
-    targets = set(members)
-    for s, i in enumerate(steps):
-        col = X.face_table(level - s)[i]
-        targets = {col[k] for k in targets}
-    if len(targets) > 1 or 0 in targets:
+    keys = assignment.induced_keys(level, tuple(steps))
+    if any(k not in keys for k in members) or len({keys[k][0] for k in members}) > 1:
         raise OrderingError("induced order requested on members that are not one "
                             "fiber over a non-basepoint target")
-    return tuple(refs[k] for k in _induced_order(X, assignment, steps, level, members))
-
-
-def _induced_order(X, assignment, steps, level, members) -> tuple[int, ...]:
-    """Members (level indices) of one fiber of the composition applying the
-    faces in ``steps``, in its induced order: sorted by their rank at each
-    step, the last step most significant.  Two members first share an image
-    after one step, whose fiber order ranks them apart; from then on they
-    share every image and so every rank, and the steps before it are less
-    significant, so the sort is the lexicographic induced order."""
-    tables = [(assignment.ranks(level - s, i), X.face_table(level - s)[i])
-              for s, i in enumerate(steps)]
-
-    def key(x):
-        ranks = []
-        for rank, col in tables:
-            ranks.append(rank[x])
-            x = col[x]
-        return ranks[::-1]
-
-    return tuple(sorted(members, key=key))
+    return tuple(refs[k] for k in sorted(members, key=keys.__getitem__))
 
 
 def _composition_word_string(steps: tuple[int, ...]) -> str:
@@ -219,7 +219,7 @@ class Witness:
     requirements clash.
 
     ``kind`` is 'absolute' when no total order at all satisfies both routes
-    (certified by enumerating every order of the fiber), or 'assignment' when
+    (certified by searching every order of the fiber), or 'assignment' when
     a concrete assignment's two induced orders disagree.
     """
 
@@ -245,17 +245,16 @@ class Witness:
         return not X.is_basepoint(self.target)
 
     def reverify_unsat(self, X: SimplicialSet) -> bool:
-        """Confirm by exhaustive enumeration that no total order of the fiber
-        is inducible by both factorizations."""
+        """Confirm by exhaustive search that no total order of the fiber is
+        inducible by both factorizations."""
         return not _joint_orders_exist(X, self.fiber, self.steps_a, self.steps_b)
 
     def describe(self, X: SimplicialSet) -> list[str]:
         fa, fb = self.factorization_strings()
-        lines = [f"level {self.level} fiber over {X.monotone_name(self.target)} "
-                 f"under {fa} = {fb}:",
-                 "  " + ", ".join(X.monotone_name(r) for r in self.fiber),
-                 "  " + self.explanation]
-        return lines
+        return [f"level {self.level} fiber over {X.monotone_name(self.target)} "
+                f"under {fa} = {fb}:",
+                "  " + ", ".join(X.monotone_name(r) for r in self.fiber),
+                "  " + self.explanation]
 
 
 def _route_blocks(X: SimplicialSet, fiber, first_step: int) -> list[tuple[SimplexRef, ...]]:
@@ -269,26 +268,23 @@ def _joint_orders_exist(X: SimplicialSet, fiber, steps_a, steps_b) -> bool:
     """Is some total order of the fiber inducible by both two-step routes?
 
     A total order is inducible by a route exactly when every same-first-image
-    block is an interval of it (step orders are otherwise free), so a small
-    fiber can be settled by enumerating all |fiber|! orders.
+    block is an interval of it (step orders are otherwise free).  Orders of
+    the fiber's positions grow one member at a time, the next taken from the
+    block of the last on each route while that block has members left.
     """
-    blocks_a = [set(b) for b in _route_blocks(X, fiber, steps_a[0])]
-    blocks_b = [set(b) for b in _route_blocks(X, fiber, steps_b[0])]
-
-    def intervals_ok(order, blocks):
-        pos = {r: k for k, r in enumerate(order)}
-        for block in blocks:
-            ps = sorted(pos[r] for r in block)
-            if ps[-1] - ps[0] != len(ps) - 1:
-                return False
-        return True
-
+    # per route, the block of each fiber position
+    routes = [[next(b for b, block in enumerate(blocks) if ref in block) for ref in fiber]
+              for blocks in [_route_blocks(X, fiber, steps[0]) for steps in (steps_a, steps_b)]]
     if len(fiber) > 7:
         raise OrderingError("fiber too large for exhaustive order enumeration")
-    for order in permutations(fiber):
-        if intervals_ok(order, blocks_a) and intervals_ok(order, blocks_b):
-            return True
-    return False
+
+    def grow(last, rest) -> bool:
+        return not rest or any(
+            grow(p, rest - {p}) for p in rest
+            if last is None or all(of[p] == of[last] or all(of[q] != of[last] for q in rest)
+                                   for of in routes))
+
+    return grow(None, frozenset(range(len(fiber))))
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +314,31 @@ def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
                      routes) -> Witness | None:
     """The witness of the first pair of equal face words whose induced orders
     disagree on a fiber, or None.  ``routes(n)`` yields ``(base, others)``
-    from level n; the base word's fibers over non-basepoint targets and
-    their orders are computed once, then compared with each other word's.
-    A cutoff of 1 has no two-step compositions to check; one above the
-    assignment's raises ``OrderingError``."""
+    from level n.  Equal words keep the same members alive, with the same
+    final images, so one sort per word by its ``induced_keys`` is compared
+    with the base word's; only a mismatch walks the base word's fibers, in
+    order, to name the first that differs.  A cutoff of 1 has nothing to
+    check; one above the assignment's raises ``OrderingError``."""
     _require_cutoff(cutoff)
     require_own_set(X, assignment)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
     for n in range(2, cutoff + 1):
         for base, others in routes(n):
-            ordered = [(t, fiber, _induced_order(X, assignment, base, n, fiber))
-                       for t, fiber in X.route_fibers(n, base)]
+            fibers = X.route_fibers(n, base)
+            if not fibers:
+                continue
+            keys = assignment.induced_keys(n, base)
+            order = sorted(keys, key=keys.__getitem__)
             for other in others:
-                for t, fiber, order in ordered:
-                    other_order = _induced_order(X, assignment, other, n, fiber)
-                    if order != other_order:
-                        return _assignment_witness(X, n, t, fiber, base, other,
-                                                   order, other_order)
+                other_keys = assignment.induced_keys(n, other)
+                if sorted(other_keys, key=other_keys.__getitem__) == order:
+                    continue
+                for t, fiber in fibers:
+                    order_a, order_b = (tuple(sorted(fiber, key=table.__getitem__))
+                                        for table in (keys, other_keys))
+                    if order_a != order_b:
+                        return _assignment_witness(X, n, t, fiber, base, other, order_a, order_b)
     return None
 
 
@@ -425,9 +428,7 @@ class _PairVars:
         v1, s1 = lit1
         v2, s2 = lit2
         if v1 == v2:
-            if s1 != s2:
-                return False  # x == not x: immediate clash
-            return True
+            return s1 == s2  # x == not x is an immediate clash
         parity = s1 * s2
         self.adj.setdefault(v1, []).append((v2, parity))
         self.adj.setdefault(v2, []).append((v1, parity))
@@ -564,14 +565,13 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
 
     if satisfiable:
 
-        def by_precedence(n, i, target, fiber):
-            def cmp(a, b):
-                v, s = pv.literal((n, i, target), a, b)
-                val = values[v] if s > 0 else 1 - values[v]
-                return -1 if val == 1 else 1
-            return sorted(fiber, key=functools.cmp_to_key(cmp))
-
-        assignment = OrderingAssignment._trusted(X, cutoff, by_precedence)
+        # a member's rank is the number of members of its fiber before it
+        ranks = {(n, i): [0 if t else -1 for t in col]
+                 for n in range(1, cutoff + 1) for i, col in enumerate(X.face_table(n))}
+        for vid, ((n, i, _), a, b) in enumerate(pv.vars):
+            ranks[n, i][b if values[vid] else a] += 1
+        assignment = OrderingAssignment._trusted(
+            X, cutoff, {key: tuple(rank) for key, rank in ranks.items()})
         bad = check_nncmo(X, assignment, cutoff)
         if bad is not None:
             raise OrderingError("internal error: search produced an assignment "

@@ -324,6 +324,53 @@ def test_a_duplicate_in_an_input_file_is_refused_at_its_line(tmp_path, kind, tex
     assert run_cli(args) == (1, "", f"error: {where}: {message}\n")
 
 
+def test_a_module_file_that_names_a_file_is_refused(tmp_path):
+    """A module file whose line names itself used to recurse into a
+    ``RecursionError``; naming any other file is refused the same way."""
+    custom = tmp_path / "custom.mod"
+    custom.write_text("module custom dim=2\naction mult tag=lr\n" + SYMMETRIC_OPS)
+    builder = tmp_path / "builder.mod"
+    builder.write_text("regular\n")
+    me, chained = tmp_path / "me.mod", tmp_path / "chained.mod"
+    me.write_text(f"{me}\n")
+    for p, named in ((me, me), (chained, custom), (chained, builder)):
+        p.write_text(f"{named}\n")
+        assert run_cli(["homology", "circle", "--algebra", "trunc-poly 2",
+                        "--module", str(p)]) == (
+            1, "", f"error: {p}:1: a module file names a builder or 'module custom', "
+                   f"not another file ({str(named)!r})\n")
+    code, out, _ = run_cli(["homology", "circle", "--algebra", "trunc-poly 2",
+                            "--module", str(builder), "--max-degree", "1"])
+    assert code == 0 and "square_zero: True" in out
+
+
+PATH_SSET = """
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex q dim=0
+simplex e1 dim=1 faces=[p, v0]
+simplex e2 dim=1 faces=[v0, q]
+"""
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+@pytest.mark.parametrize("command", ["homology", "cohomology"])
+def test_a_complex_that_is_not_square_zero_is_an_internal_error(tmp_path, command,
+                                                                 normalized):
+    # the path q -> v0 -> p with upper-tri(2) and the regular bimodule builds
+    # matrices with d^2 != 0 (no check refuses it before the build yet); the
+    # CLI used to print negative Betti numbers with square_zero: False and
+    # exit 0
+    p = tmp_path / "path.sset"
+    p.write_text(PATH_SSET)
+    args = [command, str(p), "--algebra", "upper-tri 2", "--max-degree", "2"]
+    code, out, err = run_cli(args + ["--normalized"] * normalized)
+    assert (code, out) == (1, "")
+    assert err == ("error: internal error: the differentials do not square to zero, "
+                   "so the Betti numbers would be meaningless\n")
+
+
 def test_console_script_entry_point():
     src = os.path.dirname(os.path.dirname(hochord.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

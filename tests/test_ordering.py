@@ -1,7 +1,7 @@
 import functools
 import io
 from contextlib import redirect_stdout
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -227,6 +227,47 @@ def test_generic_witness_words_for_higher_sphere_like_sets():
     assert res.witness.level == 5
     assert res.witness.verify_equal_maps(X)
     assert res.witness.reverify_unsat(X)
+
+
+def _oracle_joint_orders_exist(X, fiber, steps_a, steps_b):
+    """The enumeration of every order of the fiber's refs that the search
+    on positions replaced."""
+    blocks_a = [set(b) for b in ordering._route_blocks(X, fiber, steps_a[0])]
+    blocks_b = [set(b) for b in ordering._route_blocks(X, fiber, steps_b[0])]
+
+    def intervals_ok(order, blocks):
+        pos = {r: k for k, r in enumerate(order)}
+        for block in blocks:
+            ps = sorted(pos[r] for r in block)
+            if ps[-1] - ps[0] != len(ps) - 1:
+                return False
+        return True
+
+    return any(intervals_ok(order, blocks_a) and intervals_ok(order, blocks_b)
+               for order in permutations(fiber))
+
+
+def _constraint_sources(X, cutoff):
+    """The fibers ``search_nncmo`` may certify a failure with, as refs."""
+    for n in range(2, cutoff + 1):
+        for steps_a, (steps_b,) in ordering._adjacent_routes(n):
+            for _, fiber in X.route_fibers(n, steps_a):
+                if len(fiber) <= 7:
+                    yield tuple(X.level(n)[k] for k in fiber), steps_a, steps_b
+
+
+def test_joint_order_search_matches_the_enumeration_oracle(one_dimensional_family):
+    cases = [(m.X, m.cutoff) for m in one_dimensional_family]
+    cases += [(builder(), 4) for builder in BUNDLED]
+    verdicts, mismatches = {True: 0, False: 0}, []
+    for X, cutoff in cases:
+        for fiber, steps_a, steps_b in _constraint_sources(X, cutoff):
+            want = _oracle_joint_orders_exist(X, fiber, steps_a, steps_b)
+            verdicts[want] += 1
+            if ordering._joint_orders_exist(X, fiber, steps_a, steps_b) != want:
+                mismatches.append((X.name, fiber, steps_a, steps_b))
+    assert mismatches == []
+    assert verdicts[True] > 0 and verdicts[False] > 0  # both verdicts are compared
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +961,7 @@ ORACLE_CUTOFF = 5
 
 
 def _oracle_induced_compare(X, assignment, steps, level, x, y):
-    """The pairwise comparator ``_induced_order`` replaced."""
+    """The pairwise comparator the rank keys replaced."""
     if x == y:
         return 0
     for i in steps:
@@ -1019,8 +1060,11 @@ def test_fibers_and_rank_keys_match_the_comparator_oracle(builder):
             for steps in _words_up_to(n, 4):
                 want = _oracle_two_step_fibers(X, n, steps)
                 assert X.route_fibers(n, steps) == tuple(f for f in want if len(f[1]) > 1)
+                # the keyed members are those over non-basepoint targets
+                keys = assignment.induced_keys(n, steps)
+                assert sorted(keys) == sorted(k for _, members in want for k in members)
                 for _, members in want:
-                    assert (ordering._induced_order(X, assignment, steps, n, members)
+                    assert (tuple(sorted(members, key=keys.__getitem__))
                             == _oracle_induced_order(X, assignment, steps, n, members))
 
 
@@ -1033,6 +1077,43 @@ def test_check_loop_matches_both_oracle_loops(builder):
                                                                              cutoff)
             assert (check_nncmo_full(X, assignment, cutoff)
                     == _oracle_check_nncmo_full(X, assignment, cutoff))
+
+
+def _swapped_certificates(X, assignment):
+    """Per level and face, the certificate with the ranks of the first two
+    members of the face's first fiber of two or more members swapped."""
+    for n in range(1, assignment.cutoff + 1):
+        for i, fibs in enumerate(X.face_fibers(n)):
+            fiber = next((members for _, members in fibs if len(members) > 1), None)
+            if fiber is not None:
+                ranks = {key: assignment.ranks(*key) for key in assignment._ranks}
+                rank, (a, b) = list(ranks[n, i]), fiber[:2]
+                rank[a], rank[b] = rank[b], rank[a]
+                ranks[n, i] = tuple(rank)
+                yield OrderingAssignment._trusted(X, assignment.cutoff, ranks)
+
+
+def test_swapped_ranks_give_the_oracle_witnesses(one_dimensional_family):
+    cases = [(m.X, m.canonical.assignment) for m in one_dimensional_family
+             if isinstance(m.canonical, NncmoResult) and m.canonical.admits]
+    cases += [(X, classify_nncmo(X, cutoff).assignment)
+              for builder in BUNDLED[:-1] for cutoff in (4, 5) for X in [builder()]]
+    mismatches, mutations, witnesses = [], 0, 0
+    for X, assignment in cases:
+        for mutated in _swapped_certificates(X, assignment):
+            cutoff, mutations = mutated.cutoff, mutations + 1
+            want = (_oracle_check_nncmo(X, mutated, cutoff),
+                    _oracle_check_nncmo_full(X, mutated, cutoff))
+            witnesses += sum(w is not None for w in want)
+            # the full check first on a fresh copy, then after the adjacent
+            # check has built its tables
+            fresh = OrderingAssignment._trusted(X, cutoff, mutated._ranks)
+            got = (check_nncmo(X, mutated, cutoff), check_nncmo_full(X, mutated, cutoff),
+                   check_nncmo_full(X, fresh, cutoff))
+            if got != (*want, want[1]):
+                mismatches.append((X.name, cutoff))
+    assert mismatches == []
+    assert (len(cases), mutations, witnesses) == (134 + 10, 1087, 2 * 1087)
 
 
 def test_the_oracles_see_violations():
@@ -1208,3 +1289,28 @@ def test_fibers_are_grouped_once_per_column_and_route(monkeypatch):
         assert tables == (X.face_fibers(2), X.route_fibers(3, (1, 0)))
         assert X.face_fibers(2) is tables[0] and X.route_fibers(3, (1, 0)) is tables[1]
         assert grouped[0] == 3 + 1
+
+
+def test_key_tables_are_built_once_per_certificate_and_word(monkeypatch):
+    builds = []
+    original = OrderingAssignment.induced_keys
+
+    def counted(self, level, word):
+        if (level, word) not in self._keys:
+            builds.append((self, level, word))  # holding self keeps its id unique
+        return original(self, level, word)
+
+    monkeypatch.setattr(OrderingAssignment, "induced_keys", counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["nncmo", "wedge3", "--cutoff", "4", "--oracle", "--json"]) == 0
+    tables = {(id(cert), level, word) for cert, level, word in builds}
+    assert len(tables) == len(builds)
+    # the canonical certificate's check, and the searched certificate's
+    # check with the full oracle check after it on the same tables
+    certificates = list(dict.fromkeys(cert for cert, _, _ in builds))
+    assert len(certificates) == 2
+    searched = certificates[1]
+    builds.clear()
+    assert check_nncmo(searched.X, searched, 4) is None
+    assert check_nncmo_full(searched.X, searched, 4) is None
+    assert builds == []
