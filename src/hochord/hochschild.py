@@ -26,7 +26,7 @@ indices of each degree are enumerated once from the slots each ``s_j``
 misses, the functor kernel writes no term from a degenerate source tensor,
 and each differential is accumulated straight into kept positions.  That the
 degenerate span is a subcomplex is checked structurally, on face tables,
-certificate ranks and site classes (``_check_degenerate_closure``), since
+certificate ranks and the action table (``_check_degenerate_closure``), since
 the entries that would show a violation are never computed.
 """
 
@@ -47,7 +47,7 @@ from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
                        classify_actions, classify_nncmo, require_own_set)
-from .simplicial import SimplicialSet
+from .simplicial import SimplicialError, SimplicialSet
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -130,30 +130,19 @@ class Complex:
 # level maps as pointed maps
 
 def face_pointed_map(X: SimplicialSet, level: int, i: int,
-                     assignment: OrderingAssignment | None,
-                     classes: ActionClassReport | None = None,
-                     action_map: dict[str, str] | None = None):
+                     assignment: OrderingAssignment | None, actions=None):
     """The face map d_i : X_level -> X_{level-1} as a pointed map between the
     level enumerations, with fiber orders from the assignment (level order
-    when no assignment is needed) and basepoint-fiber actions resolved
-    through the class assignment."""
+    when no assignment is needed) and the basepoint-fiber actions read from
+    the action table ``actions[level][i]`` (see ``_action_table``)."""
     # pointed-map index j is level index j: the basepoint is 0 on both sides
     images = X.face_table(level)[i]
     rank = None if assignment is None else assignment.ranks(level, i).__getitem__
     orders = {t: tuple(sorted(members, key=rank)) for t, members in X.face_fibers(level)[i]}
     phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
-    actions = None
-    if action_map is not None and classes is not None:
-        refs = X.level(level)
-        actions = {}
-        for j in phi.basepoint_fiber():
-            cls = classes.class_of_site((level, refs[j], i))
-            if cls is None:
-                raise ComplexError(
-                    f"no action class covers the site d_{i} of "
-                    f"{X.monotone_name(refs[j])} at level {level}")
-            actions[j] = action_map[cls.class_id]
-    return phi, actions
+    if actions is None:
+        return phi, None
+    return phi, {j: actions[level][i][j] for j in phi.basepoint_fiber()}
 
 
 def degeneracy_pointed_map(X: SimplicialSet, level: int, i: int) -> PointedMap:
@@ -172,11 +161,9 @@ class _Assembler:
     skip degenerate source tensors, and ``differential`` maps rows and
     columns straight to kept positions."""
 
-    def __init__(self, spec: ComplexSpec, classes: ActionClassReport,
-                 action_map: dict[str, str], normalized: bool = False):
+    def __init__(self, spec: ComplexSpec, actions: dict, normalized: bool = False):
         self.spec = spec
-        self.classes = classes
-        self.action_map = action_map
+        self.actions = actions
         # level -> one bitmask of missed slots per degeneracy into the level
         self.missed: dict[int, tuple[int, ...]] = {}
         # degree -> (dimension, position of each plain index or None if dropped)
@@ -199,8 +186,7 @@ class _Assembler:
         C^{level-1} -> C^level induced by d_i : X_level -> X_{level-1}.
         Plain indices; when normalized, degenerate sources have no entries."""
         spec = self.spec
-        phi, actions = face_pointed_map(spec.X, level, i, spec.assignment,
-                                        self.classes, self.action_map)
+        phi, actions = face_pointed_map(spec.X, level, i, spec.assignment, self.actions)
         functor = loday_on_morphism if spec.variant == CHAIN else hom_functor_on_morphism
         return functor(spec.algebra, spec.module, phi, actions, self.missed.get(level, ()))
 
@@ -264,9 +250,10 @@ def _missed_slots(X: SimplicialSet, n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _resolve(spec: ComplexSpec):
+def _resolve(spec: ComplexSpec) -> dict:
     """Validate the spec against the ordering theorem and the action typing;
-    returns (classes, action_map) or raises ``OrderingRefusal``."""
+    returns the action table (``_action_table``) or raises
+    ``OrderingRefusal``."""
     X, D, cert = spec.X, spec.max_degree, spec.assignment
     commutative = is_commutative(spec.algebra)
     if cert is None and not commutative:
@@ -287,9 +274,10 @@ def _resolve(spec: ComplexSpec):
     problems = validate_assignment(spec.module, classes, amap, spec.variant)
     if problems:
         raise ComplexError("action assignment rejected: " + "; ".join(problems))
+    actions = _action_table(classes, amap)
     if not commutative:
-        _check_simultaneous_actions(spec, classes, amap)
-    return classes, amap
+        _check_simultaneous_actions(spec, actions)
+    return actions
 
 
 def _canonical_certificate(X: SimplicialSet, cutoff: int) -> OrderingAssignment:
@@ -320,14 +308,22 @@ def _typed_actions(spec: ComplexSpec, cutoff: int, checked: bool = False):
     return classes, amap
 
 
-def _check_simultaneous_actions(spec: ComplexSpec, classes, amap):
+def _action_table(classes: ActionClassReport, amap: dict[str, str]) -> dict:
+    """``actions[n][i][k]``: the action that the site ``(n, level(n)[k], i)``
+    routes its factor through, or None where d_i keeps the simplex off the
+    basepoint; one entry per site of ``classes.site_class``."""
+    names = [amap.get(c.class_id) for c in classes.classes]
+    return {n: [[None if g is None else names[g] for g in row] for row in rows]
+            for n, rows in classes.site_class.items()}
+
+
+def _check_simultaneous_actions(spec: ComplexSpec, actions: dict):
     """Factors acting through one face map multiply as operators, so their
     assigned actions must commute pairwise.  Distinct actions commute by the
     multimodule axioms; a repeated action only commutes with itself when its
     operators do, which fails for e.g. regular multiplication of a
     noncommutative algebra."""
-    X, alg, module = spec.X, spec.algebra, spec.module
-    f = alg.field
+    alg, module = spec.algebra, spec.module
     self_commuting: dict[str, bool] = {}
 
     def ok(name: str) -> bool:
@@ -339,10 +335,8 @@ def _check_simultaneous_actions(spec: ComplexSpec, classes, amap):
         return self_commuting[name]
 
     for level in range(1, spec.max_degree + 1):
-        refs = X.level(level)
-        for i, images in enumerate(X.face_table(level)):
-            names = [amap[classes.class_of_site((level, refs[k], i)).class_id]
-                     for k in range(1, len(refs)) if images[k] == 0]
+        for i, row in enumerate(actions[level]):
+            names = [a for a in row if a is not None]
             for k, a in enumerate(names):
                 for b in names[k + 1:]:
                     if a == b and not ok(a):
@@ -379,16 +373,16 @@ def build_complex(spec: ComplexSpec) -> Complex:
     (``algebras.unit_first``), so its matrices are in that basis.  Betti
     numbers are unchanged by normalization.
     """
-    classes, amap = _resolve(spec)
+    actions = _resolve(spec)
     if spec.normalized:
         spec = _unit_first_spec(spec)
-    asm = _Assembler(spec, classes, amap, spec.normalized)
+    asm = _Assembler(spec, actions, spec.normalized)
     D = spec.max_degree
     dims = [asm.degree_dim(n) for n in range(D + 1)]
     degrees = range(1, D + 1) if spec.variant == CHAIN else range(D)
     diffs = {n: asm.differential(n) for n in degrees}
     if spec.normalized:
-        _check_degenerate_closure(spec, classes, amap)
+        _check_degenerate_closure(spec, actions)
     return Complex(spec.variant, spec.algebra.field, dims, diffs)
 
 
@@ -400,10 +394,9 @@ def _unit_first_spec(spec: ComplexSpec) -> ComplexSpec:
     return replace(spec, algebra=alg, module=rebased(spec.module, alg, basis))
 
 
-def _check_degenerate_closure(spec: ComplexSpec, classes: ActionClassReport,
-                              amap: dict[str, str]) -> None:
+def _check_degenerate_closure(spec: ComplexSpec, actions: dict) -> None:
     """Raise ``ComplexError`` unless the degenerate tensors span a subcomplex,
-    checked on face tables, certificate ranks and site classes.
+    checked on face tables, certificate ranks and the action table.
 
     For every level n <= max_degree, j < n and i not in {j, j+1}, the
     simplicial identity ``d_i s_j = s_{j-1} d_i`` (i < j) or
@@ -431,10 +424,6 @@ def _check_degenerate_closure(spec: ComplexSpec, classes: ActionClassReport,
     X, module = spec.X, spec.module
     ordered = not is_commutative(spec.algebra)
 
-    def action(level: int, k: int, i: int) -> str | None:
-        cls = classes.class_of_site((level, X.level(level)[k], i))
-        return None if cls is None else amap.get(cls.class_id)
-
     def same_operators(a: str | None, b: str | None) -> bool:
         return a == b or (a is not None and b is not None and
                           module.action(a).operators == module.action(b).operators)
@@ -447,7 +436,7 @@ def _check_degenerate_closure(spec: ComplexSpec, classes: ActionClassReport,
                     continue
                 low = i if i < j else i - 1
                 below = X.face_table(n - 1)[low]
-                if not all(same_operators(action(n - 1, x, low), action(n, degen[x], i))
+                if not all(same_operators(actions[n - 1][low][x], actions[n][i][degen[x]])
                            for x in range(1, len(below)) if below[x] == 0):
                     what = "basepoint actions"
                 elif ordered and not _orders_agree(X.face_fibers(n - 1)[low],
@@ -574,7 +563,7 @@ def cosimplicial_check(spec: ComplexSpec, cutoff: int) -> list[str]:
     if spec.assignment is not None and spec.assignment.cutoff < cutoff:
         raise ComplexError(
             f"assignment cutoff {spec.assignment.cutoff} is below the check cutoff {cutoff}")
-    asm = _Assembler(spec, *_typed_actions(spec, max(cutoff, 2)))
+    asm = _Assembler(spec, _action_table(*_typed_actions(spec, max(cutoff, 2))))
     chain = spec.variant == CHAIN
     F = functools.cache(asm.face_matrix)
     S = functools.cache(asm.degeneracy_matrix)
@@ -625,7 +614,7 @@ def is_subsimplicial(X: SimplicialSet, Y: SimplicialSet) -> bool:
     for s in X.simplices:
         try:
             t = Y.simplices[Y.id_of(s.name)]
-        except Exception:
+        except SimplicialError:
             return False
         if t.dim != s.dim:
             return False

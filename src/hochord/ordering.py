@@ -160,18 +160,26 @@ def assignment_from_level_orders(X: SimplicialSet, level_orders: dict[int, tuple
     a member by the members of its fiber before it in the level order;
     ``OrderingError`` names a level whose order is missing or not one."""
     _require_cutoff(cutoff)
-    ranks = {}
+    orders = {}
     for n in range(1, cutoff + 1):
         if n not in level_orders:
             raise OrderingError(f"level orders missing level {n}")
         index = X.index(n)
-        order = [index.get(ref, 0) for ref in level_orders[n]]
-        if sorted(order) != list(range(1, len(index))):
+        orders[n] = [index.get(ref, 0) for ref in level_orders[n]]
+        if sorted(orders[n]) != list(range(1, len(index))):
             raise OrderingError(f"level order at level {n} is not a permutation "
                                 "of the level's non-basepoint simplices")
+    return _assignment_from_index_orders(X, orders, cutoff)
+
+
+def _assignment_from_index_orders(X: SimplicialSet, orders: dict[int, list[int]],
+                                  cutoff: int) -> OrderingAssignment:
+    """``assignment_from_level_orders`` on level indices, unvalidated."""
+    ranks = {}
+    for n in range(1, cutoff + 1):
         for i, col in enumerate(X.face_table(n)):
-            seen, rank = [0] * len(X.level(n - 1)), [-1] * len(index)
-            for k in order:
+            seen, rank = [0] * len(X.level(n - 1)), [-1] * len(col)
+            for k in orders[n]:
                 t = col[k]
                 if t:
                     rank[k], seen[t] = seen[t], seen[t] + 1
@@ -195,9 +203,15 @@ def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
                               steps: tuple[int, ...], level: int,
                               fiber) -> tuple[SimplexRef, ...]:
     """Sort a fiber of the composition (faces applied in ``steps`` order);
-    ``OrderingError`` unless the members share one non-basepoint image."""
+    ``OrderingError`` for a level above the assignment's cutoff, a word that
+    is not a face word from the level, or members that do not share one
+    non-basepoint image at that level."""
+    if level > assignment.cutoff:
+        raise OrderingError(f"level {level} is above the assignment cutoff {assignment.cutoff}")
+    if len(steps) > level or any(not 0 <= i <= level - p for p, i in enumerate(steps)):
+        raise OrderingError(f"{tuple(steps)} is not a face word from level {level}")
     index, refs = X.index(level), X.level(level)
-    members = [index[ref] for ref in fiber]
+    members = [index.get(ref) for ref in fiber]
     keys = assignment.induced_keys(level, tuple(steps))
     if any(k not in keys for k in members) or len({keys[k][0] for k in members}) > 1:
         raise OrderingError("induced order requested on members that are not one "
@@ -615,41 +629,38 @@ def cyclic_ordering(X: SimplicialSet, cutoff: int) -> dict[int, tuple[SimplexRef
     e.g. a circle subdivided through an extra vertex, have no face-monotone
     order even though a multiplicative ordering exists via search).
     """
+    return {n: tuple(X.level(n)[k] for k in order)
+            for n, order in _cyclic_orders(X, cutoff).items()}
+
+
+def _cyclic_orders(X: SimplicialSet, cutoff: int) -> dict[int, list[int]]:
+    """``cyclic_ordering`` on level indices: each level's order with every
+    edge degeneracy moved before every vertex degeneracy.  On one edge the
+    level's word order is the alphabetical order of the monotone words
+    (deleting position m gives m + 1 zeros, and a smaller m a larger word),
+    and a vertex has one degeneracy per level, so the stable sort is the
+    construction ``cyclic_ordering`` describes."""
     _require_cutoff(cutoff)
     if X.dimension() > 1:
         raise OrderingError("cyclic orderings are defined for one-dimensional sets only")
-    edge_pos = {}
-    vertex_pos = {}
-    for idx, s in enumerate(X.simplices):
-        if s.dim == 1:
-            edge_pos[idx] = len(edge_pos)
-        elif idx != X.basepoint:
-            vertex_pos[idx] = len(vertex_pos)
-
-    def key(ref: SimplexRef):
-        base = X.simplices[ref.base]
-        if base.dim == 1:
-            return (0, edge_pos[ref.base], X.monotone_name(ref))
-        return (1, vertex_pos[ref.base], "")
-
-    orders = {n: tuple(sorted(X.level_nonbase(n), key=key)) for n in range(cutoff + 1)}
-
+    orders = {}
+    for n in range(cutoff + 1):
+        refs = X.level(n)
+        orders[n] = sorted(range(1, len(refs)), key=lambda k: X.simplices[refs[k].base].dim == 0)
     for n in range(2, cutoff + 1):
-        below, index, table = X.index(n - 1), X.index(n), X.face_table(n)
-        pos_below = [0] * len(below)
-        for k, ref in enumerate(orders[n - 1]):
-            pos_below[below[ref]] = k
-        seq = orders[n]
-        members = [index[ref] for ref in seq]
+        pos_below = [0] * len(X.level(n - 1))
+        for p, k in enumerate(orders[n - 1]):
+            pos_below[k] = p
+        refs, seq, table = X.level(n), orders[n], X.face_table(n)
         for a in range(len(seq)):
             for b in range(a + 1, len(seq)):
                 for i, col in enumerate(table):
-                    fa, fb = col[members[a]], col[members[b]]
+                    fa, fb = col[seq[a]], col[seq[b]]
                     if fa and fb and pos_below[fa] > pos_below[fb]:
                         raise CyclicOrderingUnavailable(
                             f"face-monotonicity fails at level {n}: "
-                            f"{X.monotone_name(seq[a])} < {X.monotone_name(seq[b])} "
-                            f"but d_{i} reverses them")
+                            f"{X.monotone_name(refs[seq[a]])} < "
+                            f"{X.monotone_name(refs[seq[b]])} but d_{i} reverses them")
     return orders
 
 
@@ -663,8 +674,7 @@ def classify_nncmo(X: SimplicialSet, cutoff: int = 4) -> NncmoResult:
         raise OrderingError("invalid simplicial set: " + "; ".join(problems))
     if X.dimension() <= 1:
         try:
-            orders = cyclic_ordering(X, cutoff)
-            assignment = assignment_from_level_orders(X, orders, cutoff)
+            assignment = _assignment_from_index_orders(X, _cyclic_orders(X, cutoff), cutoff)
             bad = check_nncmo(X, assignment, cutoff)
             if bad is None:
                 return NncmoResult("admits", assignment)
@@ -705,17 +715,14 @@ class ActionClass:
 
 @dataclass(frozen=True)
 class ActionClassReport:
+    """The action classes up to ``cutoff``; ``site_class[n][i][k]`` is the
+    position in ``classes`` of the class of the site ``(n, level(n)[k], i)``,
+    or None where d_i does not send that simplex to the basepoint."""
+
     cutoff: int
     classes: tuple[ActionClass, ...]
     notes: tuple[str, ...]
-    _by_site: dict = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_site", {
-            site: cls for cls in self.classes for site in cls.sites})
-
-    def class_of_site(self, site: Site) -> ActionClass | None:
-        return self._by_site.get(site)
+    site_class: dict[int, list[list[int | None]]] = dc_field(repr=False, compare=False)
 
 
 _TYPING_NOTE = (
@@ -870,7 +877,7 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
         _, ref0, i0 = sites[0]
         cid = f"d{i0}:{X.monotone_name(ref0)}"
         classes.append(ActionClass(cid, typ, sites))
-    return ActionClassReport(cutoff, tuple(classes), tuple(notes))
+    return ActionClassReport(cutoff, tuple(classes), tuple(notes), site_class)
 
 
 def _type_level(X, assignment, site_class, evidence, n):

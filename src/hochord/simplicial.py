@@ -360,8 +360,7 @@ BUILTIN_SETS = {
 # ---------------------------------------------------------------------------
 # text format
 
-def _parse_face(token: str, names: dict[str, int], dims: dict[int, int],
-                line_no: int) -> SimplexRef:
+def _parse_face(token: str, names: dict[str, int], line_no: int) -> SimplexRef:
     parts = token.split()
     words = []
     while parts and parts[0].startswith("s") and parts[0][1:].isdecimal():
@@ -447,7 +446,6 @@ def from_file(text: str, name: str = "from-file") -> SimplicialSet:
                 "(expected 'basepoint' or 'simplex')")
     if basepoint is None:
         raise SimplicialError("missing 'basepoint <name>' line")
-    dims = {i: dim for i, (_, _, dim, _) in enumerate(records)}
     simplices = []
     for line_no, sname, dim, faces_src in records:
         if dim == 0:
@@ -461,7 +459,7 @@ def from_file(text: str, name: str = "from-file") -> SimplicialSet:
         if len(tokens) != dim + 1:
             raise SimplicialError(
                 f"line {line_no}: simplex {sname!r} needs {dim + 1} faces, got {len(tokens)}")
-        faces = tuple(_parse_face(t, names, dims, line_no) for t in tokens)
+        faces = tuple(_parse_face(t, names, line_no) for t in tokens)
         simplices.append(NondegSimplex(sname, dim, faces))
     sset = SimplicialSet(name, basepoint, simplices)
     problems = sset.validate()

@@ -12,8 +12,9 @@ from hochord.algebras import custom_algebra, multiply, trunc_poly, unit_first, u
 from hochord.exact import Field, Matrix, mat_mul
 from hochord.functors import (FunctorError, compose, hom_functor_on_morphism,
                               identity_map, loday_on_morphism, pointed_map)
-from hochord.hochschild import (CHAIN, COCHAIN, ComplexSpec, _typed_actions,
-                                degeneracy_pointed_map, face_pointed_map, make_spec)
+from hochord.hochschild import (CHAIN, COCHAIN, ComplexSpec, _action_table,
+                                _typed_actions, degeneracy_pointed_map, face_pointed_map,
+                                make_spec)
 from hochord.modules import (multi_regular, rebased, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
 from hochord.ordering import classify_nncmo
@@ -348,12 +349,12 @@ def test_kernel_matches_term_expansion_on_bundled_sets(case, variant, p):
         cert = classify_nncmo(X, 4)
         spec = ComplexSpec(X, alg, module, variant, 4,
                            assignment=cert.assignment if cert.admits else None)
-        classes, amap = _typed_actions(spec, 4)
+        actions_at = _action_table(*_typed_actions(spec, 4))
         top = max(level for level in range(5)
                   if module.dim * alg.dim ** len(X.level_nonbase(level)) <= KERNEL_ORACLE_DIM)
         for level in range(1, top + 1):
             for i in range(level + 1):
-                phi, actions = face_pointed_map(X, level, i, spec.assignment, classes, amap)
+                phi, actions = face_pointed_map(X, level, i, spec.assignment, actions_at)
                 _assert_kernel_matches_oracle(alg, module, phi, actions, variant)
         for level in range(top):
             for i in range(level + 1):
@@ -408,14 +409,14 @@ def test_pruned_kernel_matches_restricted_term_expansion(case, variant):
         cert = classify_nncmo(X, 4)
         spec = ComplexSpec(X, alg, module, variant, 4,
                            assignment=cert.assignment if cert.admits else None)
-        classes, amap = _typed_actions(spec, 4)
+        actions_at = _action_table(*_typed_actions(spec, 4))
         for level in range(1, 5):
             if module.dim * alg.dim ** len(X.level_nonbase(level)) > KERNEL_ORACLE_DIM:
                 break
             missed_sets = _missed_slot_sets(X, level)
             missed = tuple(sum(1 << k for k in s) for s in missed_sets)
             for i in range(level + 1):
-                phi, actions = face_pointed_map(X, level, i, spec.assignment, classes, amap)
+                phi, actions = face_pointed_map(X, level, i, spec.assignment, actions_at)
                 got = kernel(alg, module, phi, actions, missed)
                 want, _ = _summed_matrix(alg, module, phi, actions, source_rows)
                 assert got == _nondegenerate_restriction(alg, phi.m, want, missed_sets,
@@ -454,8 +455,8 @@ def test_products_are_tabulated_once_per_fiber_length(monkeypatch):
     X = wedge_of_circles(2)
     alg = upper_tri(2)
     spec = make_spec(X, alg, regular_bimodule(alg), CHAIN, 4)
-    classes, amap = _typed_actions(spec, 4)
-    phi, actions = face_pointed_map(X, 4, 1, spec.assignment, classes, amap)
+    actions_at = _action_table(*_typed_actions(spec, 4))
+    phi, actions = face_pointed_map(X, 4, 1, spec.assignment, actions_at)
     lengths = [len(phi.fiber(i)) for i in range(1, phi.n + 1)]
     assert sorted(lengths) == [1, 1, 1, 1, 2, 2]
     calls = [0]
@@ -470,7 +471,7 @@ def test_products_are_tabulated_once_per_fiber_length(monkeypatch):
     # the products live on the algebra: another face map with no longer
     # fiber, in either functor, reads them and multiplies nothing
     calls[0] = 0
-    psi, psi_actions = face_pointed_map(X, 4, 2, spec.assignment, classes, amap)
+    psi, psi_actions = face_pointed_map(X, 4, 2, spec.assignment, actions_at)
     assert max(len(psi.fiber(i)) for i in range(1, psi.n + 1)) <= 2
     loday_on_morphism(alg, spec.module, psi, psi_actions)
     hom_functor_on_morphism(alg, spec.module, phi, actions)

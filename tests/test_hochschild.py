@@ -447,10 +447,10 @@ def _accumulated_differential(asm, n):
 
 def _assembler(spec):
     """The assembler ``build_complex`` uses for ``spec``."""
-    classes, amap = _resolve(spec)
+    actions = _resolve(spec)
     if spec.normalized:
         spec = _unit_first_spec(spec)
-    return _Assembler(spec, classes, amap, spec.normalized)
+    return _Assembler(spec, actions, spec.normalized)
 
 
 @pytest.mark.parametrize("case", [0, 5, 8, 10, 11, 13])
@@ -578,6 +578,24 @@ def test_pair_constraints_requires_containment():
     assert not is_subsimplicial(circle(), other)
 
 
+def test_subsimplicial_check_lets_a_fault_in_the_lookup_propagate(monkeypatch):
+    # only an unknown name (SimplicialError) means "not a subset"; any other
+    # error from the ambient set's lookup is a fault and is not read as one
+    with_extra = from_file("basepoint v0\nsimplex v0 dim=0\nsimplex w dim=0\n"
+                           "simplex e dim=1 faces=[v0, v0]\nsimplex f dim=1 faces=[w, v0]\n",
+                           "circle plus a leg")
+    assert is_subsimplicial(circle(), with_extra)
+    with pytest.raises(ComplexError, match="not a sub-simplicial-set"):
+        pair_constraints(with_extra, circle())
+
+    def broken(self, name):
+        raise RuntimeError("lookup fault")
+
+    monkeypatch.setattr(SimplicialSet, "id_of", broken)
+    with pytest.raises(RuntimeError, match="lookup fault"):
+        is_subsimplicial(circle(), circle())
+
+
 def test_wedge_noncommutative_with_tensor_square_module():
     from hochord.modules import tensor_square_bimodule
     alg = upper_tri(2)
@@ -604,3 +622,48 @@ def test_simultaneous_same_action_is_rejected():
     with pytest.raises(ComplexError) as err:
         build_complex(spec)
     assert "do not commute" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the build path works on level indices
+
+def _searched_spec(X, alg, module, variant, max_degree, normalized=False):
+    return ComplexSpec(X, alg, module, variant, max_degree, normalized=normalized,
+                       assignment=search_nncmo(X, max_degree).assignment)
+
+
+WARM_CASES = {
+    "circle-upper-tri-regular": (circle, upper_tri, regular_bimodule, make_spec, False),
+    "circle-upper-tri-regular-normalized": (circle, upper_tri, regular_bimodule, make_spec,
+                                            True),
+    "interval-upper-tri-regular-searched": (interval, upper_tri, regular_bimodule,
+                                            _searched_spec, False),
+    "wedge2-trunc-poly-regular-normalized": (lambda: wedge_of_circles(2), trunc_poly,
+                                             regular_bimodule, make_spec, True),
+    "wedge2-upper-tri-tensor-square": (lambda: wedge_of_circles(2), upper_tri,
+                                       tensor_square_bimodule, make_spec, False),
+    "sphere2-trunc-poly-symmetric-normalized": (sphere2, trunc_poly, symmetric_module,
+                                                make_spec, True),
+}
+
+
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_warm_rebuild_hashes_no_simplex_ref(case, variant, monkeypatch):
+    # once a set object's level tables are built, certificate, action
+    # classes, action table, assembly and the closure check read level
+    # indices only: a second build looks up no SimplexRef
+    builder, algebra, module, spec_of, normalized = WARM_CASES[case]
+    X, alg = builder(), algebra(2)
+    build_complex(spec_of(X, alg, module(alg), variant, 4, normalized=normalized))
+    hashes = [0]
+    original = SimplexRef.__hash__
+
+    def counted(self):
+        hashes[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(SimplexRef, "__hash__", counted)
+    build_complex(spec_of(X, alg, module(alg), variant, 4, normalized=normalized))
+    assert hashes[0] == 0
+    assert X.level(2)[-1] in X.index(2) and hashes[0] == 1  # the count is live

@@ -29,8 +29,8 @@ from hochord.hochschild import (CHAIN, COCHAIN, Complex, ComplexError, ComplexSp
                                 make_spec)
 from hochord.modules import (multi_regular, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
-from hochord.ordering import (ActionClass, ActionClassReport, OrderingAssignment,
-                              assignment_from_level_orders, cyclic_ordering, search_nncmo)
+from hochord.ordering import (OrderingAssignment, assignment_from_level_orders,
+                              cyclic_ordering, search_nncmo)
 from hochord.simplicial import (BUILTIN_SETS, circle, interval, point, sphere2,
                                 wedge_of_circles)
 
@@ -95,9 +95,9 @@ def _normalize(spec, diffs):
 
 def _restricted_complex(spec):
     """The normalized complex of ``spec`` by full assembly and restriction."""
-    classes, amap = _resolve(spec)
+    actions = _resolve(spec)
     spec = _unit_first_spec(spec)
-    asm = _Assembler(spec, classes, amap)
+    asm = _Assembler(spec, actions)
     degrees = range(1, spec.max_degree + 1) if spec.variant == CHAIN else range(spec.max_degree)
     dims, diffs = _normalize(spec, {n: asm.differential(n) for n in degrees})
     return Complex(spec.variant, spec.algebra.field, dims, diffs)
@@ -140,8 +140,7 @@ def _moore_normalize(spec, asm, dims, diffs):
 def _moore_complex(spec):
     """(dims, betti, square_zero) of the Moore complex of ``spec``."""
     plain = build_complex(replace(spec, normalized=False))
-    classes, amap = _resolve(spec)
-    asm = _Assembler(spec, classes, amap)
+    asm = _Assembler(spec, _resolve(spec))
     dims, diffs = _moore_normalize(spec, asm, plain.dims, plain.differentials)
     moore = Complex(spec.variant, spec.algebra.field, dims, diffs)
     return moore.dims, moore.betti, moore.verify_square_zero()
@@ -330,8 +329,8 @@ def test_closure_check_catches_a_dropped_tensor_reaching_a_kept_one(variant):
 def test_structural_check_refuses_orders_tampered_along_a_degeneracy(variant):
     X, alg = circle(), upper_tri(2)
     spec = make_spec(X, alg, regular_bimodule(alg), variant, 3, normalized=True)
-    classes, amap = _resolve(spec)
-    _check_degenerate_closure(spec, classes, amap)  # the certificate passes
+    actions = _resolve(spec)
+    _check_degenerate_closure(spec, actions)  # the certificate passes
     # level 3 indices 1 and 2 are s_0 of the two level-2 simplices over one
     # target of d_1; reverse the d_2 fiber holding them at level 3 only
     cert, refs = spec.assignment, X.level(3)
@@ -342,28 +341,24 @@ def test_structural_check_refuses_orders_tampered_along_a_degeneracy(variant):
     tampered = replace(spec, assignment=OrderingAssignment(X, cert.cutoff, orders))
     with pytest.raises(ComplexError, match=r"not a subcomplex; at level 3, d_2 s_0 and "
                                            r"s_0 d_1 differ in their fiber orders"):
-        _check_degenerate_closure(tampered, classes, amap)
+        _check_degenerate_closure(tampered, actions)
 
 
 @pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
 def test_structural_check_refuses_an_action_that_differs_across_a_degeneracy(variant):
     X, alg = circle(), upper_tri(2)
     spec = make_spec(X, alg, regular_bimodule(alg), variant, 3, normalized=True)
-    classes, amap = _resolve(spec)
-    # d_0 s_1 = s_0 d_0 from level 1: the circle's edge e has d_0 e = *, and
-    # so has s_1 e; split the site of s_1 e off its class and route it
-    # through the other action, whose operators differ for upper-tri(2)
-    e = X.level(1)[1]
-    site = (2, X.degeneracy(e, 1), 0)
-    assert classes.class_of_site((1, e, 0)) == classes.class_of_site(site)
-    old = classes.class_of_site(site)
-    split = [replace(c, sites=tuple(s for s in c.sites if s != site))
-             for c in classes.classes] + [ActionClass("split", old.action_type, (site,))]
-    other = ({"left", "right"} - {amap[old.class_id]}).pop()
-    tampered = ActionClassReport(classes.cutoff, tuple(split), classes.notes)
+    actions = _resolve(spec)
+    # d_0 s_1 = s_0 d_0 from level 1: the circle's edge e (level index 1) has
+    # d_0 e = *, and so has s_1 e; route the site of s_1 e through the other
+    # action, whose operators differ for upper-tri(2)
+    k = X.degeneracy_table(1)[1][1]
+    assert X.level(2)[k] == X.degeneracy(X.level(1)[1], 1)
+    assert actions[2][0][k] == actions[1][0][1] is not None
+    actions[2][0][k] = ({"left", "right"} - {actions[2][0][k]}).pop()
     with pytest.raises(ComplexError, match=r"not a subcomplex; at level 2, d_0 s_1 and "
                                            r"s_0 d_0 differ in their basepoint actions"):
-        _check_degenerate_closure(spec, tampered, dict(amap, split=other))
+        _check_degenerate_closure(spec, actions)
 
 
 # ---------------------------------------------------------------------------

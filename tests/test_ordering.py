@@ -319,6 +319,59 @@ def test_cyclic_ordering_unavailable_on_subdivided_circle():
     assert check_nncmo(X, res.assignment, 3) is None
 
 
+def _name_keyed_cyclic_orders(X, cutoff):
+    """The cyclic construction by its definition: edge degeneracies by the
+    input order of their edge, then alphabetically by monotone word, then
+    vertex degeneracies by vertex input order."""
+    edge_pos = {b: p for p, b in enumerate(
+        b for b, s in enumerate(X.simplices) if s.dim == 1)}
+
+    def key(ref):
+        if ref.base in edge_pos:
+            return (0, edge_pos[ref.base], X.monotone_name(ref))
+        return (1, ref.base, "")
+
+    return {n: tuple(sorted(X.level_nonbase(n), key=key)) for n in range(cutoff + 1)}
+
+
+def _first_monotonicity_failure(X, orders, cutoff):
+    """The message ``cyclic_ordering`` raises for these orders, or None."""
+    for n in range(2, cutoff + 1):
+        pos = {r: p for p, r in enumerate(orders[n - 1])}
+        seq = orders[n]
+        for a in range(len(seq)):
+            for b in range(a + 1, len(seq)):
+                for i in range(n + 1):
+                    fa, fb = X.face(seq[a], i), X.face(seq[b], i)
+                    if fa in pos and fb in pos and pos[fa] > pos[fb]:
+                        return n, (f"face-monotonicity fails at level {n}: "
+                                   f"{X.monotone_name(seq[a])} < {X.monotone_name(seq[b])} "
+                                   f"but d_{i} reverses them")
+    return None
+
+
+def test_cyclic_order_is_the_name_keyed_construction(one_dimensional_family):
+    # sorting each level by edge-first alone gives the name-keyed order; where
+    # that order is not face-monotone, both refuse at the same level with the
+    # same message, and agree on every level below it
+    sets = [f.X for f in one_dimensional_family] + [
+        b() for b in BUNDLED if b().dimension() <= 1]
+    refused = 0
+    for X in sets:
+        want = _name_keyed_cyclic_orders(X, 5)
+        failure = _first_monotonicity_failure(X, want, 5)
+        if failure is None:
+            assert cyclic_ordering(X, 5) == want, X.name
+            continue
+        refused += 1
+        level, message = failure
+        with pytest.raises(CyclicOrderingUnavailable) as err:
+            cyclic_ordering(X, 5)
+        assert str(err.value) == message, X.name
+        assert cyclic_ordering(X, level - 1) == {n: want[n] for n in range(level)}, X.name
+    assert 0 < refused < len(sets)
+
+
 @pytest.mark.parametrize("cutoff", [0, -2])
 def test_cyclic_ordering_refuses_cutoffs_below_one(cutoff):
     with pytest.raises(OrderingError, match=f"got cutoff {cutoff}"):
@@ -1131,6 +1184,28 @@ def test_full_check_above_the_certificate_cutoff_is_an_ordering_error():
     for check in (check_nncmo, check_nncmo_full):
         with pytest.raises(OrderingError, match="assignment cutoff too small"):
             check(X, asg, 4)
+
+
+def test_induced_order_refuses_a_level_above_the_cutoff():
+    X = circle()
+    asg = search_nncmo(X, 2).assignment
+    with pytest.raises(OrderingError, match="level 3 is above the assignment cutoff 2"):
+        composition_induced_order(X, asg, (1,), 3, X.level_nonbase(3)[:1])
+
+
+@pytest.mark.parametrize("steps, level", [((1, 0, 0), 2), ((0,), 0), ((3,), 2), ((0, 2), 2)])
+def test_induced_order_refuses_a_word_that_is_not_a_face_word(steps, level):
+    X = circle()
+    asg = classify_nncmo(X, 3).assignment
+    with pytest.raises(OrderingError, match=f"not a face word from level {level}"):
+        composition_induced_order(X, asg, steps, level, X.level_nonbase(level)[:1])
+
+
+def test_induced_order_refuses_members_of_another_level():
+    X = circle()
+    asg = classify_nncmo(X, 3).assignment
+    with pytest.raises(OrderingError, match="not one fiber"):
+        composition_induced_order(X, asg, (1,), 2, X.level_nonbase(3)[:2])
 
 
 def test_induced_order_refuses_members_outside_one_fiber():
