@@ -850,7 +850,6 @@ def classify_actions(X: SimplicialSet, cutoff: int = 4,
             notes.append(f"ordering search inconclusive at cutoff {cutoff}; "
                          "classes left untyped")
 
-    # site_class[n][i][k]: the class of the site (n, level(n)[k], i), or None
     site_class = {n: [[None] * len(X.level(n)) for _ in range(n + 1)]
                   for n in range(1, cutoff + 1)}
     for gi, group in enumerate(site_groups):
