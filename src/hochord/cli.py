@@ -353,16 +353,12 @@ def _render_text(report: dict, indent: int = 0) -> list[str]:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.extend(_render_text(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{pad}{key}:")
             for item in value:
-                if isinstance(item, dict):
-                    lines.extend(_render_text(item, indent + 1))
-                    lines.append("")
-                else:
-                    lines.append(f"{pad}  {item}")
-            if lines and lines[-1] == "":
-                lines.pop()
+                lines.extend(_render_text(item, indent + 1))
+                lines.append("")
+            lines.pop()
         else:
             if isinstance(value, list):
                 value = ", ".join(str(v) for v in value)

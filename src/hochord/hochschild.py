@@ -130,7 +130,7 @@ class Complex:
 # level maps as pointed maps
 
 def face_pointed_map(X: SimplicialSet, level: int, i: int,
-                     assignment: OrderingAssignment | None, actions=None):
+                     assignment: OrderingAssignment | None, actions):
     """The face map d_i : X_level -> X_{level-1} as a pointed map between the
     level enumerations, with fiber orders from the assignment (level order
     when no assignment is needed) and the basepoint-fiber actions read from
@@ -140,8 +140,6 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
     rank = None if assignment is None else assignment.ranks(level, i).__getitem__
     orders = {t: tuple(sorted(members, key=rank)) for t, members in X.face_fibers(level)[i]}
     phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
-    if actions is None:
-        return phi, None
     return phi, {j: actions[level][i][j] for j in phi.basepoint_fiber()}
 
 

@@ -17,6 +17,10 @@ certificate is written as ranks.  A certificate keys each face word's
 induced order once, in a table extending its tail's (``induced_keys``),
 and both checks are one loop comparing one sort per word
 (``_first_violation``), so checks of one certificate share the tables.
+The search (``search_nncmo``) keeps the order relation itself: relations
+``(fiber, x, y)``, links between the relations two routes of an adjacent
+identity give one pair, and one closure that adds a relation with its links
+and its transitive consequences and refuses one whose reverse is known.
 
 Fibers over the basepoint never carry an order: their factors act on the
 coefficient module instead, through the action classes computed here.
@@ -271,13 +275,6 @@ class Witness:
                 "  " + self.explanation]
 
 
-def _route_blocks(X: SimplicialSet, fiber, first_step: int) -> list[tuple[SimplexRef, ...]]:
-    groups: dict[SimplexRef, list[SimplexRef]] = {}
-    for ref in fiber:
-        groups.setdefault(X.face(ref, first_step), []).append(ref)
-    return [tuple(v) for _, v in sorted(groups.items())]
-
-
 def _joint_orders_exist(X: SimplicialSet, fiber, steps_a, steps_b) -> bool:
     """Is some total order of the fiber inducible by both two-step routes?
 
@@ -286,11 +283,10 @@ def _joint_orders_exist(X: SimplicialSet, fiber, steps_a, steps_b) -> bool:
     the fiber's positions grow one member at a time, the next taken from the
     block of the last on each route while that block has members left.
     """
-    # per route, the block of each fiber position
-    routes = [[next(b for b, block in enumerate(blocks) if ref in block) for ref in fiber]
-              for blocks in [_route_blocks(X, fiber, steps[0]) for steps in (steps_a, steps_b)]]
     if len(fiber) > 7:
         raise OrderingError("fiber too large for exhaustive order enumeration")
+    # per route, the block of each fiber position: its first-step image
+    routes = [[X.face(ref, steps[0]) for ref in fiber] for steps in (steps_a, steps_b)]
 
     def grow(last, rest) -> bool:
         return not rest or any(
@@ -413,197 +409,141 @@ class NncmoResult:
         return self.verdict == "admits"
 
 
-class _PairVars:
-    """Precedence variables x_(fiber, a, b) meaning a < b, with equivalence
-    constraints and transitivity propagation inside fibers."""
-
-    def __init__(self):
-        self.vars: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-        self.adj: dict[int, list[tuple[int, int]]] = {}
-        self.fiber_members: dict[tuple, tuple] = {}
-        self.var_fiber: dict[int, tuple] = {}
-
-    def add_fiber(self, key, members):
-        self.fiber_members[key] = tuple(members)
-        for a, b in combinations(members, 2):
-            vid = len(self.vars)
-            self.index[(key, a, b)] = vid
-            self.vars.append((key, a, b))
-            self.var_fiber[vid] = key
-
-    def literal(self, key, a, b) -> tuple[int, int]:
-        """(var id, sign): sign +1 if the var asserts a < b, else -1."""
-        if (key, a, b) in self.index:
-            return self.index[(key, a, b)], 1
-        return self.index[(key, b, a)], -1
-
-    def add_equiv(self, lit1, lit2):
-        v1, s1 = lit1
-        v2, s2 = lit2
-        if v1 == v2:
-            return s1 == s2  # x == not x is an immediate clash
-        parity = s1 * s2
-        self.adj.setdefault(v1, []).append((v2, parity))
-        self.adj.setdefault(v2, []).append((v1, parity))
-        return True
-
-
 def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> NncmoResult:
-    """Backtracking search over per-fiber total orders, encoded as pairwise
-    precedence variables with equivalence propagation and transitivity.
+    """Backtracking search for fiber orders that every adjacent identity
+    induces alike; the brute-force oracle for the classification.
 
-    This is the brute-force oracle for the classification: it either finds an
-    assignment (verified against ``check_nncmo`` before being returned) or
-    certifies failure with a single-fiber witness.  An explicit node limit
-    turns runaway searches into an ``InconclusiveSearch`` error rather than a
-    wrong answer.
+    The state is the order relation itself.  The fibers of two or more
+    members are numbered, and a relation ``(fiber, x, y)`` says x comes
+    before y.  For each pair x < y of a fiber of d_i d_j = d_{j-1} d_i, each
+    route orders the pair in the first fiber that separates it
+    (``route_order``), and a link ties the two relations, so either holds
+    exactly when the other does (and so do their reverses).  The closure
+    ``holds`` adds a relation with its links and its transitive
+    consequences in its fiber, and refuses one whose reverse is known, a
+    relation linked to its own reverse included.  The decisions are the
+    pairs of each fiber in order, a before b tried first; a node is a
+    fresh decision or a retry after backtracking.
+
+    It either finds an assignment (verified against ``check_nncmo`` before
+    being returned) or certifies failure with a single-fiber witness.  An
+    explicit node limit turns runaway searches into an
+    ``InconclusiveSearch`` error rather than a wrong answer.
     """
     _require_cutoff(cutoff)
-    # variables, fibers and literals all live on level indices:
-    # a fiber key is (level, face index, target index)
-    pv = _PairVars()
+    fiber_id, fibers, decisions = {}, [], []  # fibers[f] = (level, face, members)
     for n in range(1, cutoff + 1):
         for i, fibs in enumerate(X.face_fibers(n)):
-            for target, fiber in fibs:
-                if len(fiber) >= 2:
-                    pv.add_fiber((n, i, target), fiber)
+            for target, members in fibs:
+                if len(members) > 1:
+                    f = fiber_id[n, i, target] = len(fibers)
+                    fibers.append((n, i, members))
+                    decisions += [(f, a, b) for a, b in combinations(members, 2)]
 
-    def step_literal(n, steps, target, x, y):
+    def route_order(n, steps, target, x, y):
         col = X.face_table(n)[steps[0]]
-        fx, fy = col[x], col[y]
-        if fx == fy:
-            return pv.literal((n, steps[0], fx), x, y)
-        return pv.literal((n - 1, steps[1], target), fx, fy)
+        if col[x] == col[y]:
+            return fiber_id[n, steps[0], col[x]], x, y
+        return fiber_id[n - 1, steps[1], target], col[x], col[y]
 
-    direct_clash = None
-    constraint_sources = []
+    # a link is kept under its two relations, not their reverses: ``holds`` reads those reversed
+    links: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     for n in range(2, cutoff + 1):
         for steps_a, (steps_b,) in _adjacent_routes(n):
             for target, fiber in X.route_fibers(n, steps_a):
-                constraint_sources.append((n, target, fiber, steps_a, steps_b))
                 for x, y in combinations(fiber, 2):
-                    lit_a = step_literal(n, steps_a, target, x, y)
-                    lit_b = step_literal(n, steps_b, target, x, y)
-                    if not pv.add_equiv(lit_a, lit_b):
-                        direct_clash = (n, target, fiber, steps_a, steps_b)
+                    ra = route_order(n, steps_a, target, x, y)
+                    rb = route_order(n, steps_b, target, x, y)
+                    if ra != rb:
+                        links.setdefault(ra, []).append(rb)
+                        links.setdefault(rb, []).append(ra)
 
-    values: dict[int, int] = {}
-    nodes = 0
+    known: set[tuple[int, int, int]] = set()
+    stack = []  # (decision index, relation decided, relations it added)
 
-    def propagate(vid, val, trail) -> bool:
-        queue = [(vid, val)]
+    def holds(rel, trail) -> bool:
+        """Add ``rel`` and all it forces to ``known``, each also to
+        ``trail``; False once a forced relation's reverse is known."""
+        queue = [rel]
         while queue:
-            v, b = queue.pop()
-            if v in values:
-                if values[v] != b:
-                    return False
+            r = queue.pop()
+            f, x, y = r
+            if r in known:
                 continue
-            values[v] = b
-            trail.append(v)
-            for w, parity in pv.adj.get(v, ()):
-                queue.append((w, b if parity > 0 else 1 - b))
-            # transitivity inside the fiber of v
-            key = pv.var_fiber[v]
-            members = pv.fiber_members[key]
-            _, a, c = pv.vars[v]
-            for m in members:
-                if m in (a, c):
-                    continue
-                for (p, q, r) in ((a, c, m), (m, a, c), (a, m, c)):
-                    # if p<q and q<r are known, force p<r
-                    l1 = pv.literal(key, p, q)
-                    l2 = pv.literal(key, q, r)
-                    l3 = pv.literal(key, p, r)
-                    v1 = values.get(l1[0])
-                    v2 = values.get(l2[0])
-                    if v1 is None or v2 is None:
-                        continue
-                    t1 = v1 if l1[1] > 0 else 1 - v1
-                    t2 = v2 if l2[1] > 0 else 1 - v2
-                    if t1 == 1 and t2 == 1:
-                        want = 1 if l3[1] > 0 else 0
-                        if l3[0] in values:
-                            if values[l3[0]] != want:
-                                return False
-                        else:
-                            queue.append((l3[0], want))
+            if (f, y, x) in known:
+                return False
+            known.add(r)
+            trail.append(r)
+            queue += links.get(r, ())
+            queue += [(g, v, u) for g, u, v in links.get((f, y, x), ())]
+            for m in fibers[f][2]:
+                if (f, y, m) in known:
+                    queue.append((f, x, m))
+                if (f, m, x) in known:
+                    queue.append((f, m, y))
         return True
 
-    satisfiable = direct_clash is None
-    if satisfiable:
-        order_of_vars = list(range(len(pv.vars)))
-        decision_trail: list[tuple[int, int, list[int]]] = []
-        idx = 0
-        while idx < len(order_of_vars):
-            vid = order_of_vars[idx]
-            if vid in values:
-                idx += 1
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                raise InconclusiveSearch(
-                    f"node limit {node_limit} exceeded at cutoff {cutoff}; "
-                    "no verdict at this cutoff")
-            trail: list[int] = []
-            if propagate(vid, 1, trail):
-                decision_trail.append((idx, 1, trail))
-                idx += 1
-                continue
-            for v in trail:
-                del values[v]
-            trail = []
-            if propagate(vid, 0, trail):
-                decision_trail.append((idx, 0, trail))
-                idx += 1
-                continue
-            for v in trail:
-                del values[v]
-            # backtrack
-            while decision_trail:
-                j, tried, tr = decision_trail.pop()
-                for v in tr:
-                    del values[v]
-                if tried == 1:
-                    nodes += 1
-                    tr2: list[int] = []
-                    if propagate(order_of_vars[j], 0, tr2):
-                        decision_trail.append((j, 0, tr2))
-                        idx = j + 1
-                        break
-                    for v in tr2:
-                        del values[v]
-            else:
-                satisfiable = False
-                break
+    def decide(k, rel) -> bool:
+        trail = []
+        if holds(rel, trail):
+            stack.append((k, rel, trail))
+            return True
+        known.difference_update(trail)
+        return False
 
-    if satisfiable:
+    nodes, k = 0, 0
+    while k < len(decisions):
+        f, a, b = decisions[k]
+        if (f, a, b) in known or (f, b, a) in known:
+            k += 1
+            continue
+        nodes += 1
+        if nodes > node_limit:
+            raise InconclusiveSearch(
+                f"node limit {node_limit} exceeded at cutoff {cutoff}; "
+                "no verdict at this cutoff")
+        if decide(k, (f, a, b)) or decide(k, (f, b, a)):
+            k += 1
+            continue
+        while stack:  # back to the latest decision whose second order is untried
+            j, (g, x, y), trail = stack.pop()
+            known.difference_update(trail)
+            if x < y:
+                nodes += 1
+                if decide(j, (g, y, x)):
+                    k = j + 1
+                    break
+        else:
+            break
 
+    if k == len(decisions):
         # a member's rank is the number of members of its fiber before it
         ranks = {(n, i): [0 if t else -1 for t in col]
                  for n in range(1, cutoff + 1) for i, col in enumerate(X.face_table(n))}
-        for vid, ((n, i, _), a, b) in enumerate(pv.vars):
-            ranks[n, i][b if values[vid] else a] += 1
+        for f, a, b in decisions:
+            n, i, _ = fibers[f]
+            ranks[n, i][b if (f, a, b) in known else a] += 1
         assignment = OrderingAssignment._trusted(
             X, cutoff, {key: tuple(rank) for key, rank in ranks.items()})
-        bad = check_nncmo(X, assignment, cutoff)
-        if bad is not None:
+        if check_nncmo(X, assignment, cutoff) is not None:
             raise OrderingError("internal error: search produced an assignment "
                                 "that fails the consistency check")
         return NncmoResult("admits", assignment, nodes=nodes)
 
     # unsatisfiable: certify with a single locally-contradictory fiber
-    for (n, target, fiber, steps_a, steps_b) in constraint_sources:
-        if not 2 <= len(fiber) <= 7:
-            continue
-        refs = tuple(X.level(n)[k] for k in fiber)
-        if not _joint_orders_exist(X, refs, steps_a, steps_b):
-            fa, fb = _composition_word_string(steps_a), _composition_word_string(steps_b)
-            expl = (f"no total order of the fiber is inducible by both {fa} and {fb}: "
-                    "the two block structures interleave")
-            witness = Witness(n, X.level(n - 2)[target], refs, steps_a, steps_b,
-                              "absolute", expl)
-            return NncmoResult("fails", witness=witness, nodes=nodes)
+    for n in range(2, cutoff + 1):
+        for steps_a, (steps_b,) in _adjacent_routes(n):
+            for target, fiber in X.route_fibers(n, steps_a):
+                if len(fiber) > 7:
+                    continue
+                refs = tuple(X.level(n)[k] for k in fiber)
+                if not _joint_orders_exist(X, refs, steps_a, steps_b):
+                    fa, fb = _composition_word_string(steps_a), _composition_word_string(steps_b)
+                    expl = (f"no total order of the fiber is inducible by both {fa} and {fb}: "
+                            "the two block structures interleave")
+                    witness = Witness(n, X.level(n - 2)[target], refs, steps_a, steps_b,
+                                      "absolute", expl)
+                    return NncmoResult("fails", witness=witness, nodes=nodes)
     raise InconclusiveSearch(
         "orders are jointly unsatisfiable but no single-fiber witness exists "
         f"at cutoff {cutoff}")

@@ -1,8 +1,8 @@
 import functools
 import io
 from contextlib import redirect_stdout
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -203,6 +203,57 @@ def test_full_factorization_oracle_validates_adjacent_reduction():
             assert check_nncmo_full(X, result.assignment, 4) is None
 
 
+def _pair_order_oracle(X, cutoff):
+    """The certificate the search must return, from the definition: of the
+    assignments of fiber orders (faces evaluated with ``X.face``) that
+    ``check_nncmo`` accepts, the greatest in pair order (fibers by level,
+    face and target, then each fiber's pairs a < b in order, a before b
+    greater), or None when it accepts none.  Each fiber's orders are tried
+    from the greatest down, so the first accepted is the greatest."""
+    fibers = {}
+    for n in range(1, cutoff + 1):
+        for i in range(n + 1):
+            for ref in X.level_nonbase(n):
+                target = X.face(ref, i)
+                if not X.is_basepoint(target):
+                    fibers.setdefault((n, i, target), []).append(ref)
+
+    def greatest_first(members):
+        return sorted(permutations(members), reverse=True, key=lambda order: [
+            order.index(a) < order.index(b) for a, b in combinations(members, 2)])
+
+    keys = sorted(fibers)
+    for orders in product(*(greatest_first(sorted(fibers[key])) for key in keys)):
+        assignment = OrderingAssignment(X, cutoff, dict(zip(keys, orders)))
+        if check_nncmo(X, assignment, cutoff) is None:
+            return assignment
+    return None
+
+
+def test_search_returns_the_greatest_certificate_in_pair_order(one_dimensional_family):
+    """At cutoff 2, on every family or bundled one-dimensional set with at
+    most 2000 joint fiber orders, the search admits with exactly the
+    oracle's certificate, or both find none."""
+    sets = [m.X for m in one_dimensional_family] + [b() for b in BUNDLED[:5]]
+    compared = {True: 0, False: 0}
+    for X in sets:
+        sizes = [len(members) for n in (1, 2) for fibs in X.face_fibers(n)
+                 for _, members in fibs]
+        if prod(map(factorial, sizes)) > 2000:
+            continue
+        want = _pair_order_oracle(X, 2)
+        try:
+            res = search_nncmo(X, 2)
+        except InconclusiveSearch:
+            res = None
+        if want is None:
+            assert res is None or not res.admits, X.name
+        else:
+            assert res is not None and res.admits and res.assignment.orders == want.orders, X.name
+        compared[want is not None] += 1
+    assert compared[True] > 0 and compared[False] > 0  # both outcomes are compared
+
+
 def test_sphere_witness_is_certified():
     res = classify_nncmo(sphere2(), 4)
     S = sphere2()
@@ -232,8 +283,13 @@ def test_generic_witness_words_for_higher_sphere_like_sets():
 def _oracle_joint_orders_exist(X, fiber, steps_a, steps_b):
     """The enumeration of every order of the fiber's refs that the search
     on positions replaced."""
-    blocks_a = [set(b) for b in ordering._route_blocks(X, fiber, steps_a[0])]
-    blocks_b = [set(b) for b in ordering._route_blocks(X, fiber, steps_b[0])]
+    def route_blocks(first_step):
+        groups = {}
+        for ref in fiber:
+            groups.setdefault(X.face(ref, first_step), set()).add(ref)
+        return list(groups.values())
+
+    blocks_a, blocks_b = route_blocks(steps_a[0]), route_blocks(steps_b[0])
 
     def intervals_ok(order, blocks):
         pos = {r: k for k, r in enumerate(order)}
