@@ -6,7 +6,8 @@ run succeeded (set validates, ordering exists, complex built), 2 means the
 input was fine but the verdict is negative (no multiplicative ordering, or a
 noncommutative construction was refused, with the witness in the report), and
 1 means the input itself was bad (parse errors name the file, line and the
-expected production).
+expected production).  Each ``cmd_*`` body maps the loaded set and the parsed
+arguments to its report body and exit code; ``main`` runs it through ``_run``.
 
 Inputs are resolved from tables: ``ALGEBRA_BUILDERS`` and ``MODULE_BUILDERS``
 name the inline builders, ``_fields`` reads every ``key=value`` header token
@@ -379,36 +380,20 @@ def _witness_report(X: SimplicialSet, witness) -> dict:
     }
 
 
-def cmd_validate(args, out) -> int:
-    X = load_simplicial_set(args.set)
+def cmd_validate(X: SimplicialSet, args) -> tuple[dict, int]:
     problems = X.validate()
-    report = {
-        "command": "validate",
-        "set": X.name,
+    return {
         "dimension": X.dimension(),
         "nondegenerate": len(X.simplices),
         "ok": not problems,
         "violations": problems,
-    }
-    _emit(report, args.json, out)
-    return 0 if not problems else 2
+    }, 0 if not problems else 2
 
 
-def _require_cutoff(args, floor: int) -> None:
-    if args.cutoff < floor:
-        raise CliInputError(
-            f"{args.command} needs --cutoff >= {floor}, got --cutoff {args.cutoff}")
-
-
-def cmd_nncmo(args, out) -> int:
-    _require_cutoff(args, 2)
-    X = load_simplicial_set(args.set)
+def cmd_nncmo(X: SimplicialSet, args) -> tuple[dict, int]:
     predicted = classify_nncmo(X, args.cutoff)
     searched = search_nncmo(X, args.cutoff)
     report = {
-        "command": "nncmo",
-        "set": X.name,
-        "cutoff": args.cutoff,
         "dimension": X.dimension(),
         "predicted": predicted.verdict,
         "searched": searched.verdict,
@@ -423,35 +408,20 @@ def cmd_nncmo(args, out) -> int:
         report["witness"] = _witness_report(X, searched.witness)
         report["witness_verified"] = (searched.witness.verify_equal_maps(X)
                                       and searched.witness.reverify_unsat(X))
-    _emit(report, args.json, out)
-    return 0 if searched.admits else 2
+    return report, 0 if searched.admits else 2
 
 
-def cmd_cyclic(args, out) -> int:
-    _require_cutoff(args, 1)
-    X = load_simplicial_set(args.set)
+def cmd_cyclic(X: SimplicialSet, args) -> tuple[dict, int]:
     if X.dimension() > 1:
         raise CliInputError(f"{X.name} is not one-dimensional; no cyclic ordering")
     orders = cyclic_ordering(X, args.cutoff)
-    report = {
-        "command": "cyclic",
-        "set": X.name,
-        "cutoff": args.cutoff,
-        "levels": {str(n): [X.monotone_name(r) for r in orders[n]]
-                   for n in range(1, args.cutoff + 1)},
-    }
-    _emit(report, args.json, out)
-    return 0
+    return {"levels": {str(n): [X.monotone_name(r) for r in orders[n]]
+                       for n in range(1, args.cutoff + 1)}}, 0
 
 
-def cmd_actions(args, out) -> int:
-    _require_cutoff(args, 1)
-    X = load_simplicial_set(args.set)
+def cmd_actions(X: SimplicialSet, args) -> tuple[dict, int]:
     rep = classify_actions(X, args.cutoff)
-    report = {
-        "command": "actions",
-        "set": X.name,
-        "cutoff": args.cutoff,
+    return {
         "classes": [
             {"id": c.class_id, "type": c.action_type,
              "sites": [f"d_{i} {X.monotone_name(ref)} (level {n})"
@@ -459,19 +429,13 @@ def cmd_actions(args, out) -> int:
             for c in rep.classes
         ],
         "notes": list(rep.notes),
-    }
-    _emit(report, args.json, out)
-    return 0
+    }, 0
 
 
-def cmd_complex(args, out, variant: str) -> int:
-    if args.max_degree < 1:
-        raise CliInputError("--max-degree must be at least 1")
-    X = load_simplicial_set(args.set)
+def cmd_complex(X: SimplicialSet, args, variant: str) -> tuple[dict, int]:
     alg = resolve_algebra(args.algebra, _parse_field(args.field, "--field"))
     module = resolve_module(args.module, alg)
-    head = {"command": args.command, "set": X.name, "algebra": alg.describe(),
-            "module": module.describe()}
+    coefficients = {"algebra": alg.describe(), "module": module.describe()}
     try:
         spec = make_spec(X, alg, module, variant, args.max_degree,
                          normalized=args.normalized)
@@ -481,17 +445,16 @@ def cmd_complex(args, out, variant: str) -> int:
                 raise OrderingRefusal("full-factorization check failed", bad)
         complex_ = build_complex(spec)
     except OrderingRefusal as e:
-        report = {**head, "refused": True, "reason": str(e)}
+        report = {**coefficients, "refused": True, "reason": str(e)}
         if e.witness is not None:
             report["witness"] = _witness_report(X, e.witness)
-        _emit(report, args.json, out)
-        return 2
+        return report, 2
     if not complex_.verify_square_zero():  # the last check before any Betti number
         raise ComplexError("internal error: the differentials do not square to zero, "
                            "so the Betti numbers would be meaningless")
     symbol = "beta_" if variant == CHAIN else "beta^"
-    report = {
-        **head,
+    return {
+        **coefficients,
         "field": alg.field.describe(),
         "normalized": args.normalized,
         "max_degree": args.max_degree,
@@ -500,17 +463,31 @@ def cmd_complex(args, out, variant: str) -> int:
         "caveats": [f"degree {n} needs max_degree {n + 1}"
                     for n in complex_.caveat_degrees],
         "square_zero": True,
-    }
-    _emit(report, args.json, out)
-    return 0
+    }, 0
 
 
-def cmd_pair(args, out) -> int:
-    X = load_simplicial_set(args.inner)
-    Y = load_simplicial_set(args.ambient)
-    report = {"command": "pair-constraints", **pair_constraints(X, Y)}
-    _emit(report, args.json, out)
-    return 0
+def cmd_pair(X: SimplicialSet, args) -> tuple[dict, int]:
+    return pair_constraints(X, load_simplicial_set(args.ambient)), 0
+
+
+def _run(args, out) -> int:
+    """Refuse a --cutoff below the command's floor or a --max-degree below 1
+    before reading any input, load the set, and emit the report head
+    (command, set, cutoff where taken) and the body; return the exit code."""
+    if args.floor is not None and args.cutoff < args.floor:
+        raise CliInputError(
+            f"{args.command} needs --cutoff >= {args.floor}, got --cutoff {args.cutoff}")
+    if getattr(args, "max_degree", 1) < 1:
+        raise CliInputError("--max-degree must be at least 1")
+    X = load_simplicial_set(args.set)
+    head = {"command": args.command}
+    if args.body is not cmd_pair:  # its body names both of its sets
+        head["set"] = X.name
+    if args.floor is not None:
+        head["cutoff"] = args.cutoff
+    body, code = args.body(X, args)
+    _emit({**head, **body}, args.json, out)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +498,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _command(sub, name: str, body, help: str, floor: int | None = None,
+             set_name: str = "set") -> _Parser:
+    """A command with its set positional (shown as ``set_name``) and, given a
+    floor, its --cutoff; ``_build_parser`` adds --json after its own options."""
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("set", metavar=set_name)
+    if floor is not None:
+        sp.add_argument("--cutoff", type=int, default=4)
+    sp.set_defaults(body=body, floor=floor)
+    return sp
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="hochord",
@@ -528,35 +517,15 @@ def _build_parser() -> _Parser:
                             "simplicial sets, with multiplicative-ordering "
                             "certificates for noncommutative algebras.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, run):
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.set_defaults(run=run)
-
-    sp = sub.add_parser("validate", help="check the simplicial identities")
-    sp.add_argument("set")
-    common(sp, cmd_validate)
-
-    sp = sub.add_parser("nncmo", help="decide the multiplicative-ordering question")
-    sp.add_argument("set")
-    sp.add_argument("--cutoff", type=int, default=4)
+    _command(sub, "validate", cmd_validate, "check the simplicial identities")
+    sp = _command(sub, "nncmo", cmd_nncmo, "decide the multiplicative-ordering question", 2)
     sp.add_argument("--oracle", action="store_true",
                     help="also run the full-factorization consistency check")
-    common(sp, cmd_nncmo)
-
-    sp = sub.add_parser("cyclic", help="print the cyclic ordering level tables")
-    sp.add_argument("set")
-    sp.add_argument("--cutoff", type=int, default=4)
-    common(sp, cmd_cyclic)
-
-    sp = sub.add_parser("actions", help="action classes with left/right types")
-    sp.add_argument("set")
-    sp.add_argument("--cutoff", type=int, default=4)
-    common(sp, cmd_actions)
-
+    _command(sub, "cyclic", cmd_cyclic, "print the cyclic ordering level tables", 1)
+    _command(sub, "actions", cmd_actions, "action classes with left/right types", 1)
     for name, variant in (("homology", CHAIN), ("cohomology", COCHAIN)):
-        sp = sub.add_parser(name, help=f"compute {name} Betti numbers")
-        sp.add_argument("set")
+        sp = _command(sub, name, functools.partial(cmd_complex, variant=variant),
+                      f"compute {name} Betti numbers")
         sp.add_argument("--algebra", required=True,
                         help="inline builder ('upper-tri 2') or file path")
         sp.add_argument("--module", default="regular",
@@ -566,20 +535,17 @@ def _build_parser() -> _Parser:
         sp.add_argument("--normalized", action="store_true")
         sp.add_argument("--oracle", action="store_true",
                         help="validate the ordering certificate against all factorizations")
-        common(sp, functools.partial(cmd_complex, variant=variant))
-
-    sp = sub.add_parser("pair-constraints",
-                        help="commutativity constraints for a pair X inside Y")
-    sp.add_argument("inner")
+    sp = _command(sub, "pair-constraints", cmd_pair,
+                  "commutativity constraints for a pair X inside Y", set_name="inner")
     sp.add_argument("ambient")
-    common(sp, cmd_pair)
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.run(args, sys.stdout)
+        return _run(_build_parser().parse_args(argv), sys.stdout)
     except (CliInputError, SimplicialError, OrderingError, ComplexError,
             AlgebraError, ModuleError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -298,9 +298,6 @@ class SimplicialSet:
             return f"[{word}]"
         return f"[{word}]_{base.name}"
 
-    def describe(self) -> str:
-        return f"{self.name} (dim {self.dim_top}, {len(self.simplices)} nondegenerate)"
-
 
 # ---------------------------------------------------------------------------
 # builders

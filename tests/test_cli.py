@@ -8,7 +8,7 @@ import pytest
 
 import hochord
 from hochord import cli
-from hochord.algebras import (cyclic_group_algebra, matrix_algebra,
+from hochord.algebras import (custom_algebra, cyclic_group_algebra, matrix_algebra,
                               symmetric_group_algebra_s3, trunc_poly, upper_tri)
 from hochord.cli import main
 from hochord.exact import QQ, Field
@@ -322,6 +322,92 @@ def test_a_duplicate_in_an_input_file_is_refused_at_its_line(tmp_path, kind, tex
             "mod": ["homology", "circle", "--algebra", "trunc-poly 2", "--module", str(p)],
             "sset": ["validate", str(p)]}[kind]
     assert run_cli(args) == (1, "", f"error: {where}: {message}\n")
+
+
+CUSTOM_HEAD = "algebra custom basis=[one,x] unit=[1,0]\n"
+MODULE_HEAD = "module custom dim=2\n"
+ONE_OP = "action mult tag=lr\nop(1) = [[1,0],[0,1]]\n"
+
+
+@pytest.mark.parametrize("kind, text, line, message", [
+    ("sset", "basepoint v0 v1\nsimplex v0 dim=0\n", 1, "expected 'basepoint <name>'"),
+    ("sset", "basepoint v\nsimplex\n", 2, "expected 'simplex <name> dim=<d> ...'"),
+    ("sset", "basepoint v\nsimplex v dim=0\nsimplex v dim=0\n", 3, "duplicate simplex 'v'"),
+    ("sset", "basepoint v\nsimplex v dim=0\nsimplex e dim=1 faces=[v, v\n", 3,
+     "unterminated faces=[...]"),
+    ("sset", "basepoint v\nsimplex v dim=0 colour=red\n", 2,
+     "unexpected token 'colour=red' (expected dim=<d> or faces=[...])"),
+    ("sset", "basepoint v\nsimplex v\n", 2, "simplex 'v' missing dim="),
+    ("sset", "basepoint v\nsimplex v dim=0 faces=[v]\n", 2, "0-simplex 'v' cannot have faces"),
+    ("alg", "# nothing but a comment\n", None, "empty algebra file"),
+    ("alg", "algebra custom basis=[one,x]\ntable:\n", 1,
+     "custom algebra needs basis=[...] and unit=[...]"),
+    ("alg", "algebra custom basis=[one,x] unit=[1]\n", 1, "unit length differs from basis length"),
+    ("alg", CUSTOM_HEAD + "one*one = one\n", 2, "expected 'table:' before products"),
+    ("alg", CUSTOM_HEAD + "table:\none*one one\n", 3, "expected '<bi>*<bj> = <combo>'"),
+    ("alg", CUSTOM_HEAD + "table:\none*y = one\n", 3,
+     "left side must be '<bi>*<bj>' with known basis names"),
+    ("alg", CUSTOM_HEAD + "table:\none*one = 1 2 one\n", 3,
+     "expected '<coef> <basis>' terms, got '1 2 one'"),
+    ("alg", CUSTOM_HEAD + "table:\none*one = z\n", 3, "unknown basis element 'z'"),
+    ("alg", CUSTOM_HEAD + "table:\none*one = 1/0 one\n", 3,
+     "expected a rational number, got '1/0'"),
+    ("alg", "algebra custom basis=[one,x] unit=[1,0] colour=red\n", 1,
+     "unexpected token 'colour=red' (expected basis=[...], unit=[...], field=...)"),
+    ("alg", "algebra custom basis=[one,x,y] unit=[1,0,0]\ntable:\n"
+     "one*one = one; one*x = x; one*y = y\nx*one = x; x*x = y; x*y = 0\n"
+     "y*one = y; y*x = one; y*y = 0\n", None, "associativity fails on triple (x, x, x)"),
+    ("mod", "module custom\n", 1, "module custom needs dim=<d>"),
+    ("mod", MODULE_HEAD + "action mult\n", 2, "expected 'action <name> tag=<left|right|lr>'"),
+    ("mod", MODULE_HEAD + "action mult tag=up\n", 2, "unknown tag 'up'"),
+    ("mod", MODULE_HEAD + "action mult tag=lr\nop(1) [[1,0],[0,1]]\n", 3,
+     "expected 'op(<basis>) = [[...],...]'"),
+    ("mod", MODULE_HEAD + "action mult tag=lr\nop(z) = [[1,0],[0,1]]\n", 3,
+     "unknown basis element 'z'"),
+    ("mod", MODULE_HEAD + "action mult tag=lr\nop(1) = [[1]]\n", 3, "operator must be 2x2"),
+    ("mod", MODULE_HEAD + "hello\n", 2, "expected 'action ...' or 'op(...) = ...'"),
+    ("mod", MODULE_HEAD + ONE_OP, None, "action 'mult' misses op(x)"),
+], ids=["sset-basepoint", "sset-bare-simplex", "sset-repeated-name", "sset-unterminated-faces",
+        "sset-unknown-token", "sset-missing-dim", "sset-vertex-faces", "alg-empty",
+        "alg-no-basis-unit", "alg-unit-length", "alg-product-before-table", "alg-no-equals",
+        "alg-left-side", "alg-three-tokens", "alg-unknown-name", "alg-bad-rational",
+        "alg-header-token", "alg-not-associative", "mod-no-dim", "mod-action-line",
+        "mod-unknown-tag", "mod-op-line", "mod-op-unknown-basis", "mod-op-size",
+        "mod-stray-line", "mod-missing-op"])
+def test_a_malformed_input_file_is_refused_at_its_line(tmp_path, kind, text, line, message):
+    """One ``error:`` line that names the file, and the line where there is
+    one; nothing on stdout."""
+    p = tmp_path / f"bad.{kind}"
+    p.write_text(text)
+    where = (str(p) if line is None
+             else f"{p}: line {line}" if kind == "sset" else f"{p}:{line}")
+    args = {"alg": ["homology", "circle", "--algebra", str(p)],
+            "mod": ["homology", "circle", "--algebra", "trunc-poly 2", "--module", str(p)],
+            "sset": ["validate", str(p)]}[kind]
+    assert run_cli(args) == (1, "", f"error: {where}: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["homology", "circle", "--algebra", ""], "empty algebra specification"),
+    (["homology", "circle", "--algebra", "trunc-poly 2", "--module", ""],
+     "empty module specification"),
+    (["homology", "circle", "--algebra", "trunc-poly 2", "--max-degree", "0"],
+     "--max-degree must be at least 1"),
+    (["cohomology", "circle", "--algebra", "trunc-poly 2", "--module", "multi 1 0"],
+     "module 'multi-regular 1,0' has no action compatible with class 'd1:[01]' "
+     "(type right, variant cochain)"),
+], ids=["empty-algebra", "empty-module", "max-degree", "no-compatible-action"])
+def test_a_refused_inline_input_or_option_is_one_error_line(args, message):
+    assert run_cli(args) == (1, "", f"error: {message}\n")
+
+
+def test_a_coefficient_term_in_a_custom_table(tmp_path):
+    """'<coef> <basis>' terms: k[x]/(x^2 - 2x) written with 'x*x = 2 x'."""
+    p = tmp_path / "scaled.alg"
+    p.write_text(CUSTOM_HEAD + "table:\none*one = one; one*x = x\nx*one = x\nx*x = 2 x\n")
+    direct = custom_algebra("scaled", QQ, ["one", "x"], [1, 0],
+                            [[[1, 0], [0, 1]], [[0, 1], [0, 2]]])
+    assert cli.parse_algebra_file(str(p), QQ) == direct
 
 
 def test_a_module_file_that_names_a_file_is_refused(tmp_path):

@@ -624,6 +624,16 @@ def test_simultaneous_same_action_is_rejected():
     assert "do not commute" in str(err.value)
 
 
+def test_an_action_map_naming_an_unknown_class_is_rejected():
+    alg = upper_tri(2)
+    spec = make_spec(circle(), alg, regular_bimodule(alg), CHAIN, 2)
+    spec = ComplexSpec(spec.X, alg, spec.module, CHAIN, 2, assignment=spec.assignment,
+                       action_map={"nosuch": "left"})
+    with pytest.raises(ComplexError) as err:
+        build_complex(spec)
+    assert str(err.value).startswith("action assignment rejected: unknown class 'nosuch'")
+
+
 # ---------------------------------------------------------------------------
 # the build path works on level indices
 

@@ -11,19 +11,21 @@ Betti number over F(101) is at least the one over Q.  This runs both field
 branches of the elimination kernel on real complexes.
 """
 
+from collections import defaultdict
+
 import pytest
 
-from hochord.algebras import trunc_poly, upper_tri
+from hochord.algebras import cyclic_group_algebra, trunc_poly, upper_tri
 from hochord.exact import Field, rank
 from hochord.hochschild import CHAIN, COCHAIN, build_complex, make_spec
 from hochord.modules import (dual_module, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
-from hochord.simplicial import circle, from_file, interval, sphere2, wedge_of_circles
+from hochord.simplicial import circle, from_file, interval, point, sphere2, wedge_of_circles
 
 SETS = {"circle": circle, "wedge2": lambda: wedge_of_circles(2), "interval": interval,
         "sphere2": sphere2}
 ALGEBRAS = {"upper-tri2": lambda f: upper_tri(2, f), "trunc-poly2": lambda f: trunc_poly(2, f),
-            "trunc-poly3": lambda f: trunc_poly(3, f)}
+            "trunc-poly3": lambda f: trunc_poly(3, f), "C3": lambda f: cyclic_group_algebra(3, f)}
 MODULES = {"regular": regular_bimodule, "symmetric": symmetric_module}
 
 # (set, algebra, module, characteristic or None for Q)
@@ -76,8 +78,11 @@ def test_rank_mod_p_never_exceeds_rank_over_q(set_name, alg_name, module_name, v
 # so simplicial models of one space give the same Betti numbers; below the top
 # degree, which lacks its next differential, these are exact.  The bigon (two
 # edges) and the triangle (three edges, three vertices) are circles; the theta
-# graph (three edges v0 -> p) is homotopy equivalent to wedge2.
+# graph (three edges v0 -> p) is homotopy equivalent to wedge2, an edge with
+# a loop at its far end is a circle, and the interval is contractible.
 MODELS = {
+    "point": point,
+    "interval": interval,
     "circle": circle,
     "wedge2": lambda: wedge_of_circles(2),
     "bigon": lambda: from_file("""
@@ -104,6 +109,13 @@ simplex a dim=1 faces=[p, v0]
 simplex b dim=1 faces=[p, v0]
 simplex c dim=1 faces=[p, v0]
 """, "theta"),
+    "edge-plus-loop": lambda: from_file("""
+basepoint v0
+simplex v0 dim=0
+simplex p dim=0
+simplex a dim=1 faces=[p, v0]
+simplex b dim=1 faces=[p, p]
+""", "edge-plus-loop"),
 }
 
 
@@ -114,14 +126,59 @@ def _betti_below_top(set_name, alg, module, variant, D):
 
 
 @pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
-@pytest.mark.parametrize("models,D", [(("circle", "bigon", "triangle"), 4),
-                                      (("wedge2", "theta"), 3)],
-                         ids=["circle", "wedge2"])
-def test_commutative_betti_do_not_depend_on_the_model(models, D, variant):
-    alg = trunc_poly(2)
+@pytest.mark.parametrize("alg_name,models,D", [
+    ("trunc-poly2", ("circle", "bigon", "triangle", "edge-plus-loop"), 4),
+    ("trunc-poly2", ("wedge2", "theta"), 3),
+    ("trunc-poly2", ("point", "interval"), 3),
+    ("C3", ("circle", "bigon", "edge-plus-loop"), 2),
+    ("C3", ("wedge2", "theta"), 2),
+    ("C3", ("point", "interval"), 2),
+], ids=["circle", "wedge2", "point", "C3-circle", "C3-wedge2", "C3-point"])
+def test_commutative_betti_do_not_depend_on_the_model(alg_name, models, D, variant):
+    alg = ALGEBRAS[alg_name](Field(None))
     module = symmetric_module(alg)
     found = {name: _betti_below_top(name, alg, module, variant, D) for name in models}
     assert len(set(found.values())) == 1, found
+
+
+def _pointed_homotopy_type(X):
+    """The pointed homotopy type of a one-dimensional set: each component of
+    a graph is a wedge of edges - vertices + 1 circles, so the type is that
+    number for the basepoint's component and the sorted numbers of the
+    others."""
+    root = {k: k for k, s in enumerate(X.simplices) if s.dim == 0}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    edges = [s for s in X.simplices if s.dim == 1]
+    for e in edges:
+        root[find(e.faces[0].base)] = find(e.faces[1].base)
+    betti_1 = {find(v): 1 for v in root}
+    for v in root:
+        betti_1[find(v)] -= 1
+    for e in edges:
+        betti_1[find(e.faces[0].base)] += 1
+    base = find(X.basepoint)
+    return betti_1[base], tuple(sorted(b for c, b in betti_1.items() if c != base))
+
+
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+def test_commutative_betti_depend_only_on_the_pointed_homotopy_type(one_dimensional_family,
+                                                                   variant):
+    """Every set of the family with trunc-poly(2) and its regular bimodule
+    (symmetric, since the algebra is commutative): one Betti vector below
+    the top degree per pointed homotopy type."""
+    alg, D = trunc_poly(2), 2
+    module = regular_bimodule(alg)
+    found = defaultdict(set)
+    for member in one_dimensional_family:
+        c = build_complex(make_spec(member.X, alg, module, variant, D))
+        found[_pointed_homotopy_type(member.X)].add(c.betti[:D])
+    assert len(found) == 32
+    assert {key: vectors for key, vectors in found.items() if len(vectors) > 1} == {}
 
 
 # Over a noncommutative algebra no theorem is invoked: these circle models
