@@ -218,6 +218,20 @@ def commutator_span_dim(alg: Algebra) -> int:
 # ---------------------------------------------------------------------------
 # builders
 
+# The most structure constants (dim^3) a builder tabulates: group C73, the
+# largest accepted, builds in 0.6-0.9 s on 2 CPUs with Python 3.11.7.
+MAX_TABLE_SIZE = 400_000
+
+
+def _require_table_size(name: str, dim: int) -> None:
+    """Refuse a builder whose table would exceed ``MAX_TABLE_SIZE``, before
+    it tabulates anything."""
+    if dim ** 3 > MAX_TABLE_SIZE:
+        raise AlgebraError(f"{name} has dimension {dim}: its structure table would hold "
+                           f"{dim ** 3:,} constants (dim^3), over the budget of "
+                           f"{MAX_TABLE_SIZE:,}")
+
+
 def _build(name, field, basis_names, unit_coeffs, prod) -> Algebra:
     d = len(basis_names)
     table = tuple(tuple(tuple(field.of(c) for c in prod(i, j)) for j in range(d))
@@ -230,6 +244,7 @@ def trunc_poly(n: int, field: Field = QQ) -> Algebra:
     """k[x]/(x^n) with basis 1, x, ..., x^(n-1)."""
     if n < 1:
         raise AlgebraError("trunc_poly needs n >= 1")
+    _require_table_size(f"trunc-poly {n}", n)
     names = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, n)]
 
     def prod(i, j):
@@ -245,6 +260,7 @@ def upper_tri(n: int, field: Field = QQ) -> Algebra:
     """Upper-triangular n x n matrices; basis e_ij for i <= j."""
     if n < 1:
         raise AlgebraError("upper_tri needs n >= 1")
+    _require_table_size(f"upper-tri {n}", n * (n + 1) // 2)
     return _matrix_units(f"upper-tri {n}", field, [(i, j) for i in range(1, n + 1)
                                                    for j in range(i, n + 1)])
 
@@ -253,6 +269,7 @@ def matrix_algebra(n: int, field: Field = QQ) -> Algebra:
     """Full matrix algebra M_n; basis e_ij."""
     if n < 1:
         raise AlgebraError("matrix_algebra needs n >= 1")
+    _require_table_size(f"matrix {n}", n * n)
     return _matrix_units(f"matrix {n}", field, [(i, j) for i in range(1, n + 1)
                                                 for j in range(1, n + 1)])
 
@@ -277,6 +294,7 @@ def cyclic_group_algebra(n: int, field: Field = QQ) -> Algebra:
     """Group algebra k[C_n]; basis g^0 .. g^(n-1)."""
     if n < 1:
         raise AlgebraError("cyclic_group_algebra needs n >= 1")
+    _require_table_size(f"group C{n}", n)
     names = [f"g^{k}" if k > 1 else ("g" if k == 1 else "1") for k in range(n)]
 
     def prod(i, j):

@@ -21,7 +21,8 @@ coordinate tuple is tabulated once per algebra and fiber length, on the
 algebra (``Algebra.fiber_products``), each fiber reads that table with the
 strides of its members' slots, and a term's packed row and column are sums
 of stride offsets, so no per-term index is re-derived and a coefficient of 1
-is never multiplied.
+is never multiplied.  Only the lengths a map asks for are tabulated, as
+tabulating every length up to the top level costs more than it saves.
 
 For the normalized complex the kernel also takes, per degeneracy into the
 source level, the bitmask of source slots it misses.  A source tensor with
@@ -30,6 +31,11 @@ operator composite carries a bitmask of the degeneracies it may still lie
 in and is dropped as soon as the slots it fixes settle one, so no term from
 a degenerate source is ever written.  ``nondegenerate_tensors`` enumerates
 the kept tensors of a level the same way.
+
+Callers may share state across calls: a level's ``_Degeneracies`` (with
+its ``done`` masks memoized) between its kept indices and face matrices,
+and one dict of operator composites between the matrices of a build, so
+each composite is multiplied once.  The matrices are the same without them.
 """
 
 from __future__ import annotations
@@ -135,7 +141,9 @@ def _unit_slot(alg: Algebra) -> int:
 
 
 class _Degeneracies:
-    """Bit bookkeeping for recognizing degenerate source tensors.
+    """Bit bookkeeping for recognizing degenerate source tensors on
+    ``slots`` slots, built once per level and shared by the level's kept
+    indices and face matrices.
 
     ``missed[t]`` is the bitmask of source slots (bit j for slot j) that the
     t-th degeneracy misses; a tensor lies in its image when it carries the
@@ -151,20 +159,24 @@ class _Degeneracies:
         self.full = (1 << len(self.missed)) - 1
         self.kill = [sum(1 << t for t, mask in enumerate(self.missed) if mask >> j & 1)
                      for j in range(slots + 1)]
+        self._done: dict[int, int] = {}
 
     def done(self, fixed: int) -> int:
         """The degeneracies whose missed slots all lie in the mask ``fixed``."""
-        return sum(1 << t for t, mask in enumerate(self.missed) if not mask & ~fixed)
+        if fixed not in self._done:
+            self._done[fixed] = sum(1 << t for t, mask in enumerate(self.missed)
+                                    if not mask & ~fixed)
+        return self._done[fixed]
 
 
-def nondegenerate_tensors(alg: Algebra, slots: int, missed) -> list[int]:
+def nondegenerate_tensors(alg: Algebra, deg: _Degeneracies) -> list[int]:
     """Ascending mixed-radix indices (slot 1 most significant) of the basis
-    tensors on ``slots`` slots that carry the unit in every slot of none of
-    the ``missed`` bitmasks (bit j for slot j).  Slots are fixed one at a
-    time and a prefix is dropped as soon as it is degenerate."""
-    da, deg = alg.dim, _Degeneracies(alg, missed, slots)
+    tensors on the slots of ``deg`` that carry the unit in every slot of
+    none of its ``missed`` bitmasks (bit j for slot j).  Slots are fixed one
+    at a time and a prefix is dropped as soon as it is degenerate."""
+    da = alg.dim
     tensors = [(0, deg.full)] if not deg.full & deg.done(0) else []
-    for j in range(1, slots + 1):
+    for j in range(1, len(deg.kill)):
         done, keep = deg.done((2 << j) - 1), ~deg.kill[j]
         tensors = [(t * da + c, w) for t, s in tensors for c in range(da)
                    for w in (s if c == deg.unit else s & keep,) if not w & done]
@@ -173,7 +185,7 @@ def nondegenerate_tensors(alg: Algebra, slots: int, missed) -> list[int]:
 
 def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
                     actions: dict[int, str] | None, source_rows: bool,
-                    missed=()) -> Matrix:
+                    missed=(), composites: dict | None = None) -> Matrix:
     """The functor on ``phi`` as a matrix, built from offset terms.
 
     Source slot j has the mixed-radix stride ``da**(m-j)`` and target slot i
@@ -192,12 +204,18 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
     entry.  Partial terms and operator composites carry a degeneracy state
     (``_Degeneracies``) and are dropped as soon as the slots they fix make
     them degenerate, so degenerate sources are never extended.  With no
-    masks (the default) every source tensor is kept.
+    masks (the default) every source tensor is kept.  ``missed`` may also be
+    the level's shared ``_Degeneracies``.  ``composites`` memoizes operator
+    composites by their sequence of (action name, coordinate), first applied
+    first, the empty sequence holding the identity.
     """
     f = alg.field
     da, dm, m, n = alg.dim, module.dim, phi.m, phi.n
     one = f.one()
-    deg = _Degeneracies(alg, missed, m)
+    deg = missed if isinstance(missed, _Degeneracies) else _Degeneracies(alg, missed, m)
+    composites = {} if composites is None else composites
+    if () not in composites:
+        composites[()] = Matrix.identity(dm, f)
     slots = [phi.fiber(i) for i in range(1, n + 1)]
     products = alg.fiber_products({len(s) for s in slots})
     fixed = 0  # the source slots the partial terms have set
@@ -219,29 +237,32 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
                    for r, c, v, s in partial for r2, c2, v2, s2 in terms
                    if not s & s2 & done]
 
-    # (source offset, operator composite, degeneracy state)
-    ops = [(0, Matrix.identity(dm, f), deg.full)]
+    # (source offset, operator composite key, degeneracy state)
+    ops = [(0, (), deg.full)]
     bp_fixed = 0
-    for t, j in enumerate(phi.basepoint_fiber()):  # smallest member acts first
+    for j in phi.basepoint_fiber():  # smallest member acts first
         name = (actions or {}).get(j)
         if name is None:
             raise FunctorError(f"basepoint fiber member {j} has no assigned action")
         operators = module.action(name).operators
         bp_fixed |= 1 << j
         done, stride, keep = deg.done(bp_fixed), da ** (m - j), ~deg.kill[j]
-        ops = [(o + c * stride, op * acc if t else op, w)
-               for o, acc, s in ops if acc.entries
-               for c, op in enumerate(operators)
+        ops = [(o + c * stride, key + ((name, c),), w)
+               for o, key, s in ops if composites[key].entries
+               for c in range(da)
                for w in (s if c == deg.unit else s & keep,) if not w & done]
+        for _, key, _ in ops:
+            if key not in composites:
+                composites[key] = operators[key[-1][1]] * composites[key[:-1]]
 
     rows, cols = (m, n) if source_rows else (n, m)
     entries: dict[tuple[int, int], object] = {}
     live = {0: partial}  # operator state -> the partial terms it keeps
-    for o, acc, s in ops:
+    for o, key, s in ops:
         kept = live.get(s)
         if kept is None:
             kept = live[s] = [p for p in partial if not s & p[3]]
-        for (mu_out, mu_in), w in acc.entries.items():
+        for (mu_out, mu_in), w in composites[key].entries.items():
             r0 = mu_out * da ** rows + (o if source_rows else 0)
             c0 = mu_in * da ** cols + (0 if source_rows else o)
             entries.update(((r0 + r, c0 + c), v if w == one else f.mul(v, w))
@@ -250,19 +271,22 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
 
 
 def loday_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
-                      actions: dict[int, str] | None = None, missed=()) -> Matrix:
+                      actions: dict[int, str] | None = None, missed=(),
+                      composites: dict | None = None) -> Matrix:
     """Matrix of the tensor functor on ``phi``:
     M (x) A^(x)m  ->  M (x) A^(x)n.
 
     Columns and rows are mixed-radix indices (module most significant, then
     slot 1, 2, ...).  Columns of the source tensors that ``missed`` marks
-    degenerate are left empty (see ``_functor_matrix``).
+    degenerate are left empty; ``composites`` is a memo of operator
+    composites that a build shares (see ``_functor_matrix``).
     """
-    return _functor_matrix(alg, module, phi, actions, False, missed)
+    return _functor_matrix(alg, module, phi, actions, False, missed, composites)
 
 
 def hom_functor_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
-                            actions: dict[int, str] | None = None, missed=()) -> Matrix:
+                            actions: dict[int, str] | None = None, missed=(),
+                            composites: dict | None = None) -> Matrix:
     """Matrix of the hom functor on ``phi``:
     hom(A^(x)n, M)  ->  hom(A^(x)m, M).
 
@@ -271,6 +295,7 @@ def hom_functor_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,
     the target tensors pulls back to evaluate the operator composite against
     f of the fiber products, which transposes the tensor-coordinate part of
     the term expansion but not the module part.  Rows of the source tensors
-    that ``missed`` marks degenerate are left empty.
+    that ``missed`` marks degenerate are left empty; ``composites`` as for
+    ``loday_on_morphism``.
     """
-    return _functor_matrix(alg, module, phi, actions, True, missed)
+    return _functor_matrix(alg, module, phi, actions, True, missed, composites)

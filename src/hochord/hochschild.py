@@ -41,8 +41,8 @@ from .algebras import Algebra, is_commutative, unit_first
 # hochbench/tracer.py wraps ``hochschild.nullspace``/``hochschild.solve`` (with
 # ``rank`` and the two functor entry points) by name to time these layers.
 from .exact import Field, Matrix, combine, nullspace, rank, solve  # noqa: F401
-from .functors import (PointedMap, hom_functor_on_morphism, loday_on_morphism,
-                       nondegenerate_tensors, pointed_map)
+from .functors import (PointedMap, _Degeneracies, hom_functor_on_morphism,
+                       loday_on_morphism, nondegenerate_tensors, pointed_map)
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
 from .ordering import (ActionClassReport, OrderingAssignment, Witness, check_nncmo,
@@ -138,7 +138,9 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
     # pointed-map index j is level index j: the basepoint is 0 on both sides
     images = X.face_table(level)[i]
     rank = None if assignment is None else assignment.ranks(level, i).__getitem__
-    orders = {t: tuple(sorted(members, key=rank)) for t, members in X.face_fibers(level)[i]}
+    # face_fibers lists each fiber in level order, so only a certificate sorts
+    orders = {t: members if rank is None else tuple(sorted(members, key=rank))
+              for t, members in X.face_fibers(level)[i]}
     phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
     return phi, {j: actions[level][i][j] for j in phi.basepoint_fiber()}
 
@@ -153,6 +155,13 @@ class _Assembler:
     """Shared matrix assembly for both variants (no ordering gate here;
     ``build_complex`` is the gated entry point).
 
+    What does not depend on the face is built once per assembler (one
+    build): the basepoint operator composites, memoized in ``composites``,
+    and with ``normalized`` each level's ``_Degeneracies``, shared by its
+    kept indices and face matrices.  Fiber products stay on the algebra, one
+    table per length a face asks for: tabulating all lengths up front costs
+    a build more than it saves.
+
     With ``normalized`` the unit must be a basis vector (``_unit_first_spec``)
     and every matrix lives on the nondegenerate basis tensors: the kept
     indices of each degree up to ``max_degree`` are found once, face matrices
@@ -162,16 +171,18 @@ class _Assembler:
     def __init__(self, spec: ComplexSpec, actions: dict, normalized: bool = False):
         self.spec = spec
         self.actions = actions
-        # level -> one bitmask of missed slots per degeneracy into the level
-        self.missed: dict[int, tuple[int, ...]] = {}
+        # (action name, coordinate) sequence -> basepoint operator composite
+        self.composites: dict[tuple, Matrix] = {}
+        # level -> the degeneracy bookkeeping of its slots (normalized only)
+        self.degeneracies: dict[int, _Degeneracies] = {}
         # degree -> (dimension, position of each plain index or None if dropped)
         self.kept: dict[int, tuple[int, list]] = {}
         if normalized:
             X, alg, dm = spec.X, spec.algebra, spec.module.dim
             for n in range(spec.max_degree + 1):
-                self.missed[n] = _missed_slots(X, n)
                 slots = len(X.level_nonbase(n))
-                tensors = nondegenerate_tensors(alg, slots, self.missed[n])
+                deg = self.degeneracies[n] = _Degeneracies(alg, _missed_slots(X, n), slots)
+                tensors = nondegenerate_tensors(alg, deg)
                 size, count = alg.dim ** slots, len(tensors)
                 pos = [None] * (dm * size)
                 for mu in range(dm):
@@ -186,7 +197,8 @@ class _Assembler:
         spec = self.spec
         phi, actions = face_pointed_map(spec.X, level, i, spec.assignment, self.actions)
         functor = loday_on_morphism if spec.variant == CHAIN else hom_functor_on_morphism
-        return functor(spec.algebra, spec.module, phi, actions, self.missed.get(level, ()))
+        return functor(spec.algebra, spec.module, phi, actions,
+                       self.degeneracies.get(level, ()), self.composites)
 
     def degeneracy_matrix(self, level: int, i: int) -> Matrix:
         """Chain: C_level -> C_{level+1}; cochain: C^{level+1} -> C^level."""

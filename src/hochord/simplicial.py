@@ -15,13 +15,17 @@ enumeration are reproducible.
 Everything above the face maps works on level indices: ``index(n)`` maps a
 level-n ref to its position k in ``level(n)``, and the integer face table
 ``face_table(n)[i][k]`` is the index in ``level(n - 1)`` of
-``d_i(level(n)[k])``.  Both are built once per set object and level, the
-table by calling ``face`` on every (simplex, face index) pair of the level,
-so ``face`` stays the one evaluator.  The basepoint is index 0 at every
-level, so "d_i hits the basepoint" reads ``face_table(n)[i][k] == 0``, and a
-face-table column is a pointed map whose fibers ``fibers`` groups.  Those
-are tabulated per set object too, as ``(target, members)`` tuples sorted by
-target: ``face_fibers(n)[i]`` per column, ``route_fibers(n, steps)`` per composite.
+``d_i(level(n)[k])`` (``degeneracy_table(n)[j][k]`` likewise for ``s_j``,
+into ``level(n + 1)``).  The tables are built once per set object and level
+on plain ``(base, word)`` tuples, looked up in a tuple-keyed index, so
+building them creates and hashes no ``SimplexRef``.  One face evaluator
+(``_face``) and one degeneracy evaluator (``_degenerate``) serve both the
+tables and the ref-level ``face`` and ``degeneracy``, which wrap them.  The
+basepoint is index 0 at every level, so "d_i hits the basepoint" reads
+``face_table(n)[i][k] == 0``, and a face-table column is a pointed map whose
+fibers ``fibers`` groups.  Those are tabulated per set object too, as
+``(target, members)`` tuples sorted by target: ``face_fibers(n)[i]`` per
+column, ``route_fibers(n, steps)`` per composite.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ def normalize_word(seq) -> tuple[int, ...]:
     for g in reversed(tuple(seq)):
         out = insert(g, out)
     return out
+
+
+def _degenerate(word: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """s_j on a word in normal form: s_j s_w = s_{w+1} s_j (j <= w) moves s_j
+    past every letter w >= j, raising it by one, and stops above the rest."""
+    return (*(w + 1 for w in word if w >= j), j, *(w for w in word if w < j))
 
 
 def fibers(images) -> dict[int, list[int]]:
@@ -99,6 +109,7 @@ class SimplicialSet:
         self._one_positive = sum(s.dim >= 1 for s in self.simplices) == 1
         self._levels: dict[int, tuple[SimplexRef, ...]] = {}
         self._index: dict[int, dict[SimplexRef, int]] = {}
+        self._key_index: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
         self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._face_fibers: dict[int, tuple] = {}
         self._route_fibers: dict[tuple[int, tuple[int, ...]], tuple] = {}
@@ -151,40 +162,44 @@ class SimplicialSet:
 
     # -- face / degeneracy evaluation ------------------------------------
     def face(self, ref: SimplexRef, i: int) -> SimplexRef:
-        """Evaluate d_i on a ref by commuting d_i through the degeneracy word."""
+        """Evaluate d_i on a ref (see ``_face``)."""
         level = self.level_of(ref)
         if level < 1:
             raise SimplicialError("no face maps on level 0")
         if not (0 <= i <= level):
             raise SimplicialError(f"face index {i} out of range at level {level}")
+        return SimplexRef(*self._face(ref.base, ref.word, i))
+
+    def _face(self, base: int, word: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]]:
+        """d_i on the simplex ``(base, word)``, by commuting d_i through the
+        degeneracy word; unchecked, as the level tables call it."""
         # Commuting d_a through a strictly decreasing word keeps it so: the
         # letters above a drop by one to at least a, those d_a passes from
         # above are below a - 1, and the rest after the letter d_a cancels is
         # smaller still.  Only a degenerate face of the base needs renormalizing.
         out: list[int] = []
         a = i
-        word = ref.word
         for pos, w in enumerate(word):
             if a < w:
                 out.append(w - 1)            # d_a s_w = s_{w-1} d_a
             elif a == w or a == w + 1:       # d_a s_w = id
-                return SimplexRef(ref.base, (*out, *word[pos + 1:]))
+                return base, (*out, *word[pos + 1:])
             else:
                 out.append(w)                # d_a s_w = s_w d_{a-1}
                 a -= 1
-        base = self.simplices[ref.base]
-        if base.dim == 0:
+        simplex = self.simplices[base]
+        if simplex.dim == 0:
             raise SimplicialError("internal error: face reached a 0-dimensional base")
-        target = base.faces[a]
+        target = simplex.faces[a]
         if not target.word:
-            return SimplexRef(target.base, tuple(out))
-        return SimplexRef(target.base, normalize_word(out + list(target.word)))
+            return target.base, tuple(out)
+        return target.base, normalize_word(out + list(target.word))
 
     def degeneracy(self, ref: SimplexRef, i: int) -> SimplexRef:
         level = self.level_of(ref)
         if not (0 <= i <= level):
             raise SimplicialError(f"degeneracy index {i} out of range at level {level}")
-        return SimplexRef(ref.base, normalize_word((i,) + ref.word))
+        return SimplexRef(ref.base, _degenerate(ref.word, i))
 
     def face_word(self, ref: SimplexRef, indices) -> SimplexRef:
         """Apply a composition of face maps; ``indices`` lists the first-applied
@@ -198,19 +213,22 @@ class SimplicialSet:
     def level(self, n: int) -> tuple[SimplexRef, ...]:
         """All level-n simplices: basepoint degeneracy first, then by
         (base id, word) lexicographic order."""
+        if n not in self._levels:
+            self._levels[n] = tuple(SimplexRef(*key) for key in self._keys(n))
+        return self._levels[n]
+
+    def _keys(self, n: int) -> dict[tuple[int, tuple[int, ...]], int]:
+        """``(base, word) -> k`` for the k-th simplex of ``level(n)``, in
+        level order: the tuple-keyed index the level tables look up."""
         if n < 0:
             raise SimplicialError("negative level")
-        if n not in self._levels:
-            refs = []
-            for base_id, s in enumerate(self.simplices):
-                if s.dim > n or base_id == self.basepoint:
-                    continue
-                k = n - s.dim
-                for subset in combinations(range(n), k):
-                    refs.append(SimplexRef(base_id, tuple(sorted(subset, reverse=True))))
-            refs.sort(key=lambda r: (r.base, r.word))
-            self._levels[n] = (self.basepoint_ref(n), *refs)
-        return self._levels[n]
+        if n not in self._key_index:
+            down = range(n - 1, -1, -1)  # its combinations are decreasing words
+            keys = [(self.basepoint, tuple(down))] + sorted(
+                (b, word) for b, s in enumerate(self.simplices) if s.dim <= n and b != self.basepoint
+                for word in combinations(down, n - s.dim))
+            self._key_index[n] = {key: k for k, key in enumerate(keys)}
+        return self._key_index[n]
 
     def level_nonbase(self, n: int) -> tuple[SimplexRef, ...]:
         return self.level(n)[1:]
@@ -227,10 +245,9 @@ class SimplicialSet:
         if n not in self._face_tables:
             if n < 1:
                 raise SimplicialError("no face maps on level 0")
-            below = self.index(n - 1)
-            refs = self.level(n)
+            below, keys = self._keys(n - 1), self._keys(n)
             self._face_tables[n] = tuple(
-                tuple(below[self.face(ref, i)] for ref in refs) for i in range(n + 1))
+                tuple(below[self._face(b, w, i)] for b, w in keys) for i in range(n + 1))
         return self._face_tables[n]
 
     def face_fibers(self, n: int) -> tuple:
@@ -243,7 +260,7 @@ class SimplicialSet:
         """The fibers with two or more members of the composite applying the
         faces in ``steps`` from level n, first to last."""
         if (n, steps) not in self._route_fibers:
-            images = range(len(self.level(n)))
+            images = range(len(self._keys(n)))
             for s, i in enumerate(steps):
                 col = self.face_table(n - s)[i]
                 images = [col[k] for k in images]
@@ -254,10 +271,9 @@ class SimplicialSet:
         """``degeneracy_table(n)[j][k]`` is the index in ``level(n + 1)`` of
         ``s_j(level(n)[k])``; entry 0 of each row is the basepoint's image, 0."""
         if n not in self._degeneracy_tables:
-            above = self.index(n + 1)
-            refs = self.level(n)
+            above, keys = self._keys(n + 1), self._keys(n)
             self._degeneracy_tables[n] = tuple(
-                tuple(above[self.degeneracy(ref, j)] for ref in refs) for j in range(n + 1))
+                tuple(above[b, _degenerate(w, j)] for b, w in keys) for j in range(n + 1))
         return self._degeneracy_tables[n]
 
     # -- validation ---------------------------------------------------------

@@ -7,6 +7,7 @@ from hochord.algebras import (Algebra, AlgebraError, center, commutator_span_dim
                               cyclic_group_algebra, is_commutative, matrix_algebra,
                               multiply, symmetric_group_algebra_s3, trunc_poly, unit_first,
                               upper_tri)
+from hochord import algebras
 from hochord.exact import Field, Matrix, QQ
 
 
@@ -15,6 +16,23 @@ def test_trunc_poly_square_of_generator_vanishes():
     x = a.basis_vector(1)
     assert multiply(a, x, x) == a.zero_vector()
     assert a.dim == 2 and a.basis_names == ("1", "x")
+
+
+@pytest.mark.parametrize("build, n, dim, below", [
+    (trunc_poly, 500, 500, None), (trunc_poly, 74, 74, 73), (cyclic_group_algebra, 74, 74, 73),
+    (upper_tri, 12, 78, 66), (matrix_algebra, 9, 81, 64)])
+def test_builders_refuse_an_oversized_table_before_tabulating(build, n, dim, below,
+                                                              monkeypatch):
+    # only the prediction runs: tabulating would fail the test; ``below`` is
+    # the dimension of the builder's n - 1, the largest it accepts
+    def tabulate(*args):
+        raise AssertionError("an oversized builder tabulated")
+
+    monkeypatch.setattr(algebras, "_build", tabulate)
+    with pytest.raises(AlgebraError) as err:
+        build(n)
+    assert f"dimension {dim}: its structure table would hold {dim ** 3:,} " in str(err.value)
+    assert below is None or below ** 3 <= algebras.MAX_TABLE_SIZE < dim ** 3
 
 
 def test_unit_is_neutral():

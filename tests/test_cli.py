@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hochord
-from hochord import cli
+from hochord import algebras, cli
 from hochord.algebras import (custom_algebra, cyclic_group_algebra, matrix_algebra,
                               symmetric_group_algebra_s3, trunc_poly, upper_tri)
 from hochord.cli import main
@@ -219,6 +219,14 @@ def test_report_names_the_field_the_complex_is_computed_over():
     report = json.loads(out)
     assert code == 0 and report["algebra"].endswith("over F(7))")
     assert report["field"] == "F(7)"
+
+
+def test_an_oversized_inline_algebra_is_refused_with_its_table_size(monkeypatch):
+    monkeypatch.setattr(algebras, "_build", None)  # refused before any tabulation
+    code, out, err = run_cli(["homology", "circle", "--algebra", "trunc-poly 500"])
+    assert (code, out) == (1, "")
+    assert err == ("error: trunc-poly 500 has dimension 500: its structure table would "
+                   "hold 125,000,000 constants (dim^3), over the budget of 400,000\n")
 
 
 def test_inline_algebra_refuses_a_second_field():

@@ -6,15 +6,16 @@ import pytest
 from hochord.algebras import (commutator_span_dim, center, custom_algebra,
                               cyclic_group_algebra, multiply, trunc_poly, upper_tri)
 from hochord.exact import Field, Matrix, QQ, nullspace, rank
+from hochord.functors import hom_functor_on_morphism, loday_on_morphism
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
-                                OrderingRefusal, _Assembler, _moved, _resolve,
-                                _unit_first_spec,
+                                OrderingRefusal, _Assembler, _missed_slots, _moved,
+                                _resolve, _unit_first_spec, face_pointed_map,
                                 build_complex, classical_complex,
                                 cosimplicial_check, is_subsimplicial, make_spec,
                                 pair_constraints)
 from hochord.modules import (dual_module, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
-from hochord import hochschild, ordering
+from hochord import exact, functors, hochschild, ordering
 from hochord.ordering import (OrderingAssignment, assignment_from_level_orders,
                               cyclic_ordering, search_nncmo)
 from hochord.simplicial import (NondegSimplex, SimplexRef, SimplicialSet, circle,
@@ -422,10 +423,12 @@ def test_differentials_are_canonical_over_q(case):
     assert (fractions > 0) == (alg.name == "half basis")
 
 
-def _accumulated_differential(asm, n):
+def _accumulated_differential(asm, n, face_matrix=None):
     """The differential summed entry by entry with ``Field.add``/``Field.sub``,
     each face's entries moved to kept positions first: the assembler's loop
-    before the signed face sum went through ``exact.combine``."""
+    before the signed face sum went through ``exact.combine``.  The faces
+    come from ``face_matrix``, by default the assembler's own."""
+    face_matrix = face_matrix or asm.face_matrix
     f = asm.spec.algebra.field
     chain = asm.spec.variant == CHAIN
     level = n if chain else n + 1
@@ -433,7 +436,7 @@ def _accumulated_differential(asm, n):
     entries = {}
     for i in range(level + 1):
         combine = f.sub if i % 2 else f.add
-        items = asm.face_matrix(level, i).entries.items()
+        items = face_matrix(level, i).entries.items()
         if asm.kept:
             items = _moved(items, asm.kept[row_deg][1], asm.kept[col_deg][1])
         for k, v in items:
@@ -453,6 +456,20 @@ def _assembler(spec):
     return _Assembler(spec, actions, spec.normalized)
 
 
+def _stateless_face_matrix(asm):
+    """``asm.face_matrix`` rebuilt from ``face_pointed_map`` and the public
+    functor entry points, with no state shared between calls: the masks of
+    each level are recomputed and no composite is memoized."""
+    spec = asm.spec
+    functor = loday_on_morphism if spec.variant == CHAIN else hom_functor_on_morphism
+
+    def face_matrix(level, i):
+        phi, actions = face_pointed_map(spec.X, level, i, spec.assignment, asm.actions)
+        missed = _missed_slots(spec.X, level) if asm.kept else ()
+        return functor(spec.algebra, spec.module, phi, actions, missed)
+    return face_matrix
+
+
 @pytest.mark.parametrize("case", [0, 5, 8, 10, 11, 13])
 @pytest.mark.parametrize("p", [None, 7])
 @pytest.mark.parametrize("normalized", [False, True])
@@ -467,6 +484,7 @@ def test_one_pass_differential_is_the_signed_sum_of_faces(case, p, normalized):
             want = _accumulated_differential(asm, n)
             assert got == want and all(type(got.entries[k]) is type(v)
                                        for k, v in want.entries.items()), (variant, n)
+            assert got == _accumulated_differential(asm, n, _stateless_face_matrix(asm))
             if not normalized:
                 level = n if variant == CHAIN else n + 1
                 faces = [asm.face_matrix(level, i).scale((-1) ** i) for i in range(level + 1)]
@@ -474,6 +492,48 @@ def test_one_pass_differential_is_the_signed_sum_of_faces(case, p, normalized):
                 for m in faces[1:]:
                     total = total + m
                 assert got == total, (variant, n)
+
+
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
+@pytest.mark.parametrize("case", ["wedge2-upper-tri-tensor-square",
+                                  "sphere2-trunc-poly-symmetric"])
+def test_normalized_build_shares_its_level_and_composite_state(case, variant, monkeypatch):
+    # one _Degeneracies per level, shared by the kept indices and every face
+    # matrix of the level, and one multiplication per distinct basepoint
+    # operator composite of the build
+    builder, algebra, module = {
+        "wedge2-upper-tri-tensor-square": (lambda: wedge_of_circles(2), upper_tri,
+                                           tensor_square_bimodule),
+        "sphere2-trunc-poly-symmetric": (sphere2, trunc_poly, symmetric_module)}[case]
+    alg, D = algebra(2), 4
+    spec = make_spec(builder(), alg, module(alg), variant, D, normalized=True)
+    made, products = [0], [0]
+    init, mat_mul = functors._Degeneracies.__init__, exact.mat_mul
+
+    def counted_init(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    def counted_mul(a, b):
+        products[0] += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(functors._Degeneracies, "__init__", counted_init)
+    build_complex(spec)
+    assert made[0] == D + 1
+    asm = _assembler(spec)
+    monkeypatch.setattr(exact, "mat_mul", counted_mul)
+    for n in range(1, D + 1) if variant == CHAIN else range(D):
+        asm.differential(n)
+    monkeypatch.undo()
+    composites = {key: m for key, m in asm.composites.items() if key}  # () is the identity
+    assert max(map(len, composites)) >= 2 and products[0] == len(composites)
+    operators = {name: a.operators for name, a in asm.spec.module.actions.items()}
+    for key, m in composites.items():
+        want = operators[key[0][0]][key[0][1]]
+        for name, c in key[1:]:
+            want = operators[name][c] * want
+        assert m == want, key
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -666,6 +726,7 @@ def test_warm_rebuild_hashes_no_simplex_ref(case, variant, monkeypatch):
     builder, algebra, module, spec_of, normalized = WARM_CASES[case]
     X, alg = builder(), algebra(2)
     build_complex(spec_of(X, alg, module(alg), variant, 4, normalized=normalized))
+    index = X.index(2)  # the level tables key on tuples, so no build needs it
     hashes = [0]
     original = SimplexRef.__hash__
 
@@ -676,4 +737,4 @@ def test_warm_rebuild_hashes_no_simplex_ref(case, variant, monkeypatch):
     monkeypatch.setattr(SimplexRef, "__hash__", counted)
     build_complex(spec_of(X, alg, module(alg), variant, 4, normalized=normalized))
     assert hashes[0] == 0
-    assert X.level(2)[-1] in X.index(2) and hashes[0] == 1  # the count is live
+    assert X.level(2)[-1] in index and hashes[0] == 1  # the count is live

@@ -185,18 +185,47 @@ simplex f dim=1 faces=[b, b]
 """
 
 
-@pytest.mark.parametrize("builder", [*BUILTIN_SETS.values(),
-                                     lambda: from_file(BASEPOINT_LAST, "bp-last")],
-                         ids=[*BUILTIN_SETS, "basepoint-last"])
-def test_face_table_matches_face(builder):
-    X = builder()
-    for n in range(1, 6):
-        level, below = X.level(n), X.level(n - 1)
-        table = X.face_table(n)
-        assert len(table) == n + 1
-        for i, col in enumerate(table):
-            assert col[0] == 0
-            assert list(col) == [below.index(X.face(ref, i)) for ref in level]
+# the sets the table oracles cover; "family" is the one_dimensional_family fixture
+TABLE_ORACLE_SETS = {**BUILTIN_SETS,
+                     "basepoint-last": lambda: from_file(BASEPOINT_LAST, "bp-last"),
+                     "family": None}
+
+
+def _table_oracle_sets(name, request):
+    """One bundled set, the basepoint-last file, or the one-dimensional family."""
+    if name == "family":
+        return [member.X for member in request.getfixturevalue("one_dimensional_family")]
+    return [TABLE_ORACLE_SETS[name]()]
+
+
+@pytest.mark.parametrize("name", TABLE_ORACLE_SETS)
+def test_face_table_matches_face(name, request):
+    # face and face_table share one evaluator, so the oracle is the test's
+    # always-normalized evaluation
+    for X in _table_oracle_sets(name, request):
+        for n in range(1, 5):
+            level, below = X.level(n), X.level(n - 1)
+            table = X.face_table(n)
+            assert len(table) == n + 1
+            for i, col in enumerate(table):
+                assert col[0] == 0
+                assert list(col) == [below.index(_always_normalized_face(X, ref, i))
+                                     for ref in level], (X.name, n, i)
+
+
+@pytest.mark.parametrize("name", TABLE_ORACLE_SETS)
+def test_degeneracy_table_matches_normalize_word(name, request):
+    for X in _table_oracle_sets(name, request):
+        for n in range(4):
+            level, above = X.level(n), X.level(n + 1)
+            table = X.degeneracy_table(n)
+            assert len(table) == n + 1
+            for j, col in enumerate(table):
+                assert col[0] == 0
+                assert list(col) == [above.index(SimplexRef(ref.base,
+                                                             normalize_word((j,) + ref.word)))
+                                     for ref in level], (X.name, n, j)
+                assert [X.degeneracy(ref, j) for ref in level] == [above[k] for k in col]
 
 
 @pytest.mark.parametrize("builder", [*BUILTIN_SETS.values(),
@@ -212,18 +241,20 @@ def test_index_inverts_the_level_and_puts_the_basepoint_first(builder):
 
 def test_face_tables_are_built_once_per_level(monkeypatch):
     X = wedge_of_circles(2)
-    face = SimplicialSet.face
+    evaluate = SimplicialSet._face
     calls = [0]
 
-    def counted(Y, ref, i):
+    def counted(Y, base, word, i):
         calls[0] += 1
-        return face(Y, ref, i)
+        return evaluate(Y, base, word, i)
 
-    monkeypatch.setattr(SimplicialSet, "face", counted)
+    monkeypatch.setattr(SimplicialSet, "_face", counted)
     first = X.face_table(3)
     assert calls[0] == 4 * len(X.level(3))
     assert X.face_table(3) is first and X.index(2) is X.index(2)
     assert calls[0] == 4 * len(X.level(3))
+    X.face(X.level(3)[-1], 0)  # the counter sees the ref-level wrapper too
+    assert calls[0] == 4 * len(X.level(3)) + 1
 
 
 def test_no_face_table_on_level_zero():
