@@ -360,6 +360,10 @@ def _render_text(report: dict, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(item, indent + 1))
                 lines.append("")
             lines.pop()
+        elif isinstance(value, list) and any(", " in str(v) for v in value):
+            # items holding the separator get a line each, so they split back
+            lines.append(f"{pad}{key}:")
+            lines.extend(f"{pad}  {v}" for v in value)
         else:
             if isinstance(value, list):
                 value = ", ".join(str(v) for v in value)

@@ -32,6 +32,16 @@ of a bucket is chosen.  Back-substitution (``_reduced``) then yields exactly
 that unique form, so ``nullspace`` and ``solve`` do not depend on the pivot
 choice, nor on the order the rows and their entries arrive in.
 
+``rank`` can hand those pivot columns back, for the ordered pass of
+``hochschild._betti_table``.  It ranks the differentials of a complex in
+ascending degree, the transposes of cochain differentials so that every
+matrix runs in the chain direction (``g f = 0`` with g ranked first), and
+clears: before ranking f it drops the rows that g's echelon names as pivot
+columns (Chen and Kerber, "Persistent homology computation with a twist",
+2011).  f's columns lie in ker g, and a vector of ker g is zero once its
+non-pivot coordinates are (back-substitution), so dropping those rows is
+injective on f's column space and keeps its rank.
+
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
 """
@@ -384,9 +394,14 @@ def _reduced(m: Matrix) -> list[tuple[int, dict]]:
             for c, row in sorted(reduced.items())]
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank: the number of rows in a row echelon form."""
-    return len(_echelon(m))
+def rank(m: Matrix, pivots: list | None = None) -> int:
+    """Exact rank: the number of rows in a row echelon form.  With
+    ``pivots`` given, the echelon's pivot columns are appended to it in
+    ascending order."""
+    echelon = _echelon(m)
+    if pivots is not None:
+        pivots.extend(c for c, _ in echelon)
+    return len(echelon)
 
 
 def nullspace(m: Matrix) -> list[list[Scalar]]:

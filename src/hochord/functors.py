@@ -32,10 +32,10 @@ in and is dropped as soon as the slots it fixes settle one, so no term from
 a degenerate source is ever written.  ``nondegenerate_tensors`` enumerates
 the kept tensors of a level the same way.
 
-Callers may share state across calls: a level's ``_Degeneracies`` (with
-its ``done`` masks memoized) between its kept indices and face matrices,
-and one dict of operator composites between the matrices of a build, so
-each composite is multiplied once.  The matrices are the same without them.
+Callers may share state across calls: a level's ``_Degeneracies`` between
+its kept indices and face matrices, and one dict of operator composites
+between the matrices of a build, so each composite is multiplied once.  The
+matrices are the same without them.
 """
 
 from __future__ import annotations
@@ -80,6 +80,17 @@ class PointedMap:
                 raise FunctorError(f"missing fiber order over {i}")
             if sorted(self.orders[i]) != fibs[i]:
                 raise FunctorError(f"order over {i} is not a permutation of the fiber")
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, images: tuple[int, ...],
+                 orders: dict[int, tuple[int, ...]]) -> "PointedMap":
+        """Wrap images and fiber orders the library derived itself (the
+        face tables and ``face_fibers`` of a set) without the checks of
+        ``__post_init__``."""
+        phi = object.__new__(cls)
+        for name, value in (("m", m), ("n", n), ("images", images), ("orders", orders)):
+            object.__setattr__(phi, name, value)
+        return phi
 
     def basepoint_fiber(self) -> tuple[int, ...]:
         return tuple(j for j in range(1, self.m + 1) if self.images[j] == 0)
@@ -159,14 +170,10 @@ class _Degeneracies:
         self.full = (1 << len(self.missed)) - 1
         self.kill = [sum(1 << t for t, mask in enumerate(self.missed) if mask >> j & 1)
                      for j in range(slots + 1)]
-        self._done: dict[int, int] = {}
 
     def done(self, fixed: int) -> int:
         """The degeneracies whose missed slots all lie in the mask ``fixed``."""
-        if fixed not in self._done:
-            self._done[fixed] = sum(1 << t for t, mask in enumerate(self.missed)
-                                    if not mask & ~fixed)
-        return self._done[fixed]
+        return sum(1 << t for t, mask in enumerate(self.missed) if not mask & ~fixed)
 
 
 def nondegenerate_tensors(alg: Algebra, deg: _Degeneracies) -> list[int]:

@@ -88,7 +88,15 @@ class ComplexSpec:
 
 class Complex:
     """Graded dimensions plus exact differentials; Betti numbers are computed
-    from ranks on first access (rank is the expensive part)."""
+    from ranks on first access (rank is the expensive part).
+
+    ``betti`` ranks the differentials in one pass, ascending in degree, with
+    clearing (see ``_betti_table``): the chain side ranks d_1 first, the
+    cochain side the transposes of δ^0, δ^1, ..., and each matrix drops the
+    rows named as pivot columns by the one before.  Its numbers assume
+    d d = 0, which ``verify_square_zero`` checks and the CLI runs before
+    printing any Betti number; on matrices that are not a complex they need
+    not equal the dims minus each differential's own rank."""
 
     def __init__(self, variant: str, field: Field, dims, differentials: dict[int, Matrix]):
         self.variant = variant
@@ -141,7 +149,7 @@ def face_pointed_map(X: SimplicialSet, level: int, i: int,
     # face_fibers lists each fiber in level order, so only a certificate sorts
     orders = {t: members if rank is None else tuple(sorted(members, key=rank))
               for t, members in X.face_fibers(level)[i]}
-    phi = PointedMap(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
+    phi = PointedMap._trusted(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
     return phi, {j: actions[level][i][j] for j in phi.basepoint_fiber()}
 
 
@@ -473,11 +481,44 @@ def _orders_agree(fibs, rank_low, rank, degen) -> bool:
 def _betti_table(variant, dims, diffs) -> tuple[int, ...]:
     """Homology dimensions per degree: ``dims[n] - rank_n - rank_{n+1}`` for
     a chain complex, ``dims[n] - rank_n - rank_{n-1}`` for a cochain complex
-    (rank 0 where no differential was built)."""
-    ranks = {n: rank(m) for n, m in diffs.items()}
-    step = 1 if variant == CHAIN else -1
+    (rank 0 where no differential was built).
+
+    The ranks come from one pass in ascending degree, over chain-oriented
+    matrices: d_n as built, or the transpose of δ^n, since the transposes
+    compose to zero in the chain direction.  Each matrix is ranked after the
+    one below it, without the rows the echelon below names as pivot columns
+    (clearing).  Its columns lie in the kernel of the matrix below, and a
+    kernel vector is zero once its non-pivot coordinates are, so dropping
+    those rows keeps the rank.  That needs d d = 0, which this does not
+    check (``Complex.verify_square_zero`` does)."""
+    chain = variant == CHAIN
+    ranks: dict[int, int] = {}
+    pivots: list[int] = []
+    for n in sorted(diffs):
+        dropped = pivots if n - 1 in ranks else []
+        pivots = []
+        ranks[n] = rank(_chain_oriented(diffs[n], chain, dropped), pivots)
+    step = 1 if chain else -1
     return tuple(dims[n] - ranks.get(n, 0) - ranks.get(n + step, 0)
                  for n in range(len(dims)))
+
+
+def _chain_oriented(m: Matrix, chain: bool, dropped: list[int]) -> Matrix:
+    """``m`` (chain) or its transpose (cochain) without the rows ``dropped``,
+    the other rows renumbered in order."""
+    if chain and not dropped:
+        return m
+    rows, cols = (m.rows, m.cols) if chain else (m.cols, m.rows)
+    gone = set(dropped)
+    pos: list = [None] * rows
+    for k, r in enumerate(r for r in range(rows) if r not in gone):
+        pos[r] = k
+    items = m.entries.items()
+    if chain:
+        entries = {(pos[r], c): v for (r, c), v in items if pos[r] is not None}
+    else:
+        entries = {(pos[c], r): v for (r, c), v in items if pos[c] is not None}
+    return Matrix._trusted(rows - len(dropped), cols, m.field, entries)
 
 
 def betti(complex_: Complex, n: int) -> int:

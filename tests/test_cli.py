@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 
 import pytest
 
@@ -45,6 +46,28 @@ def test_nncmo_oracle_flag():
     code, out, _ = run_cli(["nncmo", "wedge2", "--cutoff", "4", "--oracle"])
     assert code == 0
     assert "full_factorization_check: ok" in out
+
+
+def _fiber_order(line):
+    """(level, face, target, members in order) of one ``assignment`` line,
+    such as ``level 2, d_1 over [01]_e1: [001]_e1 < [011]_e1``."""
+    head, chain = line.split(": ")
+    level, over = head.split(", ")
+    face, target = over.split(" over ")
+    return int(level.removeprefix("level ")), face, target, chain.split(" < ")
+
+
+@pytest.mark.parametrize("name, cutoff", [("interval", 2), ("circle", 3), ("wedge2", 3),
+                                          ("wedge3", 2), ("sphere2", 3)])
+def test_text_nncmo_splits_back_into_the_json_fiber_orders(name, cutoff):
+    code, text, _ = run_cli(["nncmo", name, "--cutoff", str(cutoff)])
+    lines = text.splitlines()
+    block = takewhile(lambda line: line.startswith("  "),
+                      lines[lines.index("assignment:") + 1:])
+    _, out, _ = run_cli(["nncmo", name, "--cutoff", str(cutoff), "--json"])
+    want = json.loads(out)["assignment"]
+    assert code == 0 and len(want) >= 2
+    assert [_fiber_order(line[2:]) for line in block] == [_fiber_order(line) for line in want]
 
 
 def test_nncmo_rejects_tiny_cutoff():

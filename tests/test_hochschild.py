@@ -1,4 +1,5 @@
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hochord.algebras import (commutator_span_dim, center, custom_algebra,
                               cyclic_group_algebra, multiply, trunc_poly, upper_tri)
 from hochord.exact import Field, Matrix, QQ, nullspace, rank
-from hochord.functors import hom_functor_on_morphism, loday_on_morphism
+from hochord.functors import hom_functor_on_morphism, loday_on_morphism, pointed_map
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
                                 OrderingRefusal, _Assembler, _missed_slots, _moved,
                                 _resolve, _unit_first_spec, face_pointed_map,
@@ -18,8 +19,9 @@ from hochord.modules import (dual_module, regular_bimodule, symmetric_module,
 from hochord import exact, functors, hochschild, ordering
 from hochord.ordering import (OrderingAssignment, assignment_from_level_orders,
                               cyclic_ordering, search_nncmo)
-from hochord.simplicial import (NondegSimplex, SimplexRef, SimplicialSet, circle,
-                                from_file, interval, point, sphere2, wedge_of_circles)
+from hochord.simplicial import (BUILTIN_SETS, NondegSimplex, SimplexRef, SimplicialSet,
+                                circle, fibers, from_file, interval, point, sphere2,
+                                wedge_of_circles)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +425,42 @@ def test_differentials_are_canonical_over_q(case):
     assert (fractions > 0) == (alg.name == "half basis")
 
 
+def _validated_face_map(X, level, i, assignment):
+    """d_i from ``level`` through the public, validating ``pointed_map``, its
+    fibers grouped afresh from the face table rather than read from
+    ``face_fibers``."""
+    images = X.face_table(level)[i]
+    ranks = None if assignment is None else assignment.ranks(level, i).__getitem__
+    orders = {t: tuple(members if ranks is None else sorted(members, key=ranks))
+              for t, members in fibers(images).items()}
+    return pointed_map(len(images) - 1, len(X.level(level - 1)) - 1, images, orders)
+
+
+def test_trusted_face_maps_equal_the_validated_ones(one_dimensional_family):
+    """Every face map the build makes without validation, on the bundled sets
+    to level 5 and the family (bigon, theta and edge-plus-loop among it) to
+    its cutoff, in level order and under each certificate found."""
+    cases = []
+    for builder in BUILTIN_SETS.values():
+        X = builder()
+        found = (ordering.classify_nncmo(X, 5), search_nncmo(X, 5))
+        cases += [(X, 5, r.assignment if r.admits else None) for r in found]
+    for member in one_dimensional_family:
+        found = (member.canonical, member.searched)
+        cases += [(member.X, member.cutoff, getattr(r, "assignment", None)) for r in found]
+    # an action table with no action at any site: only the maps are compared
+    no_actions = defaultdict(lambda: defaultdict(lambda: defaultdict(lambda: None)))
+    checked = 0
+    for X, cutoff, assignment in cases:
+        for level in range(1, cutoff + 1):
+            for i in range(level + 1):
+                phi, _ = face_pointed_map(X, level, i, assignment, no_actions)
+                assert phi == _validated_face_map(X, level, i, assignment), (X.name, level, i)
+                checked += 1
+    # two cases per set; levels 1..5 have 20 face maps, levels 1..3 have 9
+    assert checked == 2 * 20 * len(BUILTIN_SETS) + 2 * 9 * len(one_dimensional_family)
+
+
 def _accumulated_differential(asm, n, face_matrix=None):
     """The differential summed entry by entry with ``Field.add``/``Field.sub``,
     each face's entries moved to kept positions first: the assembler's loop
@@ -578,7 +616,8 @@ def test_caveat_is_the_top_degree_and_ranks_nothing(monkeypatch, variant, degree
     c = build_complex(make_spec(circle(), alg, regular_bimodule(alg), variant, degree))
     calls = []
     original = hochschild.rank
-    monkeypatch.setattr(hochschild, "rank", lambda m: calls.append(m) or original(m))
+    monkeypatch.setattr(hochschild, "rank",
+                        lambda m, pivots: calls.append(m) or original(m, pivots))
     assert c.caveat_degrees == (degree,)
     assert calls == []
     # dims[n] - rank_n - rank_{n+1} (chain) or - rank_{n-1} (cochain); the
@@ -587,11 +626,82 @@ def test_caveat_is_the_top_degree_and_ranks_nothing(monkeypatch, variant, degree
     step = 1 if variant == CHAIN else -1
     assert c.betti == tuple(c.dims[n] - ranks.get(n, 0) - ranks.get(n + step, 0)
                             for n in range(degree + 1))
-    assert len(calls) == degree
+    # one elimination per differential, in ascending degree, each on the
+    # chain-oriented matrix C_{k+1} -> C_k less the rows of the previous
+    # rank's pivot columns
+    below = [0] + [ranks[n] for n in sorted(ranks)][:-1]
+    assert [(m.rows, m.cols) for m in calls] == [(c.dims[k] - below[k], c.dims[k + 1])
+                                                 for k in range(degree)]
     # the circle computes HH of upper-tri(2): HH^0 is the one-dimensional
     # center, HH_0 = A/[A, A] has dimension 2, and both vanish above degree 0
     assert c.betti[:degree] == ((2 if variant == CHAIN else 1),) + (0,) * (degree - 1)
     assert c.caveat_degrees == (degree,)
+
+
+def _unreduced_betti(c):
+    """dims minus the rank of each differential on its own: the oracle of the
+    ordered pass, sharing only the elimination kernel with it."""
+    ranks = {n: rank(m) for n, m in c.differentials.items()}
+    step = 1 if c.variant == CHAIN else -1
+    return tuple(c.dims[n] - ranks.get(n, 0) - ranks.get(n + step, 0)
+                 for n in range(len(c.dims)))
+
+
+def _checked_builds(X, alg, module, D):
+    """The square-zero builds of X with these coefficients, chain and cochain,
+    plain and normalized; refused builds and builds that are not complexes
+    (whose ranks the pass does not claim) are left out."""
+    for variant in (CHAIN, COCHAIN):
+        for normalized in (False, True):
+            try:
+                c = build_complex(make_spec(X, alg, module, variant, D, normalized=normalized))
+            except ComplexError:
+                continue
+            if c.verify_square_zero():
+                yield c
+
+
+@pytest.mark.parametrize("p", [None, 3], ids=["Q", "F3"])
+def test_ordered_pass_matches_the_unreduced_ranks_on_the_bundled_sets(p):
+    checked = 0
+    for alg, module in ((trunc_poly(2, Field(p)), regular_bimodule),
+                        (upper_tri(2, Field(p)), tensor_square_bimodule)):
+        for name in ("point", "interval", "circle", "wedge2", "wedge3", "sphere2"):
+            for c in _checked_builds(BUILTIN_SETS[name](), alg, module(alg), 3):
+                assert c.betti == _unreduced_betti(c), (name, alg.name, c.variant)
+                checked += 1
+    assert checked == 40  # sphere2 refuses upper-tri(2)
+
+
+@pytest.mark.parametrize("p", [None, 3], ids=["Q", "F3"])
+def test_ordered_pass_matches_the_unreduced_ranks_on_the_family(one_dimensional_family, p):
+    alg = trunc_poly(2, Field(p))
+    module, checked = regular_bimodule(alg), 0
+    for member in one_dimensional_family:
+        for c in _checked_builds(member.X, alg, module, 2):
+            assert c.betti == _unreduced_betti(c), (member.X.name, c.variant)
+            checked += 1
+    assert checked == 4 * len(one_dimensional_family)
+
+
+def test_clearing_drops_rows_on_the_normalized_wedge2_cochain(monkeypatch):
+    """wedge2, trunc-poly(2), cochain, D=4, normalized: the pass ranks the
+    transpose of each δ^n less one row per pivot column of the rank below,
+    so the cleared matrices have fewer rows than the differentials have
+    columns, and the Betti numbers are still the unreduced ones."""
+    alg = trunc_poly(2)
+    c = build_complex(make_spec(wedge_of_circles(2), alg, regular_bimodule(alg), COCHAIN, 4,
+                                normalized=True))
+    calls = []
+    original = hochschild.rank
+    monkeypatch.setattr(hochschild, "rank",
+                        lambda m, pivots: calls.append(m) or original(m, pivots))
+    assert c.betti == _unreduced_betti(c)
+    ranks = [rank(c.differentials[n]) for n in range(4)]
+    assert [(m.rows, m.cols) for m in calls] == [
+        (c.dims[n] - (ranks[n - 1] if n else 0), c.dims[n + 1]) for n in range(4)]
+    dropped = [c.differentials[n].cols - m.rows for n, m in enumerate(calls)]
+    assert dropped == [0, 0, 4, 11]  # δ^0 is zero on the normalized complex
 
 
 def test_normalized_build_constructs_no_fraction(fraction_count):

@@ -130,9 +130,9 @@ def _betti_below_top(set_name, alg, module, variant, D):
     ("trunc-poly2", ("circle", "bigon", "triangle", "edge-plus-loop"), 4),
     ("trunc-poly2", ("wedge2", "theta"), 3),
     ("trunc-poly2", ("point", "interval"), 3),
-    ("C3", ("circle", "bigon", "edge-plus-loop"), 2),
-    ("C3", ("wedge2", "theta"), 2),
-    ("C3", ("point", "interval"), 2),
+    ("C3", ("circle", "bigon", "edge-plus-loop"), 3),
+    ("C3", ("wedge2", "theta"), 3),
+    ("C3", ("point", "interval"), 3),
 ], ids=["circle", "wedge2", "point", "C3-circle", "C3-wedge2", "C3-point"])
 def test_commutative_betti_do_not_depend_on_the_model(alg_name, models, D, variant):
     alg = ALGEBRAS[alg_name](Field(None))
