@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 
-from .exact import Field, Matrix, QQ, Scalar, combine, nullspace, rank
+from .exact import Field, Matrix, QQ, Scalar, by_row, combine, nullspace, rank
 
 
 class AlgebraError(ValueError):
@@ -102,11 +102,11 @@ class Algebra:
         """Column j is ``sum_i vec_i row(i, j)``."""
         f, d = self.field, self.dim
         vec, = _coerced(self, vec)
-        entries = {}
+        table: dict = {}
         for j in range(d):
-            col = combine(f, ((x, row(i, j)) for i, x in enumerate(vec) if x))
-            entries.update(((l, j), v) for l, v in col.items())
-        return Matrix._trusted(d, d, f, entries)
+            for l, v in combine(f, ((x, row(i, j)) for i, x in enumerate(vec) if x)).items():
+                table.setdefault(l, {})[j] = v
+        return Matrix._trusted(d, d, f, table)
 
     def fiber_products(self, lengths) -> dict[int, tuple]:
         """By fiber length, the nonzero ``(k, v)`` pairs of the ordered product
@@ -168,9 +168,9 @@ def center(alg: Algebra) -> list[tuple[Scalar, ...]]:
     stacked commutator system over the algebra basis: row ``a * d + r``,
     column j holds the coefficient of e_r in e_j e_a - e_a e_j."""
     d = alg.dim
-    system = Matrix._trusted(d * d, d, alg.field, {
+    system = Matrix._trusted(d * d, d, alg.field, by_row({
         (a * d + r, j): v for a in range(d) for j in range(d)
-        for r, v in _commutator(alg, j, a).items()})
+        for r, v in _commutator(alg, j, a).items()}))
     return [tuple(v) for v in nullspace(system)]
 
 
@@ -210,9 +210,9 @@ def unit_first(alg: Algebra) -> tuple[Algebra, tuple[tuple[Scalar, ...], ...]]:
 def commutator_span_dim(alg: Algebra) -> int:
     """Dimension of span{ab - ba}; computed by brute force over basis pairs."""
     d = alg.dim
-    return rank(Matrix._trusted(d * d, d, alg.field, {
+    return rank(Matrix._trusted(d * d, d, alg.field, by_row({
         (i * d + j, l): v for i in range(d) for j in range(d)
-        for l, v in _commutator(alg, i, j).items()}))
+        for l, v in _commutator(alg, i, j).items()})))
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ an arbitrary-precision ``Fraction`` only otherwise, or in a prime field F_p
 (residues stored as ints in ``[0, p)``).  No floating point is used anywhere
 (``Field.of`` refuses a ``float``): homology ranks have to be exact.
 
-Matrices are sparse triplet maps ``(row, col) -> scalar`` holding only nonzero
-entries, so structural equality of matrices is equality of field elements.
-Every sparse sum outside elimination is one sparse linear combination,
-``combine``: matrix sums, scalings, products (``product_entries``) and
-matrix-vector products, the signed face-map sum of a differential, algebra
-products and module operators and their checks.
-
-Entries are grouped into rows in one place, ``by_row``, in the entry dict's
-order and without sorting; products and elimination both read its rows.
+A matrix is stored as its row table ``{row: {col: scalar}}``, holding only
+nonzero entries and no empty row, so structural equality of matrices is
+equality of field elements.  That is the one format from assembly to
+elimination: the functor kernel writes a differential's rows, products form
+one row at a time (``product_row``), and elimination reads the rows as they
+are stored (Dumas, Saunders and Villard eliminate on the same sparse rows).
+``entries`` derives the ``(row, col) -> scalar`` view on demand, and
+``by_row`` groups an entry dict that the library built into a row table.
+Every other sparse sum is one sparse linear combination, ``combine``: matrix
+sums, scalings and matrix-vector products, algebra products and module
+operators and their checks.
 
 Rank, kernel and solving share one sparse elimination kernel, ``_echelon``.
 Rows are ``{col: int}`` dicts: residues over F_p, and over Q integer
@@ -51,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
@@ -156,28 +159,33 @@ QQ = Field()
 
 
 class Matrix:
-    """Immutable sparse matrix over an exact field."""
+    """Immutable sparse matrix over an exact field.
 
-    __slots__ = ("rows", "cols", "field", "entries")
+    ``table`` is its row table ``{row: {col: value}}``: nonzero canonical
+    values only, and no empty row.  ``entries`` is a read-only
+    ``{(row, col): value}`` view derived from it."""
+
+    __slots__ = ("rows", "cols", "field", "table")
 
     def __init__(self, rows: int, cols: int, field: Field, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        clean = {}
+        table: dict = {}
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
             v = field.of(v)
             if v:
-                clean[(r, c)] = v
-        self._fill(rows, cols, field, clean)
+                table.setdefault(r, {})[c] = v
+        self._fill(rows, cols, field, table)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, field: Field, entries: dict) -> "Matrix":
-        """Wrap an entry dict the library built itself (keys in range, values
-        nonzero and canonical) without the checks of ``__init__``."""
+    def _trusted(cls, rows: int, cols: int, field: Field, table: dict) -> "Matrix":
+        """Wrap a row table the library built itself (keys in range, values
+        nonzero and canonical, no empty row) without the checks of
+        ``__init__``."""
         m = object.__new__(cls)
-        m._fill(rows, cols, field, entries)
+        m._fill(rows, cols, field, table)
         return m
 
     def _fill(self, *values):
@@ -207,27 +215,45 @@ class Matrix:
                       {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
 
     # -- basics -------------------------------------------------------
+    @property
+    def entries(self) -> MappingProxyType:
+        """The nonzero entries as a read-only ``{(row, col): value}`` map, in
+        the row table's order; built afresh on every read."""
+        return MappingProxyType({(r, c): v for r, row in self.table.items()
+                                 for c, v in row.items()})
+
     def get(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), self.field.zero())
+        return self.table.get(r, {}).get(c, self.field.zero())
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.table
+
+    def _sorted_items(self):
+        t = self.table
+        return (((r, c), t[r][c]) for r in sorted(t) for c in sorted(t[r]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.field == other.field
-                and self.entries == other.entries)
+                and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.field,
-                     tuple(sorted(self.entries.items()))))
+        return hash((self.rows, self.cols, self.field, tuple(self._sorted_items())))
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over {self.field.describe()}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self.table.values()))
+        return f"Matrix({self.rows}x{self.cols} over {self.field.describe()}, nnz={nnz})"
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.cols, self.rows, self.field,
-                               {(c, r): v for (r, c), v in self.entries.items()})
+        out: dict = {}
+        for r, row in self.table.items():
+            for c, v in row.items():
+                col = out.get(c)
+                if col is None:
+                    out[c] = {r: v}
+                else:
+                    col[r] = v
+        return Matrix._trusted(self.cols, self.rows, self.field, out)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -240,12 +266,18 @@ class Matrix:
         self._compat(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix._trusted(self.rows, self.cols, self.field, combine(
-            self.field, ((1, self.entries.items()), (sign, other.entries.items()))))
+        f, a, b = self.field, self.table, other.table
+        return Matrix._trusted(self.rows, self.cols, f, {
+            r: row for r in dict.fromkeys([*a, *b])
+            if (row := combine(f, ((1, a.get(r, {}).items()),
+                                   (sign, b.get(r, {}).items()))))})
 
     def scale(self, s) -> "Matrix":
-        return Matrix._trusted(self.rows, self.cols, self.field, combine(
-            self.field, ((self.field.of(s), self.entries.items()),)))
+        f = self.field
+        s = f.of(s)
+        return Matrix._trusted(self.rows, self.cols, f, {
+            r: out for r, row in self.table.items()
+            if (out := combine(f, ((s, row.items()),)))})
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -254,8 +286,8 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         f = self.field
-        out = combine(f, ((f.of(vec[c]), ((r, v),)) for (r, c), v in self.entries.items()
-                          if vec[c] != f.zero()))
+        out = combine(f, ((f.of(vec[c]), ((r, v),)) for r, row in self.table.items()
+                          for c, v in row.items() if vec[c] != f.zero()))
         return [out.get(r, f.zero()) for r in range(self.rows)]
 
     def _compat(self, other: "Matrix"):
@@ -264,16 +296,17 @@ class Matrix:
 
     # -- serialization (byte-stable) -----------------------------------
     def to_triplets(self) -> list[tuple[int, int, str]]:
-        return [(r, c, str(v)) for (r, c), v in sorted(self.entries.items())]
+        return [(r, c, str(v)) for (r, c), v in self._sorted_items()]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact sparse product; raises on inner-dimension mismatch."""
+    """Exact sparse product, row by row; raises on inner-dimension mismatch."""
     a._compat(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return Matrix._trusted(a.rows, b.cols, a.field,
-                           product_entries(a.field, a.entries, by_row(b.entries)))
+    f, b_rows = a.field, b.table
+    return Matrix._trusted(a.rows, b.cols, f, {
+        r: out for r, row in a.table.items() if (out := product_row(f, row, b_rows))})
 
 
 def combine(f: Field, terms) -> dict:
@@ -284,7 +317,10 @@ def combine(f: Field, terms) -> dict:
     for c, row in terms:
         for k, v in row:
             s = out.get(k, 0) + c * v
-            s = _canonical(s) if p is None else s % p
+            if p is not None:
+                s %= p
+            elif type(s) is not int:
+                s = _canonical(s)
             if s:
                 out[k] = s
             else:
@@ -292,10 +328,32 @@ def combine(f: Field, terms) -> dict:
     return out
 
 
+def product_row(f: Field, row: dict, table: dict) -> dict:
+    """``{col: value}`` of the row vector ``row`` times the matrix whose row
+    table is ``table``: the rows ``row`` names, each times its coefficient,
+    summed as ``combine`` would, written out here because a product forms
+    one such sum for every row of its left factor."""
+    out: dict = {}
+    p = f.p
+    for k, a in row.items():
+        b_row = table.get(k)
+        if b_row is not None:
+            for c, b in b_row.items():
+                s = out.get(c, 0) + a * b
+                if p is not None:
+                    s %= p
+                elif type(s) is not int:
+                    s = _canonical(s)
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+    return out
+
+
 def by_row(entries: dict) -> dict:
-    """``{row: {col: value}}`` for a matrix entry dict, rows and columns in
-    the dict's order: the one grouping of entries into rows, read by products
-    and by elimination alike, neither of which depends on that order."""
+    """The row table ``{row: {col: value}}`` of a ``{(row, col): value}``
+    entry dict, rows and columns in the dict's order."""
     out: dict = {}
     for (r, c), v in entries.items():
         out.setdefault(r, {})[c] = v
@@ -303,7 +361,7 @@ def by_row(entries: dict) -> dict:
 
 
 def product_entries(f: Field, a: dict, b_rows: dict) -> dict:
-    """Entries of the product of an entry dict and a ``by_row`` table."""
+    """Entries of the product of an entry dict and a row table."""
     return combine(f, ((va, [((r, c), vb) for c, vb in b_rows.get(k, {}).items()])
                        for (r, k), va in a.items()))
 
@@ -339,11 +397,11 @@ def _combine(row: dict, piv: dict, c: int, p: int | None) -> dict:
 
 
 def _sparse_rows(m: Matrix) -> list[dict]:
-    """Nonzero rows of ``m`` as ``{col: int}``, as ``by_row`` groups them:
-    residues over F_p, passed on unchanged (elimination never mutates a row);
-    over Q, primitive integer multiples, whose denominators are cleared only
-    in a row holding a ``Fraction``."""
-    rows = by_row(m.entries).values()
+    """The rows of ``m``'s row table as ``{col: int}``: residues over F_p,
+    the table's own row dicts (elimination never mutates a row); over Q,
+    primitive integer multiples, whose denominators are cleared only in a row
+    holding a ``Fraction``."""
+    rows = m.table.values()
     if m.field.p is not None:
         return list(rows)
     out = []
@@ -427,8 +485,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     a._compat(b)
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    aug = Matrix(a.rows, a.cols + b.cols, a.field,
-                 dict(a.entries) | {(r, c + a.cols): v for (r, c), v in b.entries.items()})
+    table = {r: dict(row) for r, row in a.table.items()}
+    for r, row in b.table.items():
+        table.setdefault(r, {}).update((c + a.cols, v) for c, v in row.items())
+    aug = Matrix._trusted(a.rows, a.cols + b.cols, a.field, table)
     out = {}
     for pc, row in _reduced(aug):
         if pc >= a.cols:

@@ -24,6 +24,13 @@ of stride offsets, so no per-term index is re-derived and a coefficient of 1
 is never multiplied.  Only the lengths a map asks for are tabulated, as
 tabulating every length up to the top level costs more than it saves.
 
+The pass has one write loop, ``_write_functor``, which adds each signed term
+into a row table ``{row: {col: value}}`` (see ``exact``).  A standalone
+matrix (``loday_on_morphism``, ``hom_functor_on_morphism``) is written with
+sign 1 on a fresh table.  An assembler passes a differential's table, the
+face's sign and maps from plain indices to kept positions, so every face
+writes its terms straight into the differential and no face matrix exists.
+
 For the normalized complex the kernel also takes, per degeneracy into the
 source level, the bitmask of source slots it misses.  A source tensor with
 the unit in every slot of one mask is degenerate; each partial term and
@@ -193,7 +200,22 @@ def nondegenerate_tensors(alg: Algebra, deg: _Degeneracies) -> list[int]:
 def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
                     actions: dict[int, str] | None, source_rows: bool,
                     missed=(), composites: dict | None = None) -> Matrix:
-    """The functor on ``phi`` as a matrix, built from offset terms.
+    """The functor on ``phi`` as a standalone matrix: ``_write_functor`` on
+    a fresh row table, with sign 1 and plain indices."""
+    dm, da = module.dim, alg.dim
+    rows, cols = (phi.m, phi.n) if source_rows else (phi.n, phi.m)
+    table: dict = {}
+    _write_functor(table, 1, None, None, alg, module, phi, actions, source_rows, missed,
+                   composites)
+    return Matrix._trusted(dm * da ** rows, dm * da ** cols, alg.field, table)
+
+
+def _write_functor(table: dict, sign: int, rows_at, cols_at, alg: Algebra,
+                   module: Multimodule, phi: PointedMap, actions: dict[int, str] | None,
+                   source_rows: bool, missed=(), composites: dict | None = None) -> int:
+    """Add ``sign`` times the functor on ``phi`` into the row table
+    ``table``; returns the number of terms the loop handled, those dropped
+    at a None position included.
 
     Source slot j has the mixed-radix stride ``da**(m-j)`` and target slot i
     the stride ``da**(n-i)``.  The products of each fiber length are
@@ -202,19 +224,24 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
     terms by Cartesian extension.  The basepoint-fiber operator composites
     add their source offset and the module indices: ``mu_in`` (column) maps
     to ``mu_out`` (row), and the tensor coordinates of the source side index
-    the rows if ``source_rows``, else the columns.  Distinct terms land on
-    distinct keys, so entries are written, never summed.
+    the rows if ``source_rows``, else the columns.  Distinct terms of one
+    map land on distinct positions, so a term is summed only with what other
+    maps wrote there before; an entry that cancels to zero is deleted, and
+    so is a row it leaves empty.
 
-    ``missed`` holds one bitmask of source slots (bit j for slot j) per
-    degeneracy into the source level: the slots it misses.  A source tensor
-    carrying the unit in every slot of one mask is degenerate and gets no
-    entry.  Partial terms and operator composites carry a degeneracy state
-    (``_Degeneracies``) and are dropped as soon as the slots they fix make
-    them degenerate, so degenerate sources are never extended.  With no
-    masks (the default) every source tensor is kept.  ``missed`` may also be
-    the level's shared ``_Degeneracies``.  ``composites`` memoizes operator
-    composites by their sequence of (action name, coordinate), first applied
-    first, the empty sequence holding the identity.
+    ``rows_at`` and ``cols_at`` move a term's plain row and column to their
+    positions in ``table`` (a term is dropped where either is None); with
+    None the plain indices are kept.  ``missed`` holds one bitmask of source
+    slots (bit j for slot j) per degeneracy into the source level: the slots
+    it misses.  A source tensor carrying the unit in every slot of one mask
+    is degenerate and gets no term.  Partial terms and operator composites
+    carry a degeneracy state (``_Degeneracies``) and are dropped as soon as
+    the slots they fix make them degenerate, so degenerate sources are never
+    extended.  With no masks (the default) every source tensor is kept.
+    ``missed`` may also be the level's shared ``_Degeneracies``.
+    ``composites`` memoizes operator composites by their sequence of (action
+    name, coordinate), first applied first, the empty sequence holding the
+    identity.
     """
     f = alg.field
     da, dm, m, n = alg.dim, module.dim, phi.m, phi.n
@@ -243,6 +270,8 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
                     s & s2)
                    for r, c, v, s in partial for r2, c2, v2, s2 in terms
                    if not s & s2 & done]
+    if sign < 0:
+        partial = [(r, c, f.neg(v), s) for r, c, v, s in partial]
 
     # (source offset, operator composite key, degeneracy state)
     ops = [(0, (), deg.full)]
@@ -255,26 +284,47 @@ def _functor_matrix(alg: Algebra, module: Multimodule, phi: PointedMap,
         bp_fixed |= 1 << j
         done, stride, keep = deg.done(bp_fixed), da ** (m - j), ~deg.kill[j]
         ops = [(o + c * stride, key + ((name, c),), w)
-               for o, key, s in ops if composites[key].entries
+               for o, key, s in ops if composites[key].table
                for c in range(da)
                for w in (s if c == deg.unit else s & keep,) if not w & done]
         for _, key, _ in ops:
             if key not in composites:
                 composites[key] = operators[key[-1][1]] * composites[key[:-1]]
 
-    rows, cols = (m, n) if source_rows else (n, m)
-    entries: dict[tuple[int, int], object] = {}
+    row_stride, col_stride = (da ** m, da ** n) if source_rows else (da ** n, da ** m)
+    add, written = f.add, 0
     live = {0: partial}  # operator state -> the partial terms it keeps
     for o, key, s in ops:
         kept = live.get(s)
         if kept is None:
             kept = live[s] = [p for p in partial if not s & p[3]]
-        for (mu_out, mu_in), w in composites[key].entries.items():
-            r0 = mu_out * da ** rows + (o if source_rows else 0)
-            c0 = mu_in * da ** cols + (0 if source_rows else o)
-            entries.update(((r0 + r, c0 + c), v if w == one else f.mul(v, w))
-                           for r, c, v, _ in kept)
-    return Matrix._trusted(dm * da ** rows, dm * da ** cols, f, entries)
+        for mu_out, by_in in composites[key].table.items():
+            r0 = mu_out * row_stride + (o if source_rows else 0)
+            for mu_in, w in by_in.items():
+                c0 = mu_in * col_stride + (0 if source_rows else o)
+                written += len(kept)
+                for r, c, v, _ in kept:
+                    r, c = r0 + r, c0 + c
+                    if rows_at is not None:
+                        r, c = rows_at[r], cols_at[c]
+                        if r is None or c is None:
+                            continue
+                    if w != one:
+                        v = f.mul(v, w)
+                    row = table.get(r)
+                    if row is None:
+                        table[r] = {c: v}
+                    elif c not in row:
+                        row[c] = v
+                    else:
+                        v = add(row[c], v)
+                        if v:
+                            row[c] = v
+                        else:
+                            del row[c]
+                            if not row:
+                                del table[r]
+    return written
 
 
 def loday_on_morphism(alg: Algebra, module: Multimodule, phi: PointedMap,

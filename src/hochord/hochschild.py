@@ -40,8 +40,9 @@ from .algebras import Algebra, is_commutative, unit_first
 # ``nullspace`` and ``solve`` have no caller here; they stay bound because
 # hochbench/tracer.py wraps ``hochschild.nullspace``/``hochschild.solve`` (with
 # ``rank`` and the two functor entry points) by name to time these layers.
-from .exact import Field, Matrix, combine, nullspace, rank, solve  # noqa: F401
-from .functors import (PointedMap, _Degeneracies, hom_functor_on_morphism,
+from .exact import (Field, Matrix, by_row, combine, nullspace, product_row,  # noqa: F401
+                     rank, solve)
+from .functors import (PointedMap, _Degeneracies, _write_functor, hom_functor_on_morphism,
                        loday_on_morphism, nondegenerate_tensors, pointed_map)
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
                       validate_assignment)
@@ -125,11 +126,15 @@ class Complex:
             raise ComplexError(f"no differential at degree {n}") from None
 
     def verify_square_zero(self) -> bool:
+        """Whether every composite of adjacent differentials vanishes.  Each
+        product is formed one row at a time, and the check stops at the
+        first nonzero row."""
         for n in sorted(self.differentials):
             if n + 1 in self.differentials:
                 a, b = self.differentials[n], self.differentials[n + 1]
-                prod = a * b if self.variant == CHAIN else b * a
-                if not prod.is_zero():
+                first, then = (a, b) if self.variant == CHAIN else (b, a)
+                if any(product_row(self.field, row, then.table)
+                       for row in first.table.values()):
                     return False
         return True
 
@@ -166,14 +171,20 @@ class _Assembler:
     What does not depend on the face is built once per assembler (one
     build): the basepoint operator composites, memoized in ``composites``,
     and with ``normalized`` each level's ``_Degeneracies``, shared by its
-    kept indices and face matrices.  Fiber products stay on the algebra, one
-    table per length a face asks for: tabulating all lengths up front costs
-    a build more than it saves.
+    kept indices and the passes over its faces.  Fiber products stay on the
+    algebra, one table per length a face asks for: tabulating all lengths up
+    front costs a build more than it saves.
+
+    ``differential`` hands the functor kernel's write loop its row table,
+    each face's sign and, with ``normalized``, the kept-position maps of
+    ``kept``: every signed face term is written once, at its row and column
+    of the differential.  ``face_matrix`` builds one face on its own, for
+    the identity checks.
 
     With ``normalized`` the unit must be a basis vector (``_unit_first_spec``)
     and every matrix lives on the nondegenerate basis tensors: the kept
-    indices of each degree up to ``max_degree`` are found once, face matrices
-    skip degenerate source tensors, and ``differential`` maps rows and
+    indices of each degree up to ``max_degree`` are found once, the kernel
+    skips degenerate source tensors, and ``differential`` maps rows and
     columns straight to kept positions."""
 
     def __init__(self, spec: ComplexSpec, actions: dict, normalized: bool = False):
@@ -224,33 +235,24 @@ class _Assembler:
 
     def differential(self, n: int) -> Matrix:
         """Chain: delta_n = sum (-1)^i d_i from level n; cochain: delta^n from
-        the faces of level n+1.  The signed entries of each face matrix are
-        moved to their kept row and column (dropped if either is degenerate)
-        and summed by one ``combine``, which builds each face matrix only
-        after the previous one's entries are consumed."""
-        f = self.spec.algebra.field
-        chain = self.spec.variant == CHAIN
+        the faces of level n+1.  The functor kernel writes each face's terms
+        with its sign straight into the differential's row table, at their
+        kept row and column (a term is dropped where either is degenerate),
+        so no face matrix is built."""
+        spec = self.spec
+        chain = spec.variant == CHAIN
         level = n if chain else n + 1
         row_deg, col_deg = (n - 1, n) if chain else (n + 1, n)
-
-        def signed_faces():
-            for i in range(level + 1):
-                items = self.face_matrix(level, i).entries.items()
-                if self.kept:
-                    items = _moved(items, self.kept[row_deg][1], self.kept[col_deg][1])
-                yield (-1) ** i, items
-
-        return Matrix._trusted(self.degree_dim(row_deg), self.degree_dim(col_deg), f,
-                               combine(f, signed_faces()))
-
-
-def _moved(items, rows, cols):
-    """Matrix entries moved to the positions ``rows[r]``, ``cols[c]``; an
-    entry whose row or column maps to None is dropped."""
-    for (r, c), v in items:
-        r, c = rows[r], cols[c]
-        if r is not None and c is not None:
-            yield (r, c), v
+        rows_at, cols_at = ((self.kept[row_deg][1], self.kept[col_deg][1]) if self.kept
+                            else (None, None))
+        table: dict = {}
+        for i in range(level + 1):
+            phi, actions = face_pointed_map(spec.X, level, i, spec.assignment, self.actions)
+            _write_functor(table, (-1) ** i, rows_at, cols_at, spec.algebra, spec.module,
+                           phi, actions, not chain, self.degeneracies.get(level, ()),
+                           self.composites)
+        return Matrix._trusted(self.degree_dim(row_deg), self.degree_dim(col_deg),
+                               spec.algebra.field, table)
 
 
 def _missed_slots(X: SimplicialSet, n: int) -> tuple[int, ...]:
@@ -505,20 +507,18 @@ def _betti_table(variant, dims, diffs) -> tuple[int, ...]:
 
 def _chain_oriented(m: Matrix, chain: bool, dropped: list[int]) -> Matrix:
     """``m`` (chain) or its transpose (cochain) without the rows ``dropped``,
-    the other rows renumbered in order."""
-    if chain and not dropped:
+    the other rows renumbered in order; the rows kept are the row dicts of
+    ``m`` or of its one transpose, not copies."""
+    if not chain:
+        m = m.transpose()
+    if not dropped:
         return m
-    rows, cols = (m.rows, m.cols) if chain else (m.cols, m.rows)
     gone = set(dropped)
-    pos: list = [None] * rows
-    for k, r in enumerate(r for r in range(rows) if r not in gone):
+    pos: list = [None] * m.rows
+    for k, r in enumerate(r for r in range(m.rows) if r not in gone):
         pos[r] = k
-    items = m.entries.items()
-    if chain:
-        entries = {(pos[r], c): v for (r, c), v in items if pos[r] is not None}
-    else:
-        entries = {(pos[c], r): v for (r, c), v in items if pos[c] is not None}
-    return Matrix._trusted(rows - len(dropped), cols, m.field, entries)
+    return Matrix._trusted(m.rows - len(dropped), m.cols, m.field,
+                           {pos[r]: row for r, row in m.table.items() if pos[r] is not None})
 
 
 def betti(complex_: Complex, n: int) -> int:
@@ -558,8 +558,8 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     """
     if variant not in (CHAIN, COCHAIN):
         raise ComplexError(f"unknown variant {variant!r}")
-    left = module.action(_find_tagged_action(module, LEFT)).operators
-    right = module.action(_find_tagged_action(module, RIGHT)).operators
+    left = [op.entries for op in module.action(_find_tagged_action(module, LEFT)).operators]
+    right = [op.entries for op in module.action(_find_tagged_action(module, RIGHT)).operators]
     chain = variant == CHAIN
     first, last = (right, left) if chain else (left, right)
     f = alg.field
@@ -576,9 +576,9 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
         """The ((row, col), value) terms of face i on k-slot tensors."""
         for slots in product(range(da), repeat=k):
             if i == 0:
-                op, outs = first[slots[0]].entries, [(slots[1:], 1)]
+                op, outs = first[slots[0]], [(slots[1:], 1)]
             elif i == k:
-                op, outs = last[slots[-1]].entries, [(slots[:-1], 1)]
+                op, outs = last[slots[-1]], [(slots[:-1], 1)]
             else:
                 op = identity
                 outs = [(slots[:i - 1] + (l,) + slots[i + 1:], c)
@@ -594,8 +594,8 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     for n in range(1, max_degree + 1) if chain else range(max_degree):
         k = n if chain else n + 1
         shape = (dims[k - 1], dims[k]) if chain else (dims[k], dims[k - 1])
-        diffs[n] = Matrix._trusted(*shape, f, combine(
-            f, (((-1) ** i, face(k, i)) for i in range(k + 1))))
+        diffs[n] = Matrix._trusted(*shape, f, by_row(combine(
+            f, (((-1) ** i, face(k, i)) for i in range(k + 1)))))
     return Complex(variant, f, dims, diffs)
 
 

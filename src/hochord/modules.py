@@ -43,8 +43,8 @@ class Action:
         if len(terms) == 1 and terms[0][1] == f.one():
             return self.operators[terms[0][0]]
         dim_m = self.operators[0].rows
-        return Matrix._trusted(dim_m, dim_m, f, combine(
-            f, ((c, self.operators[i].entries.items()) for i, c in terms)))
+        return Matrix._trusted(dim_m, dim_m, f, by_row(combine(
+            f, ((c, self.operators[i].entries.items()) for i, c in terms))))
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,16 @@ class Multimodule:
 def validate(module: Multimodule) -> list[str]:
     """Exhaustive axiom check; returns a list of violation messages (empty = ok).
 
-    Products are formed on entry dicts: each operator's entries by row are
-    built once per call, and the operator of ``e_i e_j`` is combined from the
-    algebra's sparse structure constants."""
+    Products are formed on entry dicts, each times an operator's row table,
+    and the operator of ``e_i e_j`` is combined from the algebra's sparse
+    structure constants."""
     alg = module.algebra
     f = alg.field
     d = alg.dim
     problems = [f"module dimension {module.dim} is negative"] if module.dim < 0 else []
     ident = {(r, r): f.one() for r in range(module.dim)}
     unit = [(l, u) for l, u in enumerate(map(f.of, alg.unit)) if u]
-    rows = {}  # well-formed action -> each operator's entries by row
+    rows = {}  # well-formed action -> each operator's row table
     for name, act in sorted(module.actions.items()):
         fields = sorted({op.field.describe() for op in act.operators if op.field != f})
         if len(act.operators) != d:
@@ -91,7 +91,7 @@ def validate(module: Multimodule) -> list[str]:
             malformed = f"operators over {', '.join(fields)}, algebra over {f.describe()}"
         else:
             malformed = None
-            rows[name] = [by_row(op.entries) for op in act.operators]
+            rows[name] = [op.table for op in act.operators]
         if act.tag not in TAGS:
             problems.append(f"action {name!r}: unknown tag {act.tag!r}")
             continue
@@ -119,11 +119,12 @@ def validate(module: Multimodule) -> list[str]:
     names = sorted(rows)
     for x in range(len(names)):
         for y in range(x + 1, len(names)):
-            a, b = module.actions[names[x]].operators, module.actions[names[y]].operators
+            a, b = ([op.entries for op in module.actions[name].operators]
+                    for name in (names[x], names[y]))
             for i in range(d):
                 for j in range(d):
-                    if (product_entries(f, a[i].entries, rows[names[y]][j])
-                            != product_entries(f, b[j].entries, rows[names[x]][i])):
+                    if (product_entries(f, a[i], rows[names[y]][j])
+                            != product_entries(f, b[j], rows[names[x]][i])):
                         problems.append(
                             f"actions {names[x]!r} and {names[y]!r} do not commute "
                             f"at basis pair ({i},{j})")

@@ -592,6 +592,11 @@ def _cyclic_orders(X: SimplicialSet, cutoff: int) -> dict[int, list[int]]:
         for p, k in enumerate(orders[n - 1]):
             pos_below[k] = p
         refs, seq, table = X.level(n), orders[n], X.face_table(n)
+        # a face reverses a pair of seq exactly when the positions of its
+        # non-basepoint images decrease somewhere along seq; only then is
+        # every pair scanned, for the first reversed one
+        if _images_ascend(seq, table, pos_below):
+            continue
         for a in range(len(seq)):
             for b in range(a + 1, len(seq)):
                 for i, col in enumerate(table):
@@ -602,6 +607,20 @@ def _cyclic_orders(X: SimplicialSet, cutoff: int) -> dict[int, list[int]]:
                             f"{X.monotone_name(refs[seq[a]])} < "
                             f"{X.monotone_name(refs[seq[b]])} but d_{i} reverses them")
     return orders
+
+
+def _images_ascend(seq, table, pos_below) -> bool:
+    """Whether, on every face column of ``table``, the positions
+    ``pos_below`` of the non-basepoint images of ``seq`` never decrease."""
+    for col in table:
+        last = 0
+        for k in seq:
+            t = col[k]
+            if t:
+                if pos_below[t] < last:
+                    return False
+                last = pos_below[t]
+    return True
 
 
 def classify_nncmo(X: SimplicialSet, cutoff: int = 4) -> NncmoResult:

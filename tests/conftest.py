@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
-from hochord import functors
+from hochord import functors, hochschild
 from hochord.algebras import (cyclic_group_algebra, matrix_algebra, symmetric_group_algebra_s3,
                               trunc_poly, unit_first, upper_tri)
 from hochord.ordering import InconclusiveSearch, NncmoResult, classify_nncmo, search_nncmo
@@ -30,18 +30,22 @@ def fraction_count(monkeypatch):
 
 @pytest.fixture
 def term_count(monkeypatch):
-    """Count the entries ``functors._functor_matrix`` writes while the test
-    runs (each is one term: the kernel never sums); the list's one element
-    is the count so far."""
+    """Count the terms the functor kernel's write loop handles while the test
+    runs, as ``functors._write_functor`` returns them (one per source term
+    the kernel kept, whether or not its target position is kept); the list's
+    one element is the count so far.  The kernel is wrapped under every name
+    that calls it: its own module's (the standalone face matrices) and the
+    assembler's."""
     written = [0]
-    original = functors._functor_matrix
+    original = functors._write_functor
 
     def counting(*args, **kwargs):
-        m = original(*args, **kwargs)
-        written[0] += len(m.entries)
-        return m
+        terms = original(*args, **kwargs)
+        written[0] += terms
+        return terms
 
-    monkeypatch.setattr(functors, "_functor_matrix", counting)
+    monkeypatch.setattr(functors, "_write_functor", counting)
+    monkeypatch.setattr(hochschild, "_write_functor", counting)
     return written
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from hochord import exact
 from hochord.algebras import custom_algebra, trunc_poly, upper_tri
-from hochord.exact import Field, Matrix, QQ, mat_mul, nullspace, rank, solve
+from hochord.exact import Field, Matrix, QQ, by_row, mat_mul, nullspace, rank, solve
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, OrderingRefusal, build_complex,
                                 make_spec)
 from hochord.modules import regular_bimodule, tensor_square_bimodule
@@ -116,6 +116,38 @@ def test_public_constructor_keeps_its_checks():
     m = Matrix(2, 2, Field(5), {(0, 0): 5, (0, 1): 7, (1, 1): Fraction(4, 2)})
     assert m.entries == {(0, 1): 2, (1, 1): 2}
     assert Matrix(1, 1, QQ, {(0, 0): Fraction(0)}).is_zero()
+
+
+def test_row_table_and_triplet_storage_agree():
+    """A matrix wrapped from a row table and one built from the same
+    triplets are one matrix: equal, with the same hash (the sorted-entries
+    hash of the triplet format), triplets and entries; no empty row is kept,
+    and the entries view is read-only."""
+    rng = random.Random(110)
+    for field, fractions in ARITH_FIELDS:
+        for _ in range(100):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            triplets = dict(_arith_case(rng, field, fractions, rows, cols).entries)
+            items = list(triplets.items())
+            rng.shuffle(items)
+            table = {}
+            for (r, c), v in items:
+                table.setdefault(r, {})[c] = v
+            from_table = Matrix._trusted(rows, cols, field, table)
+            from_triplets = Matrix(rows, cols, field, triplets)
+            assert from_table == from_triplets
+            assert hash(from_table) == hash(from_triplets) == hash(
+                (rows, cols, field, tuple(sorted(triplets.items()))))
+            assert from_table.to_triplets() == from_triplets.to_triplets() == [
+                (r, c, str(v)) for (r, c), v in sorted(triplets.items())]
+            assert from_table.entries == from_triplets.entries == triplets
+            assert all(from_triplets.table.values())
+    # zeros are dropped, and a row of zeros leaves no row behind
+    m = Matrix(3, 2, QQ, {(0, 0): 0, (0, 1): "0/3", (1, 1): "4/2", (2, 0): Fraction(0)})
+    assert m.table == {1: {1: 2}} and type(m.get(1, 1)) is int
+    assert Matrix(2, 2, QQ, {(0, 0): 1}) != Matrix(2, 2, QQ, {(0, 0): 1, (1, 0): 1})
+    with pytest.raises(TypeError):
+        m.entries[(0, 0)] = 1
 
 
 def test_matrix_results_are_canonical():
@@ -387,7 +419,7 @@ def _loop_add(a, b):
             e.pop(k, None)
         else:
             e[k] = s
-    return Matrix._trusted(a.rows, a.cols, f, e)
+    return Matrix._trusted(a.rows, a.cols, f, by_row(e))
 
 
 def _loop_scale(a, s):
@@ -413,7 +445,7 @@ def _loop_mat_mul(a, b):
                 out.pop(key, None)
             else:
                 out[key] = s
-    return Matrix._trusted(a.rows, b.cols, f, out)
+    return Matrix._trusted(a.rows, b.cols, f, by_row(out))
 
 
 def _loop_matvec(a, vec):
@@ -463,7 +495,7 @@ def test_matrix_arithmetic_agrees_with_the_entry_loops(field, fractions):
                           (b - a, _loop_sub(b, a)), (a - a, _loop_sub(a, a)),
                           (a + a.scale(-1), _loop_add(a, _loop_scale(a, -1))),
                           (a * c, _loop_mat_mul(a, c)), (mat_mul(b, c), _loop_mat_mul(b, c))):
-            assert _typed(got) == _typed(want)
+            assert _typed(got) == _typed(want) and all(got.table.values())
         assert (a - a).is_zero() and (a + a.scale(-1)).is_zero()
         for s in scalars:
             assert _typed(a.scale(s)) == _typed(_loop_scale(a, s))

@@ -10,7 +10,7 @@ import pytest
 from hochord import algebras
 from hochord.algebras import custom_algebra, multiply, trunc_poly, unit_first, upper_tri
 from hochord.exact import Field, Matrix, mat_mul
-from hochord.functors import (FunctorError, compose, hom_functor_on_morphism,
+from hochord.functors import (FunctorError, _write_functor, compose, hom_functor_on_morphism,
                               identity_map, loday_on_morphism, pointed_map)
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexSpec, _action_table,
                                 _typed_actions, degeneracy_pointed_map, face_pointed_map,
@@ -311,6 +311,12 @@ def _assert_kernel_matches_oracle(alg, module, phi, actions, variant):
     assert got == want
     # every term has its own key: the kernel writes entries without summing
     assert len(got.entries) == terms
+    # the write loop returns its term count; written with sign -1 over the
+    # matrix's own entries it cancels each of them and deletes every row
+    table = {r: dict(row) for r, row in got.table.items()}
+    assert _write_functor(table, -1, None, None, alg, module, phi, actions,
+                          variant == COCHAIN) == terms
+    assert table == {}
 
 
 def _half_basis(field):

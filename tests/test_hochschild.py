@@ -1,4 +1,3 @@
-import weakref
 from collections import defaultdict
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hochord.algebras import (commutator_span_dim, center, custom_algebra,
 from hochord.exact import Field, Matrix, QQ, nullspace, rank
 from hochord.functors import hom_functor_on_morphism, loday_on_morphism, pointed_map
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
-                                OrderingRefusal, _Assembler, _missed_slots, _moved,
+                                OrderingRefusal, _Assembler, _missed_slots,
                                 _resolve, _unit_first_spec, face_pointed_map,
                                 build_complex, classical_complex,
                                 cosimplicial_check, is_subsimplicial, make_spec,
@@ -461,11 +460,20 @@ def test_trusted_face_maps_equal_the_validated_ones(one_dimensional_family):
     assert checked == 2 * 20 * len(BUILTIN_SETS) + 2 * 9 * len(one_dimensional_family)
 
 
+def _moved(items, rows, cols):
+    """Matrix entries moved to the positions ``rows[r]``, ``cols[c]``; an
+    entry whose row or column maps to None is dropped."""
+    for (r, c), v in items:
+        r, c = rows[r], cols[c]
+        if r is not None and c is not None:
+            yield (r, c), v
+
+
 def _accumulated_differential(asm, n, face_matrix=None):
-    """The differential summed entry by entry with ``Field.add``/``Field.sub``,
-    each face's entries moved to kept positions first: the assembler's loop
-    before the signed face sum went through ``exact.combine``.  The faces
-    come from ``face_matrix``, by default the assembler's own."""
+    """The differential summed entry by entry with ``Field.add``/``Field.sub``
+    over standalone face matrices, each face's entries moved to kept
+    positions first.  The faces come from ``face_matrix``, by default the
+    assembler's own."""
     face_matrix = face_matrix or asm.face_matrix
     f = asm.spec.algebra.field
     chain = asm.spec.variant == CHAIN
@@ -483,7 +491,7 @@ def _accumulated_differential(asm, n, face_matrix=None):
                 entries[k] = s
             else:
                 del entries[k]
-    return Matrix._trusted(asm.degree_dim(row_deg), asm.degree_dim(col_deg), f, entries)
+    return Matrix(asm.degree_dim(row_deg), asm.degree_dim(col_deg), f, entries)
 
 
 def _assembler(spec):
@@ -520,7 +528,8 @@ def test_one_pass_differential_is_the_signed_sum_of_faces(case, p, normalized):
         for n in range(1, degree + 1) if variant == CHAIN else range(degree):
             got = asm.differential(n)
             want = _accumulated_differential(asm, n)
-            assert got == want and all(type(got.entries[k]) is type(v)
+            entries = got.entries
+            assert got == want and all(type(entries[k]) is type(v)
                                        for k, v in want.entries.items()), (variant, n)
             assert got == _accumulated_differential(asm, n, _stateless_face_matrix(asm))
             if not normalized:
@@ -574,39 +583,45 @@ def test_normalized_build_shares_its_level_and_composite_state(case, variant, mo
         assert m == want, key
 
 
+@pytest.mark.parametrize("variant", [CHAIN, COCHAIN])
 @pytest.mark.parametrize("normalized", [False, True])
-def test_differential_builds_each_face_after_the_last_is_consumed(monkeypatch, normalized):
-    """At most one face matrix's entries are alive while ``differential``
-    sums, and each face is built only once the previous one's entries have
-    all been read."""
-    class Entries(dict):
-        consumed = False
-
-        def items(self):
-            yield from super().items()
-            self.consumed = True
-
+def test_differential_builds_no_face_matrix(monkeypatch, variant, normalized):
+    """``differential`` writes every face's terms into its own row table: no
+    ``Matrix`` is built but the differential and operator composites
+    (module-sized), and neither a face matrix nor a functor entry point is
+    asked for.  It equals the signed sum of standalone face matrices from
+    the public entry points, with no state shared between them."""
     alg = trunc_poly(2)
-    spec = make_spec(sphere2(), alg, symmetric_module(alg), CHAIN, 4, normalized=normalized)
+    spec = make_spec(sphere2(), alg, symmetric_module(alg), variant, 4, normalized=normalized)
     asm = _assembler(spec)
-    built = []  # a weak reference to the entries of each face matrix handed out
-    original = asm.face_matrix
+    dm = spec.module.dim
+    built = []
+    fill = Matrix._fill
 
-    def tracked(level, i):
-        alive = [ref() for ref in built if ref() is not None]
-        assert len(alive) <= 1 and all(e.consumed for e in alive), (level, i)
-        m = original(level, i)
-        entries = Entries(m.entries)
-        built.append(weakref.ref(entries))
-        return Matrix._trusted(m.rows, m.cols, m.field, entries)
+    def recorded(self, rows, cols, *rest):
+        built.append((rows, cols))
+        fill(self, rows, cols, *rest)
 
-    monkeypatch.setattr(asm, "face_matrix", tracked)
-    for n in range(1, 5):
-        before = len(built)
-        d = asm.differential(n)
-        assert len(built) - before == n + 1
-        assert not any(ref() for ref in built)
-        assert d == _accumulated_differential(_assembler(spec), n)
+    def refused(*args, **kwargs):
+        raise AssertionError("a face matrix was built")
+
+    monkeypatch.setattr(Matrix, "_fill", recorded)
+    for module, name in ((functors, "_functor_matrix"), (functors, "loday_on_morphism"),
+                         (functors, "hom_functor_on_morphism"),
+                         (hochschild, "loday_on_morphism"),
+                         (hochschild, "hom_functor_on_morphism")):
+        monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(asm, "face_matrix", refused)
+    degrees = range(1, 5) if variant == CHAIN else range(4)
+    got = {}
+    for n in degrees:
+        built.clear()
+        got[n] = asm.differential(n)
+        assert built[-1] == (got[n].rows, got[n].cols)
+        assert all(shape == (dm, dm) for shape in built[:-1]), (n, built)
+    monkeypatch.undo()
+    for n in degrees:
+        assert got[n] == _accumulated_differential(asm, n, _stateless_face_matrix(asm))
 
 
 @pytest.mark.parametrize("variant", [CHAIN, COCHAIN])

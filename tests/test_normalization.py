@@ -89,7 +89,7 @@ def _normalize(spec, diffs):
                 raise ComplexError(
                     f"normalization: the degenerate span is not a subcomplex; the "
                     f"degree-{n} differential has entry {v} at row {r}, column {c}")
-        new_diffs[n] = Matrix._trusted(len(kept[tgt]), len(kept[n]), f, entries)
+        new_diffs[n] = Matrix(len(kept[tgt]), len(kept[n]), f, entries)
     return [len(ks) for ks in kept], new_diffs
 
 
@@ -279,7 +279,7 @@ def _fast_and_oracle(spec):
             msg = str(e)
             return type(e), "not a subcomplex" if "not a subcomplex" in msg else msg
         return (c.dims, c.betti,
-                {n: (d.rows, d.cols, list(d.entries.items()))
+                {n: (d.rows, d.cols, d.to_triplets())
                  for n, d in c.differentials.items()})
     return run(build_complex), run(_restricted_complex)
 
@@ -371,4 +371,4 @@ def test_normalized_build_writes_only_nondegenerate_source_terms(term_count):
     c = build_complex(make_spec(wedge_of_circles(2), alg, regular_bimodule(alg), COCHAIN, 4,
                                 normalized=True))
     assert c.dims == (2, 6, 18, 54, 162)
-    assert term_count[0] <= 296
+    assert 0 < term_count[0] <= 296
