@@ -11,12 +11,15 @@ factorizations of a longer composition are connected by such adjacent swaps,
 so the quadratic adjacent check suffices; a full-factorization oracle check
 is available behind a flag to validate the reduction on concrete inputs.
 
-Everything works on level indices: fibers are read from the set's tables
-(``face_fibers`` for one face, ``route_fibers`` for a composite) and a
-certificate is written as ranks.  A certificate keys each face word's
-induced order once, in a table extending its tail's (``induced_keys``),
-and both checks are one loop comparing one sort per word
-(``_first_violation``), so checks of one certificate share the tables.
+Everything works on level indices: images and fibers are read from the
+set's tables (``face_fibers`` for one face; ``route_images``, each
+composite built once from its prefix's, and ``route_fibers`` for a
+composite) and a certificate is written as ranks.  A certificate keys each
+face word's induced order once, one integer per member (-1 where the word
+kills it), in a table extending its tail's (``induced_keys``).  Both
+checks are one loop (``_first_violation``) that skips a class whose base
+images repeat no target and otherwise compares one sort per word, so
+checks of one certificate share the tables.
 The search (``search_nncmo``) keeps the order relation itself: relations
 ``(fiber, x, y)``, links between the relations two routes of an adjacent
 identity give one pair, and one closure that adds a relation with its links
@@ -124,22 +127,27 @@ class OrderingAssignment:
     def ranks(self, level: int, i: int) -> tuple[int, ...]:
         return self._ranks[(level, i)]
 
-    def induced_keys(self, level: int, word: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        """The members of ``level`` (level indices) that the composite of
-        ``word`` (faces first to last) keeps off the basepoint, keyed by
-        (final image, rank at the last step, ..., rank at the first); built
-        once per certificate and word.  Sorting a fiber by these keys is its
-        induced order: two members first share an image after the step
-        whose rank tells them apart, and share every later rank."""
+    def induced_keys(self, level: int, word: tuple[int, ...]) -> list[int]:
+        """One integer per member of ``level`` (level indices) that sorts each
+        fiber of the composite of ``word`` (faces first to last) in its
+        induced order, -1 where the composite hits the basepoint; built once
+        per certificate and word.  The empty word keys member k by k; a
+        longer one keys k by ``tail[d(k)] * len(level) + rank[k]``, with
+        ``tail`` the table of ``word[1:]`` one level down and d, rank the
+        first step's.  Ranks are below the level's size, so the keys sort as
+        (final image, rank at the last step, ..., rank at the first): two
+        members first share an image after the step whose rank tells them
+        apart, and share every later rank.  Keys grow as the product of the
+        level sizes along the word."""
         keys = self._keys.get((level, word))
         if keys is None:
             if word:  # the tail's table one level down, extended by one rank
                 tail, rank = self.induced_keys(level - 1, word[1:]), self._ranks[level, word[0]]
-                keys = {k: (*tail[t], rank[k])
-                        for t, members in self.X.face_fibers(level)[word[0]] if t in tail
-                        for k in members}
+                size = len(rank)
+                keys = [-1 if (key := tail[t]) < 0 else key * size + r
+                        for t, r in zip(self.X.face_table(level)[word[0]], rank)]
             else:
-                keys = {k: (k,) for k in range(1, len(self.X.level(level)))}
+                keys = [-1, *range(1, len(self.X.level(level)))]
             self._keys[level, word] = keys
         return keys
 
@@ -216,8 +224,10 @@ def composition_induced_order(X: SimplicialSet, assignment: OrderingAssignment,
         raise OrderingError(f"{tuple(steps)} is not a face word from level {level}")
     index, refs = X.index(level), X.level(level)
     members = [index.get(ref) for ref in fiber]
-    keys = assignment.induced_keys(level, tuple(steps))
-    if any(k not in keys for k in members) or len({keys[k][0] for k in members}) > 1:
+    steps = tuple(steps)
+    keys, images = assignment.induced_keys(level, steps), X.route_images(level, steps)
+    if (any(k is None or keys[k] < 0 for k in members)
+            or len({images[k] for k in members}) > 1):
         raise OrderingError("induced order requested on members that are not one "
                             "fiber over a non-basepoint target")
     return tuple(refs[k] for k in sorted(members, key=keys.__getitem__))
@@ -324,27 +334,33 @@ def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
                      routes) -> Witness | None:
     """The witness of the first pair of equal face words whose induced orders
     disagree on a fiber, or None.  ``routes(n)`` yields ``(base, others)``
-    from level n.  Equal words keep the same members alive, with the same
-    final images, so one sort per word by its ``induced_keys`` is compared
-    with the base word's; only a mismatch walks the base word's fibers, in
-    order, to name the first that differs.  A cutoff of 1 has nothing to
-    check; one above the assignment's raises ``OrderingError``."""
+    from level n.  A class is skipped when the base word's images
+    (``route_images``) repeat no target off the basepoint: every fiber then
+    has one member.  Equal words kill the same members and keep the same
+    final images, so the level's indices sorted by each word's
+    ``induced_keys`` (the killed members, keyed -1, first in level order)
+    are compared with the base word's sort; only a mismatch walks the base
+    word's ``route_fibers``, in order, to name the first that differs.  A
+    cutoff of 1 has nothing to check; one above the assignment's raises
+    ``OrderingError``."""
     _require_cutoff(cutoff)
     require_own_set(X, assignment)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
     for n in range(2, cutoff + 1):
+        members = range(len(X.level(n)))
         for base, others in routes(n):
-            fibers = X.route_fibers(n, base)
-            if not fibers:
+            # every image but the basepoint's 0 is kept, and 0 is one of them
+            images = X.route_images(n, base)
+            if len(set(images)) + images.count(0) == len(images) + 1:
                 continue
             keys = assignment.induced_keys(n, base)
-            order = sorted(keys, key=keys.__getitem__)
+            order = sorted(members, key=keys.__getitem__)
             for other in others:
                 other_keys = assignment.induced_keys(n, other)
-                if sorted(other_keys, key=other_keys.__getitem__) == order:
+                if sorted(members, key=other_keys.__getitem__) == order:
                     continue
-                for t, fiber in fibers:
+                for t, fiber in X.route_fibers(n, base):
                     order_a, order_b = (tuple(sorted(fiber, key=table.__getitem__))
                                         for table in (keys, other_keys))
                     if order_a != order_b:
@@ -378,14 +394,18 @@ def _face_words(n: int, length: int) -> Mapping[frozenset, tuple[tuple[int, ...]
     return MappingProxyType({k: tuple(words) for k, words in out.items()})
 
 
-def _equal_words(n: int):
+@functools.cache
+def _equal_words(n: int) -> tuple:
     """Every class of two or more equal face words from level n, by length
-    and then by deleted positions, as (smallest word, the others sorted)."""
+    and then by deleted positions, as (smallest word, the others sorted);
+    built once per level, as tuples."""
+    classes = []
     for length in range(2, n + 1):
         for _, words in sorted(_face_words(n, length).items(), key=lambda kv: sorted(kv[0])):
             if len(words) > 1:
                 base, *others = sorted(words)
-                yield base, others
+                classes.append((base, tuple(others)))
+    return tuple(classes)
 
 
 def check_nncmo_full(X: SimplicialSet, assignment: OrderingAssignment, cutoff: int) -> Witness | None:

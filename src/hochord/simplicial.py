@@ -25,7 +25,9 @@ basepoint is index 0 at every level, so "d_i hits the basepoint" reads
 ``face_table(n)[i][k] == 0``, and a face-table column is a pointed map whose
 fibers ``fibers`` groups.  Those are tabulated per set object too, as
 ``(target, members)`` tuples sorted by target: ``face_fibers(n)[i]`` per
-column, ``route_fibers(n, steps)`` per composite.
+column, ``route_fibers(n, steps)`` per composite.  A composite's images
+(``route_images``) are kept once per level and word, each extending its
+prefix's images by one face-table column.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class SimplicialSet:
         self._key_index: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
         self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._face_fibers: dict[int, tuple] = {}
+        self._route_images: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._route_fibers: dict[tuple[int, tuple[int, ...]], tuple] = {}
         self._degeneracy_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._check_well_formed()
@@ -256,15 +259,27 @@ class SimplicialSet:
             self._face_fibers[n] = tuple(_sorted_fibers(col, 1) for col in self.face_table(n))
         return self._face_fibers[n]
 
+    def route_images(self, n: int, steps: tuple[int, ...]) -> tuple[int, ...]:
+        """``route_images(n, steps)[k]`` is the index in ``level(n - len(steps))``
+        of the composite applying the faces in ``steps`` to ``level(n)[k]``,
+        first to last (0 where a step hits the basepoint).  Built once per
+        ``(n, steps)``: the prefix's images read through one face-table column."""
+        images = self._route_images.get((n, steps))
+        if images is None:
+            if steps:
+                col = self.face_table(n - len(steps) + 1)[steps[-1]]
+                images = tuple(map(col.__getitem__, self.route_images(n, steps[:-1])))
+            else:
+                images = tuple(range(len(self._keys(n))))
+            self._route_images[n, steps] = images
+        return images
+
     def route_fibers(self, n: int, steps: tuple[int, ...]) -> tuple:
         """The fibers with two or more members of the composite applying the
-        faces in ``steps`` from level n, first to last."""
+        faces in ``steps`` from level n, first to last: ``route_images``
+        grouped, once per ``(n, steps)``."""
         if (n, steps) not in self._route_fibers:
-            images = range(len(self._keys(n)))
-            for s, i in enumerate(steps):
-                col = self.face_table(n - s)[i]
-                images = [col[k] for k in images]
-            self._route_fibers[n, steps] = _sorted_fibers(images, 2)
+            self._route_fibers[n, steps] = _sorted_fibers(self.route_images(n, steps), 2)
         return self._route_fibers[n, steps]
 
     def degeneracy_table(self, n: int) -> tuple[tuple[int, ...], ...]:

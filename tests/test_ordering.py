@@ -995,6 +995,10 @@ def test_death_class_does_not_depend_on_the_word(one_dimensional_family):
 def test_typing_walk_shares_word_prefixes(monkeypatch):
     X = circle()
     assignment = classify_nncmo(X, 4).assignment
+    # the fiber tables are built before the count: building one reads its
+    # level's face table once, which is no lookup of the walk
+    for n in range(2, 5):
+        X.face_fibers(n)
     face_table, type_level = X.face_table, ordering._type_level
     typing, calls = [False], [0]
 
@@ -1168,13 +1172,76 @@ def test_fibers_and_rank_keys_match_the_comparator_oracle(builder):
         for n in range(2, ORACLE_CUTOFF + 1):
             for steps in _words_up_to(n, 4):
                 want = _oracle_two_step_fibers(X, n, steps)
+                assert list(X.route_images(n, steps)) == _oracle_images(X, n, steps)
                 assert X.route_fibers(n, steps) == tuple(f for f in want if len(f[1]) > 1)
-                # the keyed members are those over non-basepoint targets
+                # the keyed members (key >= 0) are those over non-basepoint
+                # targets, and every other member is keyed -1
                 keys = assignment.induced_keys(n, steps)
-                assert sorted(keys) == sorted(k for _, members in want for k in members)
+                assert len(keys) == len(X.level(n))
+                assert ([k for k, key in enumerate(keys) if key >= 0]
+                        == sorted(k for _, members in want for k in members))
+                assert all(key == -1 for key in keys if key < 0)
                 for _, members in want:
                     assert (tuple(sorted(members, key=keys.__getitem__))
                             == _oracle_induced_order(X, assignment, steps, n, members))
+
+
+def _oracle_tuple_keys(assignment, level, word, memo):
+    """The tuple-keyed tables the integer keys replaced: each member the word
+    keeps off the basepoint keyed by (final image, rank at the last step,
+    ..., rank at the first), each table extending its tail's by one rank."""
+    if (level, word) not in memo:
+        X = assignment.X
+        if word:
+            tail, rank = (_oracle_tuple_keys(assignment, level - 1, word[1:], memo),
+                          assignment.ranks(level, word[0]))
+            memo[level, word] = {k: (*tail[t], rank[k])
+                                 for t, members in X.face_fibers(level)[word[0]] if t in tail
+                                 for k in members}
+        else:
+            memo[level, word] = {k: (k,) for k in range(1, len(X.level(level)))}
+    return memo[level, word]
+
+
+def _decoded_key(X, n, steps, key):
+    """An integer key read back as (final image, rank at the last step, ...,
+    rank at the first): its digits in the radices of the word's levels."""
+    ranks = []
+    for level in range(n, n - len(steps), -1):
+        key, rank = divmod(key, len(X.level(level)))
+        ranks.append(rank)
+    return (key, *reversed(ranks))
+
+
+def _integer_key_mismatches(X, cutoff):
+    """Per certificate, level and face word: where the integer keys and the
+    tuple keys keep different members, where a key is not the tuple written
+    in the radices of the word's levels, or where the two sort a route
+    fiber differently; and the number of route fibers sorted."""
+    bad, compared = [], 0
+    for assignment in _oracle_certificates(X, cutoff):
+        memo = {}
+        for n in range(2, cutoff + 1):
+            for steps in _words_up_to(n, n):
+                keys = assignment.induced_keys(n, steps)
+                tuples = _oracle_tuple_keys(assignment, n, steps, memo)
+                if [k for k, key in enumerate(keys) if key != -1] != sorted(tuples):
+                    bad.append((X.name, n, steps, "kept"))
+                bad += [(X.name, n, steps, k) for k, key in tuples.items()
+                        if _decoded_key(X, n, steps, keys[k]) != key]
+                compared += len(X.route_fibers(n, steps))
+                bad += [(X.name, n, steps, t) for t, fiber in X.route_fibers(n, steps)
+                        if sorted(fiber, key=keys.__getitem__)
+                        != sorted(fiber, key=tuples.__getitem__)]
+    return bad, compared
+
+
+def test_integer_keys_sort_like_the_tuple_keys(one_dimensional_family):
+    cases = [(m.X, m.cutoff) for m in one_dimensional_family]
+    cases += [(wedge_of_circles(3), 4), (from_file(THETA, "theta"), 4)]
+    results = [_integer_key_mismatches(X, cutoff) for X, cutoff in cases]
+    assert [bad for bad, _ in results if bad] == []
+    assert sum(compared for _, compared in results) == 34070
 
 
 @pytest.mark.parametrize("builder", ORACLE_SETS, ids=ORACLE_IDS)
