@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 
-from .exact import Field, Matrix, QQ, Scalar, by_row, combine, nullspace, rank
+from .exact import Field, Matrix, QQ, Scalar, combine, nullspace, rank
 
 
 class AlgebraError(ValueError):
@@ -31,8 +31,8 @@ class Algebra:
     table: tuple  # table[i][j] = tuple of coefficients over the basis
     # sparse[i][j] = the nonzero (l, c) pairs of table[i][j]
     sparse: tuple = dc_field(init=False, repr=False, compare=False)
-    # the ordered fiber products by length, extended by fiber_products
-    _products: tuple = dc_field(init=False, repr=False, compare=False, default=())
+    # the ordered fiber products by length, the unit's pairs first
+    _products: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dim
@@ -50,6 +50,8 @@ class Algebra:
         object.__setattr__(self, "sparse", tuple(
             tuple(tuple((l, c) for l, c in enumerate(map(f.of, cell)) if c) for cell in row)
             for row in self.table))
+        object.__setattr__(self, "_products", (
+            (tuple((k, u) for k, u in enumerate(map(f.of, self.unit)) if u),),))
         self._check_axioms()
 
     @property
@@ -62,7 +64,7 @@ class Algebra:
         basis triple, each side combined from sparse rows."""
         f = self.field
         d, sp = self.dim, self.sparse
-        unit = [(k, u) for k, u in enumerate(map(f.of, self.unit)) if u]
+        unit, = self._products[0]
         for i in range(d):
             if (combine(f, ((u, sp[k][i]) for k, u in unit)) != {i: 1}
                     or combine(f, ((u, sp[i][k]) for k, u in unit)) != {i: 1}):
@@ -109,25 +111,17 @@ class Algebra:
         return Matrix._trusted(d, d, f, table)
 
     def fiber_products(self, lengths) -> dict[int, tuple]:
-        """By fiber length, the nonzero ``(k, v)`` pairs of the ordered product
-        of every coordinate tuple, the first coordinate most significant.  A
-        length extends the one before by one ``multiply`` per tuple, the last
-        factor on the left, and is kept on the algebra (``_products``, one
-        ``(vectors, pairs)`` entry per length), so it is never recomputed."""
-        known = self._products
+        """By fiber length, the nonzero ``(k, v)`` pairs, ascending in k, of
+        the ordered product of every coordinate tuple, the first coordinate
+        most significant.  Length 0 is the unit; length n + 1 puts each basis
+        element left of each length-n product, summed from ``sparse``.  Every
+        length is kept on the algebra (``_products``), never recomputed."""
+        known, f, sp = self._products, self.field, self.sparse
         while len(known) <= max(lengths, default=0):
-            basis = tuple(self.basis_vector(c) for c in range(self.dim))
-            if not known:
-                vecs = (self.unit,)
-            elif len(known) == 1:
-                vecs = basis  # a single factor times the unit
-            else:
-                vecs = tuple(multiply(self, e, v) if any(v) else v
-                             for v in known[-1][0] for e in basis)
-            known += ((vecs, tuple(tuple((k, v) for k, v in enumerate(vec) if v)
-                                   for vec in vecs)),)
+            known += (tuple(tuple(sorted(combine(f, ((v, sp[e][k]) for k, v in prev)).items()))
+                            for prev in known[-1] for e in range(self.dim)),)
         object.__setattr__(self, "_products", known)
-        return {length: known[length][1] for length in lengths}
+        return {length: known[length] for length in lengths}
 
     def describe(self) -> str:
         return f"{self.name} (dim {self.dim} over {self.field.describe()})"
@@ -168,9 +162,9 @@ def center(alg: Algebra) -> list[tuple[Scalar, ...]]:
     stacked commutator system over the algebra basis: row ``a * d + r``,
     column j holds the coefficient of e_r in e_j e_a - e_a e_j."""
     d = alg.dim
-    system = Matrix._trusted(d * d, d, alg.field, by_row({
+    system = Matrix(d * d, d, alg.field, {
         (a * d + r, j): v for a in range(d) for j in range(d)
-        for r, v in _commutator(alg, j, a).items()}))
+        for r, v in _commutator(alg, j, a).items()})
     return [tuple(v) for v in nullspace(system)]
 
 
@@ -210,9 +204,8 @@ def unit_first(alg: Algebra) -> tuple[Algebra, tuple[tuple[Scalar, ...], ...]]:
 def commutator_span_dim(alg: Algebra) -> int:
     """Dimension of span{ab - ba}; computed by brute force over basis pairs."""
     d = alg.dim
-    return rank(Matrix._trusted(d * d, d, alg.field, by_row({
-        (i * d + j, l): v for i in range(d) for j in range(d)
-        for l, v in _commutator(alg, i, j).items()})))
+    return rank(Matrix._trusted(d * d, d, alg.field, {
+        i * d + j: row for i in range(d) for j in range(d) if (row := _commutator(alg, i, j))}))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +320,17 @@ def symmetric_group_algebra_s3(field: Field = QQ) -> Algebra:
 
 def custom_algebra(name: str, field: Field, basis_names, unit, table) -> Algebra:
     """Validated algebra from an explicit table; rejects bad data with the
-    offending triple named in the error."""
-    tbl = tuple(tuple(tuple(field.of(c) for c in cell) for cell in row) for row in table)
-    return Algebra(name, field, tuple(basis_names), tuple(field.of(c) for c in unit), tbl)
+    offending unit, product or triple named in the error."""
+    names = tuple(basis_names)
+    label = dict(enumerate(names))
+
+    def of(values, what: str) -> tuple:
+        try:
+            return tuple(field.of(c) for c in values)
+        except ZeroDivisionError as e:
+            raise AlgebraError(f"{what}: {e}") from None
+
+    unit = of(unit, "unit")
+    tbl = tuple(tuple(of(cell, f"product {label.get(i, i)}*{label.get(j, j)}")
+                      for j, cell in enumerate(row)) for i, row in enumerate(table))
+    return Algebra(name, field, names, unit, tbl)

@@ -125,6 +125,14 @@ def _parse_rational(tok: str, where: str) -> Fraction:
         raise CliInputError(f"{where}: expected a rational number, got {tok!r}") from None
 
 
+def _in_field(values: list, field: Field, where: str) -> list:
+    """``values`` as elements of ``field``, refusing a denominator that vanishes there."""
+    try:
+        return [field.of(v) for v in values]
+    except ZeroDivisionError as e:
+        raise CliInputError(f"{where}: {e}") from None
+
+
 def _parse_vector(src: str, where: str) -> list[Fraction]:
     body = src.strip()
     if body.startswith("[") and body.endswith("]"):
@@ -202,7 +210,7 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
     if len(index) < len(basis):
         twice = next(b for b in basis if basis.count(b) > 1)
         raise CliInputError(f"{where}: basis name {twice!r} given more than once")
-    unit = _parse_vector(given["unit"], where)
+    unit = _in_field(_parse_vector(given["unit"], where), field, f"{where}: unit")
     if len(unit) != len(basis):
         raise CliInputError(f"{where}: unit length differs from basis length")
     d = len(basis)
@@ -226,7 +234,8 @@ def parse_algebra_file(path: str, field: Field) -> Algebra:
             if table[i][j] is not None:
                 raise CliInputError(f"{path}:{no}: product {basis[i]}*{basis[j]} "
                                     "given more than once")
-            table[i][j] = _parse_combo(rhs, index, f"{path}:{no}")
+            table[i][j] = _in_field(_parse_combo(rhs, index, f"{path}:{no}"), field,
+                                    f"{path}:{no}: product {basis[i]}*{basis[j]}")
     missing = [(i, j) for i in range(d) for j in range(d) if table[i][j] is None]
     if missing:
         i, j = missing[0]
@@ -284,7 +293,8 @@ def parse_module_file(path: str, alg: Algebra) -> Multimodule:
                 bidx = alg.basis_index(bname)
             except AlgebraError as e:
                 raise CliInputError(f"{path}:{no}: {e}") from None
-            rows = _parse_matrix_literal(op[2], f"{path}:{no}")
+            rows = [_in_field(row, alg.field, f"{path}:{no}: op({bname})")
+                    for row in _parse_matrix_literal(op[2], f"{path}:{no}")]
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise CliInputError(f"{path}:{no}: operator must be {dim}x{dim}")
             if bidx in ops:

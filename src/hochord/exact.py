@@ -11,11 +11,11 @@ equality of field elements.  That is the one format from assembly to
 elimination: the functor kernel writes a differential's rows, products form
 one row at a time (``product_row``), and elimination reads the rows as they
 are stored (Dumas, Saunders and Villard eliminate on the same sparse rows).
-``entries`` derives the ``(row, col) -> scalar`` view on demand, and
-``by_row`` groups an entry dict that the library built into a row table.
-Every other sparse sum is one sparse linear combination, ``combine``: matrix
-sums, scalings and matrix-vector products, algebra products and module
-operators and their checks.
+An entry dict ``{(row, col): scalar}`` is only the validating constructor's
+input and the read-only ``entries`` view.  ``table_sum`` (one ``combine`` per
+row) and ``table_product`` (one ``product_row`` per row) form matrix sums,
+scalings and products, module operators and their checks; ``combine`` also
+forms algebra products, matrix-vector products and the classical complex.
 
 Rank, kernel and solving share one sparse elimination kernel, ``_echelon``.
 Rows are ``{col: int}`` dicts: residues over F_p, and over Q integer
@@ -266,18 +266,12 @@ class Matrix:
         self._compat(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        f, a, b = self.field, self.table, other.table
-        return Matrix._trusted(self.rows, self.cols, f, {
-            r: row for r in dict.fromkeys([*a, *b])
-            if (row := combine(f, ((1, a.get(r, {}).items()),
-                                   (sign, b.get(r, {}).items()))))})
+        return Matrix._trusted(self.rows, self.cols, self.field,
+                               table_sum(self.field, ((1, self.table), (sign, other.table))))
 
     def scale(self, s) -> "Matrix":
         f = self.field
-        s = f.of(s)
-        return Matrix._trusted(self.rows, self.cols, f, {
-            r: out for r, row in self.table.items()
-            if (out := combine(f, ((s, row.items()),)))})
+        return Matrix._trusted(self.rows, self.cols, f, table_sum(f, ((f.of(s), self.table),)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -304,9 +298,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     a._compat(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    f, b_rows = a.field, b.table
-    return Matrix._trusted(a.rows, b.cols, f, {
-        r: out for r, row in a.table.items() if (out := product_row(f, row, b_rows))})
+    return Matrix._trusted(a.rows, b.cols, a.field, table_product(a.field, a.table, b.table))
 
 
 def combine(f: Field, terms) -> dict:
@@ -351,19 +343,19 @@ def product_row(f: Field, row: dict, table: dict) -> dict:
     return out
 
 
-def by_row(entries: dict) -> dict:
-    """The row table ``{row: {col: value}}`` of a ``{(row, col): value}``
-    entry dict, rows and columns in the dict's order."""
-    out: dict = {}
-    for (r, c), v in entries.items():
-        out.setdefault(r, {})[c] = v
-    return out
+def table_sum(f: Field, terms) -> dict:
+    """The row table of ``sum c * t`` over the ``(c, t)`` terms, each ``t`` a
+    row table: one ``combine`` per row, rows in order of first appearance,
+    and no empty row left."""
+    terms = list(terms)
+    return {r: out for r in dict.fromkeys(r for _, t in terms for r in t)
+            if (out := combine(f, ((c, t[r].items()) for c, t in terms if r in t)))}
 
 
-def product_entries(f: Field, a: dict, b_rows: dict) -> dict:
-    """Entries of the product of an entry dict and a row table."""
-    return combine(f, ((va, [((r, c), vb) for c, vb in b_rows.get(k, {}).items()])
-                       for (r, k), va in a.items()))
+def table_product(f: Field, a: dict, b: dict) -> dict:
+    """The row table of the product of the row tables ``a`` and ``b``: one
+    ``product_row`` per row of ``a``, and no empty row left."""
+    return {r: out for r, row in a.items() if (out := product_row(f, row, b))}
 
 
 def _primitive(row: dict) -> dict:
@@ -493,7 +485,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     for pc, row in _reduced(aug):
         if pc >= a.cols:
             raise ValueError("inconsistent linear system")
-        for k, v in row.items():
-            if k >= a.cols:
-                out[(pc, k - a.cols)] = v
-    return Matrix(a.cols, b.cols, a.field, out)
+        if x := {k - a.cols: v for k, v in row.items() if k >= a.cols}:
+            out[pc] = x
+    return Matrix._trusted(a.cols, b.cols, a.field, out)

@@ -40,8 +40,8 @@ from .algebras import Algebra, is_commutative, unit_first
 # ``nullspace`` and ``solve`` have no caller here; they stay bound because
 # hochbench/tracer.py wraps ``hochschild.nullspace``/``hochschild.solve`` (with
 # ``rank`` and the two functor entry points) by name to time these layers.
-from .exact import (Field, Matrix, by_row, combine, nullspace, product_row,  # noqa: F401
-                     rank, solve)
+from .exact import (Field, Matrix, combine, nullspace, product_row, rank,  # noqa: F401
+                     solve)
 from .functors import (PointedMap, _Degeneracies, _write_functor, hom_functor_on_morphism,
                        loday_on_morphism, nondegenerate_tensors, pointed_map)
 from .modules import (LEFT, RIGHT, Multimodule, default_assignment, rebased,
@@ -558,13 +558,13 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
     """
     if variant not in (CHAIN, COCHAIN):
         raise ComplexError(f"unknown variant {variant!r}")
-    left = [op.entries for op in module.action(_find_tagged_action(module, LEFT)).operators]
-    right = [op.entries for op in module.action(_find_tagged_action(module, RIGHT)).operators]
+    left = [op.table for op in module.action(_find_tagged_action(module, LEFT)).operators]
+    right = [op.table for op in module.action(_find_tagged_action(module, RIGHT)).operators]
     chain = variant == CHAIN
     first, last = (right, left) if chain else (left, right)
     f = alg.field
     da, dm = alg.dim, module.dim
-    identity = {(m, m): f.one() for m in range(dm)}
+    identity = {m: {m: f.one()} for m in range(dm)}
 
     def index(mu, slots):
         # slots[j-1] holds slot j; significance order (mu, slot n, ..., slot 1)
@@ -584,18 +584,18 @@ def classical_complex(alg: Algebra, module: Multimodule, variant: str,
                 outs = [(slots[:i - 1] + (l,) + slots[i + 1:], c)
                         for l, c in enumerate(alg.table[slots[i - 1]][slots[i]]) if c]
             for out, c in outs:
-                for (r, m), v in op.items():
-                    key = ((index(r, out), index(m, slots)) if chain
-                           else (index(r, slots), index(m, out)))
-                    yield key, v * c
+                for r, row in op.items():
+                    for m, v in row.items():
+                        yield ((index(r, out), index(m, slots)) if chain
+                               else (index(r, slots), index(m, out))), v * c
 
     dims = [dm * da ** n for n in range(max_degree + 1)]
     diffs: dict[int, Matrix] = {}
     for n in range(1, max_degree + 1) if chain else range(max_degree):
         k = n if chain else n + 1
         shape = (dims[k - 1], dims[k]) if chain else (dims[k], dims[k - 1])
-        diffs[n] = Matrix._trusted(*shape, f, by_row(combine(
-            f, (((-1) ** i, face(k, i)) for i in range(k + 1)))))
+        diffs[n] = Matrix(*shape, f, combine(
+            f, (((-1) ** i, face(k, i)) for i in range(k + 1))))
     return Complex(variant, f, dims, diffs)
 
 

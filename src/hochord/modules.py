@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import Algebra, is_commutative
-from .exact import Matrix, by_row, combine, product_entries
+from .exact import Matrix, table_product, table_sum
 
 LEFT = "left"
 RIGHT = "right"
@@ -43,8 +43,8 @@ class Action:
         if len(terms) == 1 and terms[0][1] == f.one():
             return self.operators[terms[0][0]]
         dim_m = self.operators[0].rows
-        return Matrix._trusted(dim_m, dim_m, f, by_row(combine(
-            f, ((c, self.operators[i].entries.items()) for i, c in terms))))
+        return Matrix._trusted(dim_m, dim_m, f, table_sum(
+            f, ((c, self.operators[i].table) for i, c in terms)))
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,14 @@ class Multimodule:
 def validate(module: Multimodule) -> list[str]:
     """Exhaustive axiom check; returns a list of violation messages (empty = ok).
 
-    Products are formed on entry dicts, each times an operator's row table,
-    and the operator of ``e_i e_j`` is combined from the algebra's sparse
-    structure constants."""
+    Every check reads the operators' row tables: a composite is one
+    ``table_product``, and the operator of ``e_i e_j`` is one ``table_sum``
+    over the algebra's sparse structure constants."""
     alg = module.algebra
     f = alg.field
     d = alg.dim
     problems = [f"module dimension {module.dim} is negative"] if module.dim < 0 else []
-    ident = {(r, r): f.one() for r in range(module.dim)}
+    ident = {r: {r: f.one()} for r in range(module.dim)}
     unit = [(l, u) for l, u in enumerate(map(f.of, alg.unit)) if u]
     rows = {}  # well-formed action -> each operator's row table
     for name, act in sorted(module.actions.items()):
@@ -98,16 +98,16 @@ def validate(module: Multimodule) -> list[str]:
         if malformed:
             problems.append(f"action {name!r}: {malformed}")
             continue
-        ops = [op.entries for op in act.operators]
-        if combine(f, ((c, ops[l].items()) for l, c in unit)) != ident:
+        ops = rows[name]
+        if table_sum(f, ((c, ops[l]) for l, c in unit)) != ident:
             problems.append(f"action {name!r}: not unital")
         # operator of e_i e_j, read from the structure constants; the left
         # law at (i, j) and the right law at (j, i) share it
-        product_ops = [[combine(f, ((c, ops[l].items()) for l, c in alg.sparse[i][j]))
+        product_ops = [[table_sum(f, ((c, ops[l]) for l, c in alg.sparse[i][j]))
                         for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(d):
-                comp = product_entries(f, ops[i], rows[name][j])
+                comp = table_product(f, ops[i], ops[j])
                 if act.tag in (LEFT, LR) and comp != product_ops[i][j]:
                     problems.append(
                         f"action {name!r}: left law fails at basis pair ({i},{j})")
@@ -119,12 +119,10 @@ def validate(module: Multimodule) -> list[str]:
     names = sorted(rows)
     for x in range(len(names)):
         for y in range(x + 1, len(names)):
-            a, b = ([op.entries for op in module.actions[name].operators]
-                    for name in (names[x], names[y]))
+            a, b = rows[names[x]], rows[names[y]]
             for i in range(d):
                 for j in range(d):
-                    if (product_entries(f, a[i], rows[names[y]][j])
-                            != product_entries(f, b[j], rows[names[x]][i])):
+                    if table_product(f, a[i], b[j]) != table_product(f, b[j], a[i]):
                         problems.append(
                             f"actions {names[x]!r} and {names[y]!r} do not commute "
                             f"at basis pair ({i},{j})")
@@ -186,14 +184,10 @@ def tensor_square_bimodule(alg: Algebra) -> Multimodule:
     dim_m = d * d
 
     def op(mat: Matrix, factor: int) -> Matrix:
-        entries = {}
-        for (r, c), v in mat.entries.items():
-            for other in range(d):
-                if factor == 0:
-                    entries[(r * d + other, c * d + other)] = v
-                else:
-                    entries[(other * d + r, other * d + c)] = v
-        return Matrix(dim_m, dim_m, f, entries)
+        at = (lambda k, o: k * d + o) if factor == 0 else (lambda k, o: o * d + k)
+        return Matrix._trusted(dim_m, dim_m, f, {
+            at(r, o): {at(c, o): v for c, v in row.items()}
+            for r, row in mat.table.items() for o in range(d)})
 
     left, right = _mult_operators(alg, True), _mult_operators(alg, False)
     actions = {}

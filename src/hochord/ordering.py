@@ -720,8 +720,9 @@ def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
     once, (sigma, j) ~ (sigma, i); (ii) one at once, the other one level
     down, (sigma, j) ~ (d_i sigma, j - 1); (iii) both one level down,
     (d_j sigma, i) ~ (d_i sigma, j - 1); (iv) the other at once,
-    (d_j sigma, i) ~ (sigma, i).  (ii) and (iv) also run with the
-    non-basepoint face on the other side of the basepoint one."""
+    (d_j sigma, i) ~ (sigma, i).  (ii) and (iv) are one loop: a basepoint
+    face a and a non-basepoint face b, on either side of a, join (sigma, a)
+    with (d_b sigma, m) for m in (a - 1, a), wherever that is a site."""
     parent: dict[_IndexSite, _IndexSite] = {}
 
     def find(s):
@@ -757,16 +758,12 @@ def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
             for a in range(len(hit)):
                 for b in range(a + 1, len(hit)):
                     union((n, sigma, hit[a]), (n, sigma, hit[b]))
-            # (ii): the site transports along any non-basepoint face
-            for j in range(1, n + 1):
-                if not star[j]:
-                    continue
-                for i in range(n + 1):
-                    if i == j or star[i]:
-                        continue
-                    omega = faces[i]
-                    if below[j - 1][omega] == 0:
-                        union((n, sigma, j), (n - 1, omega, j - 1))
+            # (ii) and (iv): the site moves along any non-basepoint face
+            for a in hit:
+                for omega in [w for w in faces if w]:
+                    for m in (a - 1, a):
+                        if 0 <= m < n and below[m][omega] == 0:
+                            union((n, sigma, a), (n - 1, omega, m))
             # (iii): two faces of a common simplex identify their sites
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
@@ -775,16 +772,6 @@ def _union_sites(X: SimplicialSet, cutoff: int) -> list[tuple[_IndexSite, ...]]:
                         continue
                     if below[i][omega] == 0 and below[j - 1][mu] == 0:
                         union((n - 1, omega, i), (n - 1, mu, j - 1))
-            # (iv): same face index one level down
-            for i in range(n + 1):
-                if not star[i]:
-                    continue
-                for j in range(n + 1):
-                    if j == i or star[j]:
-                        continue
-                    omega = faces[j]
-                    if i <= n - 1 and below[i][omega] == 0:
-                        union((n, sigma, i), (n - 1, omega, i))
 
     groups: dict[_IndexSite, list[_IndexSite]] = {}
     for s in sites:

@@ -210,6 +210,22 @@ def test_custom_algebra_refuses_a_short_table_or_row():
         custom_algebra("x", QQ, ["a"], [1], one)
 
 
+def test_custom_algebra_names_a_constant_that_does_not_exist_in_its_field():
+    """A denominator divisible by p is an AlgebraError over F(p) that names
+    the product or the unit; over Q the same data is an algebra."""
+    half_square = [[[1, 0], [0, 1]], [[0, 1], ["1/2", 0]]]
+    third_unit = [[[3, 0], [0, 3]], [[0, 3], [0, 0]]]
+    assert custom_algebra("h", QQ, ["one", "x"], [1, 0], half_square).dim == 2
+    assert custom_algebra("t", QQ, ["one", "x"], ["1/3", 0], third_unit).dim == 2
+    with pytest.raises(AlgebraError, match=r"^product x\*x: denominator of 1/2 vanishes mod 2$"):
+        custom_algebra("h", Field(2), ["one", "x"], [1, 0], half_square)
+    with pytest.raises(AlgebraError, match=r"^unit: denominator of 1/3 vanishes mod 3$"):
+        custom_algebra("t", Field(3), ["one", "x"], ["1/3", 0], third_unit)
+    # a product outside a short basis is named by its position
+    with pytest.raises(AlgebraError, match=r"^product 1\*a: denominator"):
+        custom_algebra("x", Field(2), ["a"], [1], [[[1]], [["1/2"]]])
+
+
 def test_custom_algebra_refuses_a_repeated_basis_name():
     # the dual numbers' table, which passes every axiom, under the names x, x
     table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]

@@ -418,6 +418,32 @@ def test_a_malformed_input_file_is_refused_at_its_line(tmp_path, kind, text, lin
     assert run_cli(args) == (1, "", f"error: {where}: {message}\n")
 
 
+HALF_SQUARE = ("algebra custom basis=[one, x] unit=[1, 0]\ntable:\n"
+               "one*one = one; one*x = x\nx*one = x\nx*x = 1/2 one\n")
+THIRD_UNIT = ("algebra custom basis=[one, x] unit=[1/3, 0]\ntable:\n"
+              "one*one = 3 one; one*x = 3 x\nx*one = 3 x\nx*x = 0\n")
+HALF_OP = "module custom dim=1\naction a tag=lr\nop(1) = [[1]]\nop(x) = [[1/2]]\n"
+
+
+@pytest.mark.parametrize("kind, text, field, line, message", [
+    ("alg", HALF_SQUARE, "F(2)", 5, "product x*x: denominator of 1/2 vanishes mod 2"),
+    ("alg", HALF_SQUARE.replace("unit=[1, 0]", "unit=[1, 0] field=F(2)"), None, 5,
+     "product x*x: denominator of 1/2 vanishes mod 2"),
+    ("alg", THIRD_UNIT, "F(3)", 1, "unit: denominator of 1/3 vanishes mod 3"),
+    ("mod", HALF_OP, "F(2)", 4, "op(x): denominator of 1/2 vanishes mod 2"),
+], ids=["alg-product-option", "alg-product-header", "alg-unit", "mod-op"])
+def test_a_denominator_that_vanishes_in_the_field_is_refused_at_its_line(
+        tmp_path, kind, text, field, line, message):
+    p = tmp_path / f"half.{kind}"
+    p.write_text(text)
+    args = (["homology", "circle", "--algebra", str(p)] if kind == "alg" else
+            ["homology", "circle", "--algebra", "trunc-poly 2", "--module", str(p)])
+    assert run_cli(args + (["--field", field] if field else [])) == (
+        1, "", f"error: {p}:{line}: {message}\n")
+    if kind == "alg" and field:  # over Q the file is an algebra
+        assert run_cli(args + ["--max-degree", "1"])[0] == 0
+
+
 @pytest.mark.parametrize("args, message", [
     (["homology", "circle", "--algebra", ""], "empty algebra specification"),
     (["homology", "circle", "--algebra", "trunc-poly 2", "--module", ""],

@@ -16,7 +16,8 @@ import pytest
 
 from hochord import exact
 from hochord.algebras import custom_algebra, trunc_poly, upper_tri
-from hochord.exact import Field, Matrix, QQ, by_row, mat_mul, nullspace, rank, solve
+from hochord.exact import (Field, Matrix, QQ, mat_mul, nullspace, rank, solve, table_product,
+                           table_sum)
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, OrderingRefusal, build_complex,
                                 make_spec)
 from hochord.modules import regular_bimodule, tensor_square_bimodule
@@ -419,7 +420,7 @@ def _loop_add(a, b):
             e.pop(k, None)
         else:
             e[k] = s
-    return Matrix._trusted(a.rows, a.cols, f, by_row(e))
+    return Matrix(a.rows, a.cols, f, e)
 
 
 def _loop_scale(a, s):
@@ -445,7 +446,7 @@ def _loop_mat_mul(a, b):
                 out.pop(key, None)
             else:
                 out[key] = s
-    return Matrix._trusted(a.rows, b.cols, f, by_row(out))
+    return Matrix(a.rows, b.cols, f, out)
 
 
 def _loop_matvec(a, vec):
@@ -520,12 +521,12 @@ def test_matrix_arithmetic_on_empty_matrices():
 
 
 # ---------------------------------------------------------------------------
-# elimination reads ``by_row``'s rows in entry order, against the sorted rows
+# elimination reads the row table's rows as stored, against the sorted rows
 
 def _sorted_sparse_rows(m):
-    """The row conversion elimination read before ``by_row`` was its only
-    row grouping: every entry sorted and grouped again, and every row over Q
-    scaled by the lcm of its denominators."""
+    """The row conversion elimination read before it read the row table as
+    stored: every entry sorted and grouped again, and every row over Q scaled
+    by the lcm of its denominators."""
     rows = {}
     for (r, c), v in sorted(m.entries.items()):
         rows.setdefault(r, {})[c] = v
@@ -647,3 +648,57 @@ def test_kernel_results_do_not_depend_on_entry_order(field, fractions):
             items.reverse()
         shuffled = Matrix(a.rows, a.cols, field, dict(items))
         assert _kernel_results(shuffled, b) == _kernel_results(a, b)
+
+
+# ---------------------------------------------------------------------------
+# row-table sums and products against the entry-dict forms they replaced
+
+def _by_row(entries):
+    """The row table of a ``{(row, col): value}`` entry dict, rows and columns
+    in the dict's order."""
+    out = {}
+    for (r, c), v in entries.items():
+        out.setdefault(r, {})[c] = v
+    return out
+
+
+def _product_entries(f, a, b_rows):
+    """Entries of the product of an entry dict and a row table."""
+    return exact.combine(f, ((va, [((r, c), vb) for c, vb in b_rows.get(k, {}).items()])
+                             for (r, k), va in a.items()))
+
+
+def _entries(table):
+    return {(r, c): v for r, row in table.items() for c, v in row.items()}
+
+
+def _typed_table(table):
+    assert all(table.values()), "empty row left in the table"
+    return sorted((r, c, type(v).__name__, v) for r, row in table.items()
+                  for c, v in row.items())
+
+
+@pytest.mark.parametrize("field, fractions", ARITH_FIELDS,
+                         ids=["Q-ints", "Q-fractions", "F(101)"])
+def test_table_sum_and_product_agree_with_the_entry_dict_oracles(field, fractions):
+    rng = random.Random(110 + (field.p or 0) + fractions)
+    scalars = [0, 1, -1, 2, Fraction(3, 7) if fractions else 5]
+    cancelled = 0
+    for a, b in _sparse_cases(field, fractions):
+        a, b, at = a.table, b.table, a.transpose().table
+        # the negated copies of about half of a's rows cancel them whole
+        neg = {r: {c: field.neg(v) for c, v in row.items()}
+               for r, row in a.items() if rng.random() < 0.5}
+        s, t = (field.of(rng.choice(scalars)) for _ in range(2))
+        for terms in ([], [(1, a)], [(1, a), (1, neg)], [(s, a), (t, b), (field.neg(s), a)],
+                      [(s, neg), (t, b), (1, a), (s, a)], [(0, a), (s, {})]):
+            got = table_sum(field, iter(terms))
+            want = _by_row(exact.combine(field, ((c, _entries(x).items()) for c, x in terms)))
+            assert _typed_table(got) == _typed_table(want)
+        whole = table_sum(field, [(1, a), (1, neg)])
+        assert whole.keys() == a.keys() - neg.keys()
+        cancelled += bool(neg)
+        for x, y in ((a, at), (at, a), (at, b), (a, {}), ({}, b)):
+            got = table_product(field, x, y)
+            assert _typed_table(got) == _typed_table(_by_row(_product_entries(field, _entries(x), y)))
+    assert cancelled > 50

@@ -456,6 +456,31 @@ def test_kernel_refuses_a_basepoint_member_without_action(kernel):
         kernel(a, m, phi, None)
 
 
+def _refuse_multiply(monkeypatch):
+    """Make ``algebras.multiply`` fail: the build path tabulates products
+    from the sparse structure constants and never calls it."""
+    def refused(*args):
+        raise AssertionError("algebras.multiply called on the build path")
+
+    monkeypatch.setattr(algebras, "multiply", refused)
+
+
+def _spy_tabulation(monkeypatch):
+    """A list that receives ``(algebra, length)`` for every fiber-product
+    length an algebra tabulates."""
+    tabulated = []
+    real = algebras.Algebra.fiber_products
+
+    def spy(self, lengths):
+        before = len(self._products)
+        out = real(self, lengths)
+        tabulated.extend((self, n) for n in range(before, len(self._products)))
+        return out
+
+    monkeypatch.setattr(algebras.Algebra, "fiber_products", spy)
+    return tabulated
+
+
 def test_products_are_tabulated_once_per_fiber_length(monkeypatch):
     # d_1 at level 4 of wedge2 has two fibers of length 2 and four of length 1
     X = wedge_of_circles(2)
@@ -465,52 +490,47 @@ def test_products_are_tabulated_once_per_fiber_length(monkeypatch):
     phi, actions = face_pointed_map(X, 4, 1, spec.assignment, actions_at)
     lengths = [len(phi.fiber(i)) for i in range(1, phi.n + 1)]
     assert sorted(lengths) == [1, 1, 1, 1, 2, 2]
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return multiply(*args)
-
-    monkeypatch.setattr(algebras, "multiply", counted)
+    _refuse_multiply(monkeypatch)
+    tabulated = _spy_tabulation(monkeypatch)
     loday_on_morphism(alg, spec.module, phi, actions)
-    assert 0 < calls[0] <= sum(length * alg.dim ** length for length in set(lengths))
+    assert tabulated == [(alg, 1), (alg, 2)]
     # the products live on the algebra: another face map with no longer
-    # fiber, in either functor, reads them and multiplies nothing
-    calls[0] = 0
+    # fiber, in either functor, reads them and tabulates nothing
+    stored = alg._products
     psi, psi_actions = face_pointed_map(X, 4, 2, spec.assignment, actions_at)
     assert max(len(psi.fiber(i)) for i in range(1, psi.n + 1)) <= 2
     loday_on_morphism(alg, spec.module, psi, psi_actions)
     hom_functor_on_morphism(alg, spec.module, phi, actions)
-    assert calls[0] == 0
+    assert len(tabulated) == 2 and alg._products is stored
     # the unit-first copy is another algebra and tabulates its own products
-    stored = alg._products
     alg1, basis = unit_first(alg)
     loday_on_morphism(alg1, rebased(spec.module, alg1, basis), phi, actions)
-    assert calls[0] > 0 and alg._products is stored
-    assert len(alg1._products) == len(stored) == 3
+    assert [a is alg1 for a, _ in tabulated[2:]] == [True, True]
+    assert alg._products is stored and len(alg1._products) == len(stored) == 3
 
 
 def test_stored_products_are_tuples_and_leave_equality_alone():
     alg, twin = upper_tri(2), upper_tri(2)
     products = alg.fiber_products({2})
-    assert type(alg._products) is tuple
-    for vectors, pairs in alg._products:
-        assert type(vectors) is tuple and all(type(v) is tuple for v in vectors)
+    assert type(alg._products) is tuple and len(alg._products) == 3
+    for pairs in alg._products:
         assert type(pairs) is tuple and all(type(p) is tuple for p in pairs)
-    assert products[2] is alg._products[2][1]
+        assert all(type(kv) is tuple and len(kv) == 2 for p in pairs for kv in p)
+    assert products[2] is alg._products[2]
     # a longer length extends the table; the shorter ones are kept as they were
     first = alg._products
     alg.fiber_products({3})
     assert alg._products[:3] == first and len(alg._products) == 4
-    assert not twin._products
+    # a fresh algebra holds the unit's pairs alone
+    assert twin._products == ((((0, 1), (2, 1)),),)
     assert alg == twin and hash(alg) == hash(twin)
     spec = make_spec(BUILTIN_SETS["circle"](), twin, regular_bimodule(alg), CHAIN, 2)
     assert spec.algebra is twin
 
 
 def _oracle_fiber_products(alg, lengths):
-    """The ordered fiber products tabulated afresh, as before they were kept
-    on the algebra."""
+    """The ordered fiber products tabulated afresh with ``multiply`` on dense
+    vectors, as before they were kept on the algebra."""
     f = alg.field
     basis = [alg.basis_vector(c) for c in range(alg.dim)]
     vecs = [alg.unit]
@@ -521,38 +541,37 @@ def _oracle_fiber_products(alg, lengths):
         elif length:
             vecs = [multiply(alg, e, v) if any(v) else v for v in vecs for e in basis]
         if length in lengths:
-            table[length] = [[(k, v) for k, v in enumerate(vec) if v != f.zero()]
-                             for vec in vecs]
+            table[length] = tuple(tuple((k, v) for k, v in enumerate(vec) if v != f.zero())
+                                  for vec in vecs)
     return table
 
 
 @pytest.mark.parametrize("field", [Field(), Field(101)], ids=["Q", "F101"])
 def test_stored_fiber_products_agree_with_the_oracle(field, oracle_algebras):
-    for alg in oracle_algebras(field):
-        top = 3 if alg.dim <= 4 else 2
-        for lengths in ({2}, {0, top}, {1}, set(range(top + 1))):
+    algs = oracle_algebras(field)
+    assert len(algs) > 9  # the unit-first copies are included
+    for alg in algs:
+        want = _oracle_fiber_products(alg, set(range(6)))
+        for lengths in ({2}, {0, 5}, {1}, set(range(6))):
             got = alg.fiber_products(lengths)
-            want = _oracle_fiber_products(alg, lengths)
-            assert {k: [list(p) for p in v] for k, v in got.items()} == want, alg.name
+            # the same tuples in the same order, with the same scalar types
+            assert got == {n: want[n] for n in lengths}, alg.name
+            assert repr(got) == repr({n: want[n] for n in sorted(lengths)}), alg.name
 
 
-def test_normalized_cli_jobs_multiply_little(monkeypatch):
-    """The four jobs of the benchmark's ``normalized`` workload multiply in
-    the algebra only to tabulate fiber products, once per algebra (502
-    calls when every check and face map multiplied afresh)."""
+def test_normalized_cli_jobs_never_multiply(monkeypatch):
+    """The four jobs of the benchmark's ``normalized`` workload tabulate each
+    fiber-product length once per algebra, and never call ``multiply``."""
     from hochord import cli
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return multiply(*args)
-
-    monkeypatch.setattr(algebras, "multiply", counted)
-    for cmd, X, alg in (("homology", "sphere2", "trunc-poly 2"),
-                        ("cohomology", "wedge2", "trunc-poly 2"),
-                        ("homology", "circle", "upper-tri 2"),
-                        ("cohomology", "circle", "upper-tri 2")):
+    _refuse_multiply(monkeypatch)
+    tabulated = _spy_tabulation(monkeypatch)
+    for job, (cmd, X, alg) in enumerate((("homology", "sphere2", "trunc-poly 2"),
+                                         ("cohomology", "wedge2", "trunc-poly 2"),
+                                         ("homology", "circle", "upper-tri 2"),
+                                         ("cohomology", "circle", "upper-tri 2"))):
+        start = len(tabulated)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([cmd, X, "--algebra", alg, "--max-degree", "4",
                              "--normalized", "--json"]) == 0
-    assert 0 < calls[0] <= 60
+        job_lengths = tabulated[start:]
+        assert job_lengths and len(set(job_lengths)) == len(job_lengths), job

@@ -5,7 +5,7 @@ import pytest
 
 from hochord.algebras import (commutator_span_dim, center, custom_algebra,
                               cyclic_group_algebra, multiply, trunc_poly, upper_tri)
-from hochord.exact import Field, Matrix, QQ, by_row, nullspace, rank
+from hochord.exact import Field, Matrix, QQ, nullspace, rank
 from hochord.functors import hom_functor_on_morphism, loday_on_morphism, pointed_map
 from hochord.hochschild import (CHAIN, COCHAIN, ComplexError, ComplexSpec,
                                 OrderingRefusal, _Assembler, _missed_slots,
@@ -491,7 +491,7 @@ def _accumulated_differential(asm, n, face_matrix=None):
                 entries[k] = s
             else:
                 del entries[k]
-    return Matrix._trusted(asm.degree_dim(row_deg), asm.degree_dim(col_deg), f, by_row(entries))
+    return Matrix(asm.degree_dim(row_deg), asm.degree_dim(col_deg), f, entries)
 
 
 def _assembler(spec):
