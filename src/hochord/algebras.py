@@ -226,9 +226,13 @@ def _require_table_size(name: str, dim: int) -> None:
 
 
 def _build(name, field, basis_names, unit_coeffs, prod) -> Algebra:
+    """The algebra whose product ``e_i e_j`` is the basis element of index
+    ``prod(i, j)``, or zero where that is None."""
     d = len(basis_names)
-    table = tuple(tuple(tuple(field.of(c) for c in prod(i, j)) for j in range(d))
-                  for i in range(d))
+    zero, one = field.of(0), field.of(1)
+    one_hot = [tuple(one if l == k else zero for l in range(d)) for k in range(d)]
+    table = tuple(tuple((zero,) * d if (k := prod(i, j)) is None else one_hot[k]
+                        for j in range(d)) for i in range(d))
     unit = tuple(field.of(c) for c in unit_coeffs)
     return Algebra(name, field, tuple(basis_names), unit, table)
 
@@ -239,14 +243,8 @@ def trunc_poly(n: int, field: Field = QQ) -> Algebra:
         raise AlgebraError("trunc_poly needs n >= 1")
     _require_table_size(f"trunc-poly {n}", n)
     names = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, n)]
-
-    def prod(i, j):
-        out = [0] * n
-        if i + j < n:
-            out[i + j] = 1
-        return out
-
-    return _build(f"trunc-poly {n}", field, names, [1] + [0] * (n - 1), prod)
+    return _build(f"trunc-poly {n}", field, names, [1] + [0] * (n - 1),
+                  lambda i, j: i + j if i + j < n else None)
 
 
 def upper_tri(n: int, field: Field = QQ) -> Algebra:
@@ -274,10 +272,7 @@ def _matrix_units(name: str, field: Field, pairs) -> Algebra:
 
     def prod(a, b):
         (i, j), (k, l) = pairs[a], pairs[b]
-        out = [0] * len(pairs)
-        if j == k:
-            out[idx[(i, l)]] = 1
-        return out
+        return idx[i, l] if j == k else None
 
     unit = [1 if i == j else 0 for (i, j) in pairs]
     return _build(name, field, [f"e{i}{j}" for (i, j) in pairs], unit, prod)
@@ -289,13 +284,7 @@ def cyclic_group_algebra(n: int, field: Field = QQ) -> Algebra:
         raise AlgebraError("cyclic_group_algebra needs n >= 1")
     _require_table_size(f"group C{n}", n)
     names = [f"g^{k}" if k > 1 else ("g" if k == 1 else "1") for k in range(n)]
-
-    def prod(i, j):
-        out = [0] * n
-        out[(i + j) % n] = 1
-        return out
-
-    return _build(f"group C{n}", field, names, [1] + [0] * (n - 1), prod)
+    return _build(f"group C{n}", field, names, [1] + [0] * (n - 1), lambda i, j: (i + j) % n)
 
 
 def symmetric_group_algebra_s3(field: Field = QQ) -> Algebra:
@@ -303,19 +292,11 @@ def symmetric_group_algebra_s3(field: Field = QQ) -> Algebra:
     perms = sorted(permutations((1, 2, 3)))
     idx = {p: k for k, p in enumerate(perms)}
     names = ["".join(map(str, p)) for p in perms]
-
-    def compose(p, q):
-        # (p*q)(i) = p(q(i)), permutations as images of (1,2,3)
-        return tuple(p[q[i] - 1] for i in range(3))
-
-    def prod(i, j):
-        out = [0] * 6
-        out[idx[compose(perms[i], perms[j])]] = 1
-        return out
-
     unit = [0] * 6
     unit[idx[(1, 2, 3)]] = 1
-    return _build("group S3", field, names, unit, prod)
+    # (p*q)(i) = p(q(i)), permutations as images of (1,2,3)
+    return _build("group S3", field, names, unit,
+                  lambda i, j: idx[tuple(perms[i][q - 1] for q in perms[j])])
 
 
 def custom_algebra(name: str, field: Field, basis_names, unit, table) -> Algebra:

@@ -203,8 +203,7 @@ def dual_module(module: Multimodule) -> Multimodule:
     Transposing flips the composition law, so the result is again a valid
     multimodule; it is the coefficient module of the dual complex.
     """
-    mirror = {LEFT: RIGHT, RIGHT: LEFT, LR: LR}
-    actions = {name + "*": Action(mirror[a.tag], tuple(op.transpose() for op in a.operators))
+    actions = {name + "*": Action(_MIRROR_TYPE[a.tag], tuple(op.transpose() for op in a.operators))
                for name, a in module.actions.items()}
     return _validated(Multimodule(module.name + "-dual", module.algebra, module.dim, actions))
 

@@ -318,6 +318,12 @@ def _adjacent_routes(n: int):
             yield (j, i), ((i, j - 1),)
 
 
+def _fiber_levels(X: SimplicialSet, cutoff: int) -> list[int]:
+    """The levels 2 to ``cutoff`` that can hold a fiber of two kept members,
+    two non-basepoint simplices over one target: those of three or more."""
+    return [n for n in range(2, cutoff + 1) if len(X.level(n)) > 2]
+
+
 def _assignment_witness(X, n, target, fiber, steps_a, steps_b, order_a, order_b) -> Witness:
     """The witness of two induced orders (level indices) that disagree."""
     refs = X.level(n)
@@ -347,7 +353,7 @@ def _first_violation(X: SimplicialSet, assignment: OrderingAssignment, cutoff: i
     require_own_set(X, assignment)
     if cutoff > assignment.cutoff:
         raise OrderingError("assignment cutoff too small for the requested check")
-    for n in range(2, cutoff + 1):
+    for n in _fiber_levels(X, cutoff):
         members = range(len(X.level(n)))
         for base, others in routes(n):
             # every image but the basepoint's 0 is kept, and 0 is one of them
@@ -468,7 +474,7 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
 
     # a link is kept under its two relations, not their reverses: ``holds`` reads those reversed
     links: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for n in range(2, cutoff + 1):
+    for n in _fiber_levels(X, cutoff):
         for steps_a, (steps_b,) in _adjacent_routes(n):
             for target, fiber in X.route_fibers(n, steps_a):
                 for x, y in combinations(fiber, 2):
@@ -551,7 +557,7 @@ def search_nncmo(X: SimplicialSet, cutoff: int, node_limit: int = 500_000) -> Nn
         return NncmoResult("admits", assignment, nodes=nodes)
 
     # unsatisfiable: certify with a single locally-contradictory fiber
-    for n in range(2, cutoff + 1):
+    for n in _fiber_levels(X, cutoff):
         for steps_a, (steps_b,) in _adjacent_routes(n):
             for target, fiber in X.route_fibers(n, steps_a):
                 if len(fiber) > 7:
@@ -873,16 +879,15 @@ def _type_level(X, assignment, site_class, evidence, n):
     death are one adjacent identity, at a level no higher than n.
     """
     table, below, fibs = X.face_table(n), X.face_table(n - 1), X.face_fibers(n)
-    for j in range(1, n + 1):
-        for i in range(j):
-            for first, second, other in ((j, i, i), (i, j - 1, j)):
-                rank, kill, split = assignment.ranks(n, first), below[second], table[other]
-                for target, members in fibs[first]:
-                    if len(members) < 2 or kill[target]:
-                        continue
-                    g = site_class[n - 1][second][target]
-                    for s, l in combinations(sorted(members, key=rank.__getitem__), 2):
-                        if not split[l] and split[s]:
-                            evidence[g].add("left")
-                        elif not split[s] and split[l]:
-                            evidence[g].add("right")
+    for word, (twin,) in _adjacent_routes(n):
+        for (first, second), (other, _) in ((word, twin), (twin, word)):
+            rank, kill, split = assignment.ranks(n, first), below[second], table[other]
+            for target, members in fibs[first]:
+                if len(members) < 2 or kill[target]:
+                    continue
+                g = site_class[n - 1][second][target]
+                for s, l in combinations(sorted(members, key=rank.__getitem__), 2):
+                    if not split[l] and split[s]:
+                        evidence[g].add("left")
+                    elif not split[s] and split[l]:
+                        evidence[g].add("right")

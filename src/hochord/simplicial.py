@@ -16,32 +16,32 @@ Everything above the face maps works on level indices: ``index(n)`` maps a
 level-n ref to its position k in ``level(n)``, and the integer face table
 ``face_table(n)[i][k]`` is the index in ``level(n - 1)`` of
 ``d_i(level(n)[k])`` (``degeneracy_table(n)[j][k]`` likewise for ``s_j``,
-into ``level(n + 1)``).  The tables are built once per set object and level
-on plain ``(base, word)`` tuples, looked up in a tuple-keyed index, so
-building them creates and hashes no ``SimplexRef``.  One face evaluator
-(``_face``) and one degeneracy evaluator (``_degenerate``) serve both the
-tables and the ref-level ``face`` and ``degeneracy``, which wrap them.  The
-basepoint is index 0 at every level, so "d_i hits the basepoint" reads
-``face_table(n)[i][k] == 0``, and a face-table column is a pointed map whose
-fibers ``fibers`` groups.  Those are tabulated per set object too, as
-``(target, members)`` tuples sorted by target: ``face_fibers(n)[i]`` per
-column, ``route_fibers(n, steps)`` per composite.  A composite's images
-(``route_images``) are kept once per level and word, each extending its
-prefix's images by one face-table column.
+into ``level(n + 1)``).  A ``SimplexRef`` is a named tuple, equal to and
+hashed as its plain ``(base, word)`` tuple, so the one index per level looks
+up the plain tuples the tables are built on, once per set object and level.
+One face evaluator (``_face``) and one degeneracy evaluator
+(``_degenerate``) serve both the tables and the ref-level ``face`` and
+``degeneracy``, which wrap them.  The basepoint is index 0 at every level,
+so "d_i hits the basepoint" reads ``face_table(n)[i][k] == 0``, and a
+face-table column is a pointed map whose fibers ``fibers`` groups.  Those
+are tabulated per set object too, as ``(target, members)`` tuples sorted by
+target: ``face_fibers(n)[i]`` per column, ``route_fibers(n, steps)`` per
+composite.  A composite's images (``route_images``) are kept once per level
+and word, each extending its prefix's images by one face-table column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 
 class SimplicialError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SimplexRef:
+class SimplexRef(NamedTuple):
     """A (possibly degenerate) simplex: degeneracy word applied to a base."""
 
     base: int
@@ -111,7 +111,6 @@ class SimplicialSet:
         self._one_positive = sum(s.dim >= 1 for s in self.simplices) == 1
         self._levels: dict[int, tuple[SimplexRef, ...]] = {}
         self._index: dict[int, dict[SimplexRef, int]] = {}
-        self._key_index: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
         self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._face_fibers: dict[int, tuple] = {}
         self._route_images: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
@@ -217,27 +216,20 @@ class SimplicialSet:
         """All level-n simplices: basepoint degeneracy first, then by
         (base id, word) lexicographic order."""
         if n not in self._levels:
-            self._levels[n] = tuple(SimplexRef(*key) for key in self._keys(n))
-        return self._levels[n]
-
-    def _keys(self, n: int) -> dict[tuple[int, tuple[int, ...]], int]:
-        """``(base, word) -> k`` for the k-th simplex of ``level(n)``, in
-        level order: the tuple-keyed index the level tables look up."""
-        if n < 0:
-            raise SimplicialError("negative level")
-        if n not in self._key_index:
+            if n < 0:
+                raise SimplicialError("negative level")
             down = range(n - 1, -1, -1)  # its combinations are decreasing words
-            keys = [(self.basepoint, tuple(down))] + sorted(
-                (b, word) for b, s in enumerate(self.simplices) if s.dim <= n and b != self.basepoint
-                for word in combinations(down, n - s.dim))
-            self._key_index[n] = {key: k for k, key in enumerate(keys)}
-        return self._key_index[n]
+            self._levels[n] = (SimplexRef(self.basepoint, tuple(down)),) + tuple(sorted(
+                SimplexRef(b, word) for b, s in enumerate(self.simplices)
+                if s.dim <= n and b != self.basepoint for word in combinations(down, n - s.dim)))
+        return self._levels[n]
 
     def level_nonbase(self, n: int) -> tuple[SimplexRef, ...]:
         return self.level(n)[1:]
 
     def index(self, n: int) -> dict[SimplexRef, int]:
-        """``ref -> k`` with ``level(n)[k] == ref``; the basepoint is 0."""
+        """``ref -> k`` with ``level(n)[k] == ref``, also keyed by the plain
+        ``(base, word)`` tuple; the basepoint is 0."""
         if n not in self._index:
             self._index[n] = {ref: k for k, ref in enumerate(self.level(n))}
         return self._index[n]
@@ -248,9 +240,9 @@ class SimplicialSet:
         if n not in self._face_tables:
             if n < 1:
                 raise SimplicialError("no face maps on level 0")
-            below, keys = self._keys(n - 1), self._keys(n)
+            below, refs = self.index(n - 1), self.level(n)
             self._face_tables[n] = tuple(
-                tuple(below[self._face(b, w, i)] for b, w in keys) for i in range(n + 1))
+                tuple(below[self._face(b, w, i)] for b, w in refs) for i in range(n + 1))
         return self._face_tables[n]
 
     def face_fibers(self, n: int) -> tuple:
@@ -270,7 +262,7 @@ class SimplicialSet:
                 col = self.face_table(n - len(steps) + 1)[steps[-1]]
                 images = tuple(map(col.__getitem__, self.route_images(n, steps[:-1])))
             else:
-                images = tuple(range(len(self._keys(n))))
+                images = tuple(range(len(self.level(n))))
             self._route_images[n, steps] = images
         return images
 
@@ -286,9 +278,9 @@ class SimplicialSet:
         """``degeneracy_table(n)[j][k]`` is the index in ``level(n + 1)`` of
         ``s_j(level(n)[k])``; entry 0 of each row is the basepoint's image, 0."""
         if n not in self._degeneracy_tables:
-            above, keys = self._keys(n + 1), self._keys(n)
+            above, refs = self.index(n + 1), self.level(n)
             self._degeneracy_tables[n] = tuple(
-                tuple(above[b, _degenerate(w, j)] for b, w in keys) for j in range(n + 1))
+                tuple(above[b, _degenerate(w, j)] for b, w in refs) for j in range(n + 1))
         return self._degeneracy_tables[n]
 
     # -- validation ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,56 @@ def test_builders_refuse_an_oversized_table_before_tabulating(build, n, dim, bel
         build(n)
     assert f"dimension {dim}: its structure table would hold {dim ** 3:,} " in str(err.value)
     assert below is None or below ** 3 <= algebras.MAX_TABLE_SIZE < dim ** 3
+
+
+def _one_hot_oracle(field, d, unit, product_of):
+    """The builders' table as it was written before ``_build`` took basis
+    indices: ``product_of(i, j)`` is the coefficient list of e_i e_j."""
+    return (tuple(tuple(tuple(field.of(c) for c in product_of(i, j)) for j in range(d))
+                  for i in range(d)), tuple(field.of(c) for c in unit))
+
+
+def _one_hot(d, k):
+    out = [0] * d
+    if k is not None:
+        out[k] = 1
+    return out
+
+
+def _old_matrix_units(field, pairs):
+    idx = {p: k for k, p in enumerate(pairs)}
+    return _one_hot_oracle(field, len(pairs), [1 if i == j else 0 for i, j in pairs],
+                           lambda a, b: _one_hot(len(pairs), idx[pairs[a][0], pairs[b][1]]
+                                                 if pairs[a][1] == pairs[b][0] else None))
+
+
+def _old_s3(field):
+    perms = sorted(itertools.permutations((1, 2, 3)))
+    unit = [1 if p == (1, 2, 3) else 0 for p in perms]
+    return _one_hot_oracle(field, 6, unit, lambda i, j: _one_hot(6, perms.index(
+        tuple(perms[i][perms[j][t] - 1] for t in range(3)))))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_builders_equal_the_one_hot_tables(field):
+    cases = []
+    for n in range(1, 7):
+        unit = [1] + [0] * (n - 1)
+        cases.append((trunc_poly(n, field), _one_hot_oracle(
+            field, n, unit, lambda i, j, n=n: _one_hot(n, i + j if i + j < n else None))))
+        cases.append((cyclic_group_algebra(n, field), _one_hot_oracle(
+            field, n, unit, lambda i, j, n=n: _one_hot(n, (i + j) % n))))
+    for n in range(1, 4):
+        cases.append((upper_tri(n, field), _old_matrix_units(
+            field, [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)])))
+        cases.append((matrix_algebra(n, field), _old_matrix_units(
+            field, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)])))
+    cases.append((symmetric_group_algebra_s3(field), _old_s3(field)))
+    for alg, (table, unit) in cases:
+        assert (alg.table, alg.unit) == (table, unit), alg.name
+        assert ([type(c) for row in alg.table for cell in row for c in cell]
+                == [type(c) for row in table for cell in row for c in cell]), alg.name
+        assert [type(c) for c in alg.unit] == [type(c) for c in unit], alg.name
 
 
 def test_unit_is_neutral():

@@ -15,6 +15,7 @@ from hochord.cli import main
 from hochord.exact import QQ, Field
 from hochord.modules import (multi_regular, regular_bimodule, symmetric_module,
                              tensor_square_bimodule)
+from hochord.simplicial import SimplicialSet
 
 
 def run_cli(args):
@@ -46,6 +47,21 @@ def test_nncmo_oracle_flag():
     code, out, _ = run_cli(["nncmo", "wedge2", "--cutoff", "4", "--oracle"])
     assert code == 0
     assert "full_factorization_check: ok" in out
+
+
+def test_nncmo_on_the_point_composes_no_route(monkeypatch):
+    # no level of the point holds a fiber of two kept members, so neither
+    # the checks nor the search compose a face word
+    calls = [0]
+    images = SimplicialSet.route_images
+
+    def counted(X, n, steps):
+        calls[0] += 1
+        return images(X, n, steps)
+
+    monkeypatch.setattr(SimplicialSet, "route_images", counted)
+    code, _, _ = run_cli(["nncmo", "point", "--cutoff", "4", "--oracle", "--json"])
+    assert code == 0 and calls[0] == 0
 
 
 def _fiber_order(line):

@@ -851,7 +851,7 @@ def test_warm_rebuild_hashes_no_simplex_ref(case, variant, monkeypatch):
     builder, algebra, module, spec_of, normalized = WARM_CASES[case]
     X, alg = builder(), algebra(2)
     build_complex(spec_of(X, alg, module(alg), variant, 4, normalized=normalized))
-    index = X.index(2)  # the level tables key on tuples, so no build needs it
+    index = X.index(2)  # the index holds refs, and a warm rebuild builds none
     hashes = [0]
     original = SimplexRef.__hash__
 

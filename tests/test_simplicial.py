@@ -239,6 +239,22 @@ def test_index_inverts_the_level_and_puts_the_basepoint_first(builder):
         assert level[0] == X.basepoint_ref(n) and X.index(n)[X.basepoint_ref(n)] == 0
 
 
+@pytest.mark.parametrize("name", TABLE_ORACLE_SETS)
+def test_a_ref_is_its_level_key(name, request):
+    # a ref is a named tuple: the one index per level answers its plain
+    # (base, word) key, which the face and degeneracy tables look up
+    for X in _table_oracle_sets(name, request):
+        for n in range(5):
+            level, index = X.level(n), X.index(n)
+            assert list(level[1:]) == sorted(level[1:])
+            for k, r in enumerate(level):
+                assert index[(r.base, r.word)] == k
+                assert r == (r.base, r.word) and hash(r) == hash((r.base, r.word))
+        with pytest.raises(AttributeError):
+            X.level(1)[-1].base = 0
+    assert repr(SimplexRef(0)) == "SimplexRef(base=0, word=())"
+
+
 def test_face_tables_are_built_once_per_level(monkeypatch):
     X = wedge_of_circles(2)
     evaluate = SimplicialSet._face
